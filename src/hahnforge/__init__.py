@@ -3,11 +3,12 @@
 Scalars (residue fields, truncated Witt rings, Teichmüller digits) live in
 `exactnum`; series with rational exponents over them in `hahn_eqchar`
 (characteristic p) and `hahn_padic` (mixed characteristic, with carry
-normalization).  `indexcomb` holds the multinomial index machinery behind
-powers of the series sum_k p^(-1/p^k) and the certificate residual check;
-`newton` expands polynomial roots by Newton polygons, including past
-geometric exponent accumulation points; `ordinal` does Cantor-normal-form
-order-type arithmetic for supports.  `cli` is the command-line surface.
+normalization), both built on the truncated-series core in `series`.
+`indexcomb` holds the multinomial index machinery behind powers of the
+series sum_k p^(-1/p^k) and the certificate residual check; `newton`
+expands polynomial roots by Newton polygons, including past geometric
+exponent accumulation points; `ordinal` does Cantor-normal-form order-type
+arithmetic for supports.  `cli` is the command-line surface.
 """
 
 from .errors import (

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from fractions import Fraction
@@ -37,8 +36,7 @@ from .parsing import (
     series_to_eq,
     series_to_phahn,
 )
-
-INF = math.inf
+from .series import INF
 
 _CONFIG_ENV = "HAHNFORGE_CONFIG"
 _CONFIG_KEYS = ("p", "r", "L", "l_max", "max_field_degree", "stall_limit",
@@ -138,14 +136,13 @@ def _series_value(text, cfg):
 
 
 def _series_json(value, base):
-    items = value.terms if isinstance(value, EqHahn) else value.digits
     if value.is_exact():
         cap = None
     else:
         c = Fraction(value.cap)
         cap = [c.numerator, c.denominator]
     key = "terms" if base == "t" else "digits"
-    return {key: [[e.numerator, e.denominator, str(c)] for e, c in items],
+    return {key: [[e.numerator, e.denominator, str(c)] for e, c in value.terms],
             "cap": cap}
 
 
@@ -154,13 +151,6 @@ def _emit_series(value, base, args, out):
         print(json.dumps(_series_json(value, base), sort_keys=True), file=out)
     else:
         print(format_series(value, base), file=out)
-
-
-def _ordinal_depth_check(x):
-    if x.depth() > ordinal.MAX_EXPONENT_DEPTH:
-        raise ValueError(
-            f"ordinal exponent depth exceeds {ordinal.MAX_EXPONENT_DEPTH}")
-    return x
 
 
 def _batch(arg, stdin):
@@ -304,8 +294,8 @@ def _dispatch(args, cfg, out, stdin):
         return 0
 
     if verb == "ordinal":
-        a = _ordinal_depth_check(parse_ordinal(args.lhs))
-        b = _ordinal_depth_check(parse_ordinal(args.rhs))
+        a = parse_ordinal(args.lhs)
+        b = parse_ordinal(args.rhs)
         if args.op == "cmp":
             result = "less" if a < b else ("greater" if b < a else "equal")
             print(result, file=out)
@@ -316,14 +306,13 @@ def _dispatch(args, cfg, out, stdin):
 
     if verb == "order-type-replicate":
         for text in _batch(args.ordinal, stdin):
-            a = _ordinal_depth_check(parse_ordinal(text))
+            a = parse_ordinal(text)
             print(format_ordinal(ordinal.replication_order_type(a)), file=out)
         return 0
 
     if verb == "prediction-check":
         for text in _batch(args.ordinal, stdin):
-            a = _ordinal_depth_check(parse_ordinal(text))
-            print(ordinal.prediction_filter(a), file=out)
+            print(ordinal.prediction_filter(parse_ordinal(text)), file=out)
         return 0
 
     raise AssertionError(f"unhandled verb {verb}")
@@ -374,7 +363,7 @@ def run(argv, out=None, err=None, stdin=None):
     except HahnForgeError as exc:
         print(f"error: {exc}", file=err)
         return 1
-    except (ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError, RecursionError) as exc:
         print(f"error: {exc}", file=err)
         return 1
 

@@ -253,6 +253,21 @@ class PrimeConfig:
         return WittElem(self, tuple(coeffs), prec)
 
 
+def _format_gpoly(coeffs) -> str:
+    """Generator-basis coefficients as text, highest power first: 2*g^2+g+1."""
+    parts = []
+    for i in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[i]
+        if c == 0:
+            continue
+        if i == 0:
+            parts.append(str(c))
+        else:
+            gpow = "g" if i == 1 else f"g^{i}"
+            parts.append(gpow if c == 1 else f"{c}*{gpow}")
+    return "+".join(parts) if parts else "0"
+
+
 class FqElem:
     """Element of F_{p^r} in the generator basis; immutable."""
 
@@ -333,17 +348,7 @@ class FqElem:
         return f"FqElem({self})"
 
     def __str__(self):
-        parts = []
-        for i in range(self.cfg.r - 1, -1, -1):
-            c = self.coeffs[i]
-            if c == 0:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            else:
-                gpow = "g" if i == 1 else f"g^{i}"
-                parts.append(gpow if c == 1 else f"{c}*{gpow}")
-        return "+".join(parts) if parts else "0"
+        return _format_gpoly(self.coeffs)
 
 
 class WittElem:
@@ -442,17 +447,7 @@ class WittElem:
         return f"WittElem({self}, prec={self.prec})"
 
     def __str__(self):
-        parts = []
-        for i in range(self.cfg.r - 1, -1, -1):
-            c = self.coeffs[i]
-            if c == 0:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            else:
-                gpow = "g" if i == 1 else f"g^{i}"
-                parts.append(gpow if c == 1 else f"{c}*{gpow}")
-        return "+".join(parts) if parts else "0"
+        return _format_gpoly(self.coeffs)
 
 
 def teichmueller(a: FqElem, prec: int | None = None) -> WittElem:

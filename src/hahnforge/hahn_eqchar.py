@@ -1,12 +1,7 @@
 """Equal-characteristic Hahn series k((t^Q)) at finite truncation.
 
-A series is a finite sorted list of (exponent, coefficient) pairs with
-exponents in Q (fractions.Fraction) and coefficients in F_{p^r}, together
-with a cap: every exponent strictly below the cap is exact, everything at or
-above it is unknown.  cap = +inf (math.inf) marks an exact finite series such
-as a polynomial input.  Zero with a finite cap means "zero up to O(t^cap)"
-and deliberately has no valuation: treating an unresolved residual as exactly
-zero is the classic silent bug this model is built to prevent.
+Values are truncated series in the sense of `series`: coefficients in
+F_{p^r}, rational exponents, exact below the cap.
 
 Cap propagation:
     add:  cap = min(cap_a, cap_b)
@@ -18,110 +13,43 @@ exact.  Values are immutable and safe to share between tasks.
 
 from __future__ import annotations
 
-import math
-from fractions import Fraction
-
 from .errors import DivisionByZero, PrecisionLoss
-from .exactnum import FqElem, PrimeConfig, subfield_embedding
-
-INF = math.inf
+from .exactnum import PrimeConfig
+from .series import INF, TruncatedSeries, as_frac, eval_poly
 
 __all__ = ["EqHahn", "eval_poly", "INF"]
 
 
-def _as_frac(x):
-    if isinstance(x, Fraction) or x is INF or x == INF:
-        return x
-    return Fraction(x)
+class EqHahn(TruncatedSeries):
+    """Truncated Hahn series over F_{p^r} with rational exponents.
 
+    The constructor canonicalizes: it merges equal exponents, drops zero
+    coefficients and terms at or above the cap, and sorts.
+    """
 
-class EqHahn:
-    """Truncated Hahn series over F_{p^r} with rational exponents."""
-
-    __slots__ = ("cfg", "terms", "cap")
+    __slots__ = ()
+    BASE = "t"
 
     def __init__(self, cfg: PrimeConfig, terms, cap=INF):
-        cap = _as_frac(cap)
+        cap = as_frac(cap)
         merged = {}
         for exp, coeff in terms:
-            exp = _as_frac(exp)
+            exp = as_frac(exp)
             if exp >= cap:
                 continue
             if exp in merged:
                 merged[exp] = merged[exp] + coeff
             else:
                 merged[exp] = cfg.fq(coeff)
-        items = tuple(sorted(
-            ((e, c) for e, c in merged.items() if not c.is_zero()),
-            key=lambda t: t[0]))
-        object.__setattr__(self, "cfg", cfg)
-        object.__setattr__(self, "terms", items)
-        object.__setattr__(self, "cap", cap)
-
-    def __setattr__(self, *a):
-        raise AttributeError("EqHahn is immutable")
-
-    # constructors ----------------------------------------------------------
-
-    @staticmethod
-    def zero(cfg, cap=INF) -> "EqHahn":
-        return EqHahn(cfg, (), cap)
-
-    @staticmethod
-    def one(cfg) -> "EqHahn":
-        return EqHahn(cfg, [(Fraction(0), cfg.fq(1))])
-
-    @staticmethod
-    def monomial(cfg, coeff, exp, cap=INF) -> "EqHahn":
-        return EqHahn(cfg, [(_as_frac(exp), cfg.fq(coeff))], cap)
+        items = sorted(((e, c) for e, c in merged.items() if not c.is_zero()),
+                       key=lambda t: t[0])
+        super().__init__(cfg, items, cap)
 
     @staticmethod
     def from_int(cfg, n: int) -> "EqHahn":
-        return EqHahn(cfg, [(Fraction(0), cfg.fq(n))])
-
-    # predicates and views ---------------------------------------------------
-
-    def is_exact(self) -> bool:
-        return self.cap is INF or self.cap == INF
-
-    def is_exact_zero(self) -> bool:
-        return not self.terms and self.is_exact()
-
-    def is_zero_below_cap(self) -> bool:
-        return not self.terms
-
-    def leading(self):
-        """(exponent, coefficient) of the lowest term, or None."""
-        return self.terms[0] if self.terms else None
-
-    def valuation(self):
-        """min Supp; +inf only for the exact zero series."""
-        if self.terms:
-            return self.terms[0][0]
-        if self.is_exact():
-            return INF
-        raise PrecisionLoss(
-            f"series vanishes below O(t^{self.cap}); valuation unresolved")
-
-    def val_lower_bound(self):
-        if self.terms:
-            return self.terms[0][0]
-        return self.cap
-
-    def coeff_at(self, exp) -> FqElem:
-        exp = _as_frac(exp)
-        for e, c in self.terms:
-            if e == exp:
-                return c
-        return self.cfg.fq(0)
+        return EqHahn.monomial(cfg, n, 0)
 
     # ring operations --------------------------------------------------------
-
-    def _check(self, other):
-        if not isinstance(other, EqHahn):
-            raise TypeError("EqHahn expected")
-        if not self.cfg.same_field(other.cfg):
-            raise ValueError("PrimeConfig mismatch")
 
     def __add__(self, other):
         self._check(other)
@@ -150,44 +78,13 @@ class EqHahn:
                 out[e] = out[e] + prod if e in out else prod
         return EqHahn(self.cfg, out.items(), cap)
 
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative powers via inverse()")
-        acc = EqHahn.one(self.cfg)
-        base = self
-        while n:
-            if n & 1:
-                acc = acc * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return acc
-
-    def scale(self, coeff) -> "EqHahn":
-        c = self.cfg.fq(coeff)
-        return EqHahn(self.cfg, [(e, x * c) for e, x in self.terms], self.cap)
-
-    def shift(self, exp) -> "EqHahn":
-        """Multiply by the monomial t^exp."""
-        exp = _as_frac(exp)
-        cap = self.cap if self.is_exact() else self.cap + exp
-        return EqHahn(self.cfg, [(e + exp, c) for e, c in self.terms], cap)
-
-    def strip_leading(self) -> "EqHahn":
-        """Remove the lowest term (exact)."""
-        if not self.terms:
-            return self
-        return EqHahn(self.cfg, self.terms[1:], self.cap)
-
-    def truncate(self, cap) -> "EqHahn":
-        return EqHahn(self.cfg, self.terms, min(self.cap, _as_frac(cap)))
-
     def inverse(self, target_cap) -> "EqHahn":
         """Inverse up to O(t^target_cap): leading-term peel-off + geometric series.
 
         The result r satisfies self * r = 1 + O(t^(target_cap + v(self))).
         Monomials invert exactly.
         """
-        target_cap = _as_frac(target_cap)
+        target_cap = as_frac(target_cap)
         if not self.terms:
             if self.is_exact():
                 raise DivisionByZero("inverse of the exact zero series")
@@ -205,7 +102,7 @@ class EqHahn:
                    (self.cap - v) if not self.is_exact() else INF)
         vu = u.val_lower_bound()
         inner_cap = target_cap + v
-        acc = EqHahn.one(self.cfg).truncate(inner_cap)
+        acc = EqHahn.one(self.cfg, inner_cap)
         power = EqHahn.one(self.cfg)
         k = 1
         while k * vu < inner_cap and power.terms:
@@ -221,42 +118,3 @@ class EqHahn:
         p = self.cfg.p
         cap = self.cap if self.is_exact() else self.cap * p
         return EqHahn(self.cfg, [(e * p, c ** p) for e, c in self.terms], cap)
-
-    def embed(self, big: PrimeConfig) -> "EqHahn":
-        return EqHahn(big, [(e, subfield_embedding(c, big)) for e, c in self.terms],
-                      self.cap)
-
-    # comparisons ------------------------------------------------------------
-
-    def __eq__(self, other):
-        return (isinstance(other, EqHahn)
-                and self.cfg.same_field(other.cfg)
-                and self.terms == other.terms
-                and self.cap == other.cap)
-
-    def __hash__(self):
-        return hash((self.cfg.p, self.cfg.modulus, self.terms, self.cap))
-
-    def agree_below(self, other, bound) -> bool:
-        """Term-for-term equality at exponents < bound (bound within both caps)."""
-        bound = _as_frac(bound)
-        if bound > self.cap or bound > other.cap:
-            raise PrecisionLoss("agreement bound exceeds a cap")
-        mine = [(e, c) for e, c in self.terms if e < bound]
-        theirs = [(e, c) for e, c in other.terms if e < bound]
-        return mine == theirs
-
-    def __repr__(self):
-        body = " + ".join(f"[{c}]*t^({e})" for e, c in self.terms) or "0"
-        if not self.is_exact():
-            body += f" + O(t^({self.cap}))"
-        return body
-
-
-def eval_poly(coeffs, x: EqHahn) -> EqHahn:
-    """Horner evaluation of the polynomial sum(coeffs[i] X^i) at x."""
-    cfg = x.cfg
-    acc = EqHahn.zero(cfg)
-    for c in reversed(list(coeffs)):
-        acc = acc * x + c
-    return acc

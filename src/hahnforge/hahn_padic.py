@@ -33,16 +33,9 @@ import math
 from fractions import Fraction
 
 from .errors import PrecisionLoss
-from .exactnum import (
-    FqElem,
-    PrimeConfig,
-    WittElem,
-    digit_decompose,
-    subfield_embedding,
-    teichmueller,
-)
+from .exactnum import FqElem, PrimeConfig, WittElem, digit_decompose, teichmueller
+from .series import INF, TruncatedSeries, as_frac
 
-INF = math.inf
 GUARD_DIGITS = 2
 
 __all__ = [
@@ -55,12 +48,6 @@ __all__ = [
     "recompose",
     "mul_via_decomposition",
 ]
-
-
-def _as_frac(x):
-    if isinstance(x, Fraction) or x is INF or x == INF:
-        return x
-    return Fraction(x)
 
 
 def _floor(x: Fraction) -> int:
@@ -159,6 +146,7 @@ def _bucket_capped(cfg, items, need, frac_cap, guard):
             f"bucket needs Witt length {ell} > l_max={cfg.l_max}")
     pk = cfg.p ** ell
     total = [0] * cfg.r
+    lifts = {}  # the bucket's distinct digits (keyed by coeffs), lifted once
     for n, coeff in items:
         k, d, w = _coeff_parts(cfg, coeff)
         shift = cfg.p ** (n - n_min)
@@ -167,7 +155,9 @@ def _bucket_capped(cfg, items, need, frac_cap, guard):
         else:
             vec = [0] * cfg.r
             if d is not None:
-                lift = teichmueller(d, prec=ell)
+                lift = lifts.get(d.coeffs)
+                if lift is None:
+                    lift = lifts[d.coeffs] = teichmueller(d, prec=ell)
                 vec = [c * k * shift % pk for c in lift.coeffs]
             else:
                 vec[0] = k * shift % pk
@@ -192,10 +182,10 @@ def normalize(cfg: PrimeConfig, bag, cap, guard: int = GUARD_DIGITS) -> "PHahn":
     bucket runs at ceil(cap - q) digits past its offset, plus `guard`),
     digit decomposed, and merged.
     """
-    cap = _as_frac(cap)
+    cap = as_frac(cap)
     buckets = {}
     for coeff, exp in bag:
-        exp = _as_frac(exp)
+        exp = as_frac(exp)
         n = _floor(exp)
         buckets.setdefault(exp - n, []).append((n, coeff))
     out = []
@@ -229,7 +219,18 @@ def normalize(cfg: PrimeConfig, bag, cap, guard: int = GUARD_DIGITS) -> "PHahn":
     return PHahn(cfg, tuple(out), cap)
 
 
-class PHahn:
+def _indexed(terms, den):
+    """Terms as (exponent * den, digit index) pairs, and the distinct digits."""
+    index, digits, out = {}, [], []
+    for e, d in terms:
+        i = index.setdefault(d.coeffs, len(digits))
+        if i == len(digits):
+            digits.append(d)
+        out.append((e.numerator * (den // e.denominator), i))
+    return out, digits
+
+
+class PHahn(TruncatedSeries):
     """Truncated p-adic Hahn series in standard expansion.
 
     The constructor trusts its input to already be a standard expansion
@@ -237,77 +238,20 @@ class PHahn:
     normalize()/from_integer()/frak_a() to build values from raw material.
     """
 
-    __slots__ = ("cfg", "digits", "cap")
+    __slots__ = ()
+    BASE = "p"
 
-    def __init__(self, cfg: PrimeConfig, digits: tuple, cap):
-        object.__setattr__(self, "cfg", cfg)
-        object.__setattr__(self, "digits", tuple(digits))
-        object.__setattr__(self, "cap", _as_frac(cap))
+    @property
+    def digits(self):
+        """The (exponent, digit) pairs of the standard expansion."""
+        return self.terms
 
-    def __setattr__(self, *a):
-        raise AttributeError("PHahn is immutable")
-
-    # constructors -----------------------------------------------------------
-
-    @staticmethod
-    def zero(cfg, cap=INF) -> "PHahn":
-        return PHahn(cfg, (), cap)
-
-    @staticmethod
-    def one(cfg, cap=INF) -> "PHahn":
-        return PHahn(cfg, ((Fraction(0), cfg.fq(1)),), cap)
-
-    @staticmethod
-    def monomial(cfg, digit, exp, cap=INF) -> "PHahn":
-        d = cfg.fq(digit)
-        if d.is_zero():
-            return PHahn.zero(cfg, cap)
-        return PHahn(cfg, ((_as_frac(exp), d),), cap)
-
-    # predicates and views ----------------------------------------------------
-
-    def is_exact(self) -> bool:
-        return self.cap is INF or self.cap == INF
-
-    def is_exact_zero(self) -> bool:
-        return not self.digits and self.is_exact()
-
-    def is_zero_below_cap(self) -> bool:
-        return not self.digits
-
-    def leading(self):
-        return self.digits[0] if self.digits else None
-
-    def valuation(self):
-        if self.digits:
-            return self.digits[0][0]
-        if self.is_exact():
-            return INF
-        raise PrecisionLoss(
-            f"series vanishes below O(p^{self.cap}); valuation unresolved")
-
-    def val_lower_bound(self):
-        if self.digits:
-            return self.digits[0][0]
-        return self.cap
-
-    def digit_at(self, exp) -> FqElem:
-        exp = _as_frac(exp)
-        for e, d in self.digits:
-            if e == exp:
-                return d
-        return self.cfg.fq(0)
+    digit_at = TruncatedSeries.coeff_at
 
     def digit_bag(self):
-        return [(d, e) for e, d in self.digits]
+        return [(d, e) for e, d in self.terms]
 
     # arithmetic --------------------------------------------------------------
-
-    def _check(self, other):
-        if not isinstance(other, PHahn):
-            raise TypeError("PHahn expected")
-        if not self.cfg.same_field(other.cfg):
-            raise ValueError("PrimeConfig mismatch")
 
     def __add__(self, other):
         self._check(other)
@@ -318,14 +262,14 @@ class PHahn:
         p = self.cfg.p
         if p > 2:
             minus_one = self.cfg.fq(p - 1)  # [p-1] = -1 exactly for odd p
-            return PHahn(self.cfg, tuple((e, d * minus_one) for e, d in self.digits),
+            return PHahn(self.cfg, tuple((e, d * minus_one) for e, d in self.terms),
                          self.cap)
-        return normalize(self.cfg, [((-1, d), e) for e, d in self.digits], self.cap)
+        return normalize(self.cfg, [((-1, d), e) for e, d in self.terms], self.cap)
 
     def __sub__(self, other):
         self._check(other)
         cap = min(self.cap, other.cap)
-        bag = self.digit_bag() + [((-1, d), e) for e, d in other.digits]
+        bag = self.digit_bag() + [((-1, d), e) for e, d in other.terms]
         return normalize(self.cfg, bag, cap)
 
     def __mul__(self, other):
@@ -334,70 +278,26 @@ class PHahn:
             return PHahn.zero(self.cfg)
         cap = min(self.cap + other.val_lower_bound(),
                   other.cap + self.val_lower_bound())
-        bag = [(da * db, ea + eb)
-               for ea, da in self.digits for eb, db in other.digits]
+        # Equal products enter the bag once as (count, digit): a dense square
+        # has far fewer distinct (exponent, digit pair) products than pairs.
+        # Exponents are counted as integers over a common denominator and
+        # digits by index, so the pair loop does no Fraction or field work.
+        den = math.lcm(*(e.denominator for e, _ in self.terms + other.terms))
+        a, da = _indexed(self.terms, den)
+        b, db = _indexed(other.terms, den)
+        counts = {}
+        for xa, ia in a:
+            for xb, ib in b:
+                key = (xa + xb, ia, ib)
+                counts[key] = counts.get(key, 0) + 1
+        digit = {}
+        bag = []
+        for (x, ia, ib), k in counts.items():
+            d = digit.get((ia, ib))
+            if d is None:
+                d = digit[ia, ib] = da[ia] * db[ib]
+            bag.append((d if k == 1 else (k, d), Fraction(x, den)))
         return normalize(self.cfg, bag, cap)
-
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative powers are not defined here")
-        acc = PHahn.one(self.cfg)
-        for _ in range(n):
-            acc = acc * self
-        return acc
-
-    def shift(self, exp) -> "PHahn":
-        """Multiply by p^exp (exact: pure exponent translation)."""
-        exp = _as_frac(exp)
-        cap = self.cap if self.is_exact() else self.cap + exp
-        return PHahn(self.cfg, tuple((e + exp, d) for e, d in self.digits), cap)
-
-    def scale_digit(self, c) -> "PHahn":
-        """Multiply by the Teichmüller lift [c] (exact, digit-wise)."""
-        c = self.cfg.fq(c)
-        if c.is_zero():
-            return PHahn.zero(self.cfg)
-        return PHahn(self.cfg, tuple((e, d * c) for e, d in self.digits), self.cap)
-
-    def strip_leading(self) -> "PHahn":
-        """Remove the lowest digit (exact on standard expansions)."""
-        if not self.digits:
-            return self
-        return PHahn(self.cfg, self.digits[1:], self.cap)
-
-    def truncate(self, cap) -> "PHahn":
-        cap = _as_frac(cap)
-        return PHahn(self.cfg, tuple((e, d) for e, d in self.digits if e < cap),
-                     min(self.cap, cap))
-
-    def embed(self, big: PrimeConfig) -> "PHahn":
-        return PHahn(big, tuple((e, subfield_embedding(d, big)) for e, d in self.digits),
-                     self.cap)
-
-    # comparisons -------------------------------------------------------------
-
-    def __eq__(self, other):
-        return (isinstance(other, PHahn)
-                and self.cfg.same_field(other.cfg)
-                and self.digits == other.digits
-                and self.cap == other.cap)
-
-    def __hash__(self):
-        return hash((self.cfg.p, self.cfg.modulus, self.digits, self.cap))
-
-    def agree_below(self, other, bound) -> bool:
-        bound = _as_frac(bound)
-        if bound > self.cap or bound > other.cap:
-            raise PrecisionLoss("agreement bound exceeds a cap")
-        mine = [(e, d) for e, d in self.digits if e < bound]
-        theirs = [(e, d) for e, d in other.digits if e < bound]
-        return mine == theirs
-
-    def __repr__(self):
-        body = " + ".join(f"[{d}]*p^({e})" for e, d in self.digits) or "0"
-        if not self.is_exact():
-            body += f" + O(p^({self.cap}))"
-        return body
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +320,7 @@ def frak_a(cfg: PrimeConfig, cap, terms: int | None = None) -> PHahn:
     cap < 0; for cap >= 0 infinitely many digits would qualify and an
     explicit terms count must be supplied.
     """
-    cap = _as_frac(cap)
+    cap = as_frac(cap)
     one = cfg.fq(1)
     if terms is not None:
         if terms < 0:
@@ -455,7 +355,7 @@ class FracDecomp:
     def __init__(self, cfg, entries, cap):
         object.__setattr__(self, "cfg", cfg)
         object.__setattr__(self, "entries", tuple(entries))
-        object.__setattr__(self, "cap", _as_frac(cap))
+        object.__setattr__(self, "cap", as_frac(cap))
 
     def __setattr__(self, *a):
         raise AttributeError("FracDecomp is immutable")
@@ -467,7 +367,7 @@ class FracDecomp:
                 and self.cap == other.cap)
 
     def coefficient(self, q):
-        q = _as_frac(q)
+        q = as_frac(q)
         for qq, off, unit in self.entries:
             if qq == q:
                 return off, unit
@@ -486,11 +386,11 @@ def decompose(x: PHahn, cover=None) -> FracDecomp:
     map determines c_q to any precision, its higher digits being zero).
     """
     cfg = x.cfg
-    cover = x.cap if cover is None else _as_frac(cover)
+    cover = x.cap if cover is None else as_frac(cover)
     if not x.is_exact() and cover > x.cap:
         raise PrecisionLoss("cannot cover beyond the cap of a truncated value")
     buckets = {}
-    for e, d in x.digits:
+    for e, d in x.terms:
         n = _floor(e)
         buckets.setdefault(e - n, []).append((n, d))
     entries = []
@@ -512,7 +412,7 @@ def decompose(x: PHahn, cover=None) -> FracDecomp:
 
 def recompose(fd: FracDecomp, cap=None) -> PHahn:
     """Inverse of decompose below cap (defaults to the decomposition's cap)."""
-    cap = fd.cap if cap is None else _as_frac(cap)
+    cap = fd.cap if cap is None else as_frac(cap)
     out = []
     for q, off, unit in fd.entries:
         if cap is not INF and cap != INF and cap > q + off + unit.prec:

@@ -32,7 +32,8 @@ from fractions import Fraction
 
 from .errors import SigmaMismatch
 from .exactnum import PrimeConfig
-from .hahn_padic import INF, PHahn, from_integer, normalize
+from .hahn_padic import PHahn, from_integer, normalize
+from .series import INF, as_frac
 
 __all__ = [
     "index_vec",
@@ -167,8 +168,7 @@ class Certificate:
             raise ValueError("certificate needs at least s_0 and s_1")
         if self.s[0] == 0 or self.s[-1] == 0:
             raise ValueError("s_0 and s_{n+1} must be nonzero")
-        object.__setattr__(self, "cap", Fraction(self.cap) if self.cap != INF
-                           else self.cap)
+        object.__setattr__(self, "cap", as_frac(self.cap))
 
     @property
     def degree(self) -> int:

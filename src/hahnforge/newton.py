@@ -35,7 +35,6 @@ lexicographic coefficient order.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -48,8 +47,7 @@ from .errors import (
 from .exactnum import PrimeConfig, fq_poly_roots, subfield_embedding
 from .hahn_eqchar import EqHahn
 from .hahn_padic import PHahn
-
-INF = math.inf
+from .series import INF, as_frac, eval_poly
 
 GEO_WINDOW = 3   # geometric increments required before acceleration
 
@@ -160,15 +158,7 @@ def polygon_of(coeffs) -> NewtonPolygon:
 # generic ring plumbing
 # ---------------------------------------------------------------------------
 
-def eval_poly_generic(coeffs, x):
-    acc = type(x).zero(x.cfg)
-    for c in reversed(list(coeffs)):
-        acc = acc * x + c
-    return acc
-
-
-def _items(x):
-    return x.terms if isinstance(x, EqHahn) else x.digits
+eval_poly_generic = eval_poly
 
 
 def _taylor_shift(coeffs, tau):
@@ -208,8 +198,8 @@ class RootBranch:
         return None
 
     def __repr__(self):
-        base = "t" if self.ring is EqHahn else "p"
-        body = " + ".join(f"[{c}]*{base}^({e})" for e, c in self.terms) or "0"
+        body = " + ".join(f"[{c}]*{self.ring.BASE}^({e})"
+                          for e, c in self.terms) or "0"
         return f"RootBranch({body}; bound={self.residual_bound})"
 
 
@@ -241,7 +231,7 @@ def _geo_chain(history, p):
 
 def _agreement_bound(a, b):
     """First exponent where the term lists differ, else the smaller cap."""
-    ia, ib = _items(a), _items(b)
+    ia, ib = a.terms, b.terms
     for (e1, c1), (e2, c2) in zip(ia, ib):
         if e1 != e2 or c1 != c2:
             return min(e1, e2)
@@ -479,8 +469,7 @@ def expand_root_padic(coeffs, cap, opts: ExpandOptions | None = None):
     """Root branches over PHahn coefficients with digit exponents below cap."""
     coeffs = list(coeffs)
     cfg = coeffs[0].cfg
-    cap = cap if isinstance(cap, Fraction) else Fraction(cap)
-    return _expand(PHahn, cfg, coeffs, upper=cap, opts=opts)
+    return _expand(PHahn, cfg, coeffs, upper=as_frac(cap), opts=opts)
 
 
 def verify_root(coeffs, prefix, expected_bound):

@@ -21,15 +21,13 @@ on canonical forms and parse-then-print is the identity on ASTs.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from .errors import ParseError
 from .hahn_eqchar import EqHahn
 from .hahn_padic import PHahn, normalize
-from .ordinal import ZERO, Ordinal
-
-INF = math.inf
+from .ordinal import MAX_EXPONENT_DEPTH, ZERO, Ordinal
+from .series import INF
 
 __all__ = [
     "tokenize",
@@ -314,9 +312,8 @@ def series_to_phahn(ast, cfg) -> PHahn:
 
 def format_series(value, base: str) -> str:
     """Canonical text for an EqHahn or PHahn value."""
-    items = value.terms if isinstance(value, EqHahn) else value.digits
     parts = []
-    for e, c in items:
+    for e, c in value.terms:
         if e == 0:
             parts.append(f"[{format_fq(c)}]")
         else:
@@ -456,7 +453,13 @@ def poly_to_coeffs(ast, cfg, ring, coeff_cap=INF):
 # ordinals and index vectors
 # ---------------------------------------------------------------------------
 
-def _parse_ordinal_expr(cur) -> Ordinal:
+def _depth_error():
+    return ValueError(f"ordinal exponent depth exceeds {MAX_EXPONENT_DEPTH}")
+
+
+def _parse_ordinal_expr(cur, nesting) -> Ordinal:
+    if nesting > MAX_EXPONENT_DEPTH:
+        raise _depth_error()
     total = ZERO
     while True:
         k, v, col = cur.peek()
@@ -467,7 +470,7 @@ def _parse_ordinal_expr(cur) -> Ordinal:
             exp = Ordinal.from_int(1)
             if cur.accept("punct", "^"):
                 cur.expect("punct", "(")
-                exp = _parse_ordinal_expr(cur)
+                exp = _parse_ordinal_expr(cur, nesting + 1)
                 cur.expect("punct", ")")
             coeff = 1
             if cur.accept("punct", "*"):
@@ -485,9 +488,16 @@ def _parse_ordinal_expr(cur) -> Ordinal:
 
 
 def parse_ordinal(text: str) -> Ordinal:
+    """Ordinal in w-notation; ValueError past MAX_EXPONENT_DEPTH.
+
+    Deeper exponents are rejected while parsing, before they can exhaust the
+    interpreter's recursion limit.
+    """
     cur = _Cursor(tokenize(text))
-    value = _parse_ordinal_expr(cur)
+    value = _parse_ordinal_expr(cur, 0)
     cur.done()
+    if value.depth() > MAX_EXPONENT_DEPTH:
+        raise _depth_error()
     return value
 
 

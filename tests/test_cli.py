@@ -2,6 +2,7 @@ import io
 import json
 import pathlib
 import random
+import time
 from fractions import Fraction as Fr
 
 import pytest
@@ -10,6 +11,7 @@ from golden_cases import CASES
 
 from hahnforge.cli import run
 from hahnforge.exactnum import PrimeConfig
+from hahnforge.hahn_padic import PHahn
 from hahnforge.parsing import (
     format_ast,
     format_series,
@@ -80,6 +82,42 @@ class TestExitCodes:
     def test_mixed_bases_rejected(self):
         code, _out, _err = invoke(["-p", "2", "add", "t^(1)", "p^(1)"])
         assert code == 2
+
+    def test_deep_ordinal_is_domain_error(self):
+        deep = "w^(" * 3000 + "1" + ")" * 3000
+        code, out, err = invoke(["ordinal", "add", deep, "1"])
+        assert code == 1 and out == ""
+        assert err == "error: ordinal exponent depth exceeds 8\n"
+
+    def test_recursion_error_is_domain_error(self, monkeypatch):
+        def overflow(*_args):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr("hahnforge.cli._dispatch", overflow)
+        code, _out, err = invoke(["ordinal", "add", "w", "1"])
+        assert code == 1 and err.count("\n") == 1
+
+
+class TestPow:
+    def test_large_exponent_is_logarithmic(self, monkeypatch):
+        # About 12 ms on a 2-vCPU VM; multiplying n times would take about
+        # 100 s.  The product count is the exact check, the budget a loose one.
+        products = []
+        mul = PHahn.__mul__
+
+        def counting_mul(a, b):
+            products.append(1)
+            return mul(a, b)
+
+        monkeypatch.setattr(PHahn, "__mul__", counting_mul)
+        start = time.perf_counter()
+        code, out, err = invoke(["-p", "2", "pow", "[1]*p^(1) + O(p^(3))",
+                                 "1000000"])
+        elapsed = time.perf_counter() - start
+        assert code == 0, err
+        assert out == "[1]*p^(1000000) + O(p^(1000002))\n"
+        assert len(products) <= 2 * (1000000).bit_length()
+        assert elapsed < 2.0
 
 
 class TestStdinBatch:

@@ -6,6 +6,7 @@ import pytest
 
 from hahnforge.errors import PrecisionLoss
 from hahnforge.exactnum import PrimeConfig, digit_decompose, teichmueller
+from hahnforge.hahn_eqchar import EqHahn
 from hahnforge.hahn_padic import (
     PHahn,
     decompose,
@@ -166,6 +167,26 @@ class TestAddMul:
         d = a - a
         assert d.is_zero_below_cap()
 
+    def test_monomial_drops_digit_at_or_above_cap(self):
+        cfg = PrimeConfig.make(2)
+        for exp in (Fr(3), Fr(5)):
+            m = PHahn.monomial(cfg, 1, exp, cap=Fr(3))
+            assert m.digits == () and m.cap == Fr(3)
+        assert PHahn.monomial(cfg, 1, Fr(2), cap=Fr(3)).digits == ((Fr(2), cfg.fq(1)),)
+
+    @pytest.mark.parametrize("p,r", [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2)])
+    def test_pow_matches_repeated_decomposition_product(self, p, r):
+        cfg = PrimeConfig.make(p, r)
+        rng = random.Random(11 * p + r)
+        for _ in range(12):
+            x = random_phahn(cfg, rng)
+            assert x ** 0 == PHahn.one(cfg)
+            expected = x
+            for n in range(1, 9):
+                if n > 1:
+                    expected = mul_via_decomposition(expected, x)
+                assert x ** n == expected
+
     def test_neg_odd_p_is_exact(self):
         cfg = PrimeConfig.make(5)
         a = PHahn.monomial(cfg, 2, Fr(1, 2))
@@ -173,6 +194,24 @@ class TestAddMul:
         assert n.is_exact()
         s = a + n.truncate(Fr(3))
         assert s.is_zero_below_cap()
+
+
+class TestCrossRing:
+    def test_agree_below_rejects_the_other_ring(self):
+        cfg = PrimeConfig.make(2)
+        t = EqHahn.monomial(cfg, 1, Fr(1), cap=Fr(2))
+        p = PHahn.monomial(cfg, 1, Fr(1), cap=Fr(2))
+        with pytest.raises(TypeError):
+            t.agree_below(p, Fr(1))
+        with pytest.raises(TypeError):
+            p.agree_below(t, Fr(1))
+
+    def test_equal_terms_in_different_rings_are_unequal(self):
+        cfg = PrimeConfig.make(2)
+        t = EqHahn.monomial(cfg, 1, Fr(1), cap=Fr(2))
+        p = PHahn.monomial(cfg, 1, Fr(1), cap=Fr(2))
+        assert t.terms == p.terms and t.cap == p.cap
+        assert t != p and p != t
 
 
 class TestVal:
