@@ -205,24 +205,20 @@ def _dispatch(args, cfg, out, stdin):
 
     if verb == "newton-solve":
         ast = parse_poly(args.poly)
+        opts = newton.ExpandOptions(max_field_degree=args.max_degree,
+                                    stall_limit=args.stall_limit)
         if args.ring == "eq":
             if args.terms is None:
                 raise ParseError("--terms is required for --ring eq")
             coeffs = poly_to_coeffs(ast, cfg, EqHahn)
-            branches = newton.expand_roots_eq(
-                coeffs, max_terms=args.terms,
-                opts=newton.ExpandOptions(max_field_degree=args.max_degree,
-                                          stall_limit=args.stall_limit))
+            branches = newton.expand_roots_eq(coeffs, max_terms=args.terms, opts=opts)
             base = "t"
         else:
             if args.cap is None:
                 raise ParseError("--cap is required for --ring padic")
             cap = parse_rational(args.cap)
             coeffs = poly_to_coeffs(ast, cfg, PHahn, coeff_cap=cap + 4)
-            branches = newton.expand_root_padic(
-                coeffs, cap=cap,
-                opts=newton.ExpandOptions(max_field_degree=args.max_degree,
-                                          stall_limit=args.stall_limit))
+            branches = newton.expand_root_padic(coeffs, cap=cap, opts=opts)
             base = "p"
         if args.json:
             payload = [{"terms": [[e.numerator, e.denominator, str(c)]
@@ -365,6 +361,9 @@ def run(argv, out=None, err=None, stdin=None):
         return 1
     except (ValueError, ArithmeticError, RecursionError) as exc:
         print(f"error: {exc}", file=err)
+        return 1
+    except MemoryError:
+        print("error: out of memory", file=err)
         return 1
 
 

@@ -321,19 +321,15 @@ def frak_a(cfg: PrimeConfig, cap, terms: int | None = None) -> PHahn:
     explicit terms count must be supplied.
     """
     cap = as_frac(cap)
-    one = cfg.fq(1)
-    if terms is not None:
-        if terms < 0:
-            raise ValueError("terms must be >= 0")
-        digits = [(Fraction(-1, cfg.p ** k), one) for k in range(1, terms + 1)]
-        return PHahn(cfg, tuple(d for d in digits if d[0] < cap), cap)
-    if cap >= 0:
+    if terms is not None and terms < 0:
+        raise ValueError("terms must be >= 0")
+    if terms is None and cap >= 0:
         raise ValueError(
             "cap >= 0 would need infinitely many digits; pass an explicit terms count")
-    digits = []
-    k = 1
-    while Fraction(-1, cfg.p ** k) < cap:
-        digits.append((Fraction(-1, cfg.p ** k), one))
+    # exponents rise with k, so the first one at or above cap ends the series
+    digits, k = [], 1
+    while (terms is None or k <= terms) and Fraction(-1, cfg.p ** k) < cap:
+        digits.append((Fraction(-1, cfg.p ** k), cfg.fq(1)))
         k += 1
     return PHahn(cfg, tuple(digits), cap)
 

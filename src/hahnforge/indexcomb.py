@@ -22,6 +22,13 @@ grouped_sum collects one equivalence class's total coefficient; for the
 all-ones vector of length n+1, the class is a singleton and the total is
 s_{n+1} * (n+1)!, which cannot vanish -- the arithmetic heart of the
 transcendence argument, reproduced here at finite truncation.
+
+Both kernels are output-sensitive.  enumerate_class walks reverse carries
+from the deepest position B to 1: times p^B, lam(k) - lam(k_red) in Z is one
+congruence per position, entry = k_red entry - carry from below (mod p), and
+each choice within the sigma budget is a distinct member.  certificate_residual
+scales exponents by p^K, so A_K = {-p^(K-k): 1} has integer keys and its
+powers are exact dict products; normalize sees sum_i s_i * A_K^i once.
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ from fractions import Fraction
 
 from .errors import SigmaMismatch
 from .exactnum import PrimeConfig
-from .hahn_padic import PHahn, from_integer, normalize
+from .hahn_padic import PHahn, frak_a, from_integer, normalize
 from .series import INF, as_frac
 
 __all__ = [
@@ -118,31 +125,31 @@ def class_position_bound(k_red, sigma_max: int, p: int) -> int:
     return base + extra
 
 
-def _vectors_with_sum_at_most(positions: int, total: int):
-    if positions == 0:
-        yield ()
-        return
-    for head in range(total + 1):
-        for rest in _vectors_with_sum_at_most(positions - 1, total - head):
-            yield (head,) + rest
-
-
 def enumerate_class(k_red, sigma_max: int, p: int, position_bound: int | None = None):
     """All vectors k with sigma(k) <= sigma_max and reduce(k) = k_red.
 
-    Exhaustive over positions up to class_position_bound; output sorted by
-    (sigma, entries) so downstream sums are deterministic.
+    Reverse carries from position_bound (default class_position_bound) down;
+    output sorted by (sigma, entries) so downstream sums are deterministic.
     """
     k_red = index_vec(k_red)
     if not is_reduced(k_red, p):
         raise ValueError("k_red must be reduced")
-    if sigma_of(k_red) > sigma_max:
-        return []
     bound = class_position_bound(k_red, sigma_max, p) if position_bound is None \
         else position_bound
-    found = [index_vec(v) for v in _vectors_with_sum_at_most(bound, sigma_max)
-             if reduce_index(v, p) == k_red]
-    return sorted(set(found), key=lambda k: (sigma_of(k), k))
+    if sigma_of(k_red) > sigma_max or len(k_red) > bound:
+        return []
+    red = k_red + (0,) * (bound - len(k_red))
+    found = []
+    stack = [(bound, 0, sigma_max, ())]  # position, carry in, sigma left, entries below
+    while stack:
+        j, carry, budget, below = stack.pop()
+        if j == 0:  # position 1's carry has left through the integer part
+            found.append(index_vec(below))
+            continue
+        r = red[j - 1]
+        for kj in range((r - carry) % p, budget + 1, p):
+            stack.append((j - 1, (kj + carry - r) // p, budget - kj, (kj,) + below))
+    return sorted(found, key=lambda k: (sigma_of(k), k))
 
 
 def multinomial(i: int, k) -> int:
@@ -176,9 +183,14 @@ class Certificate:
 
 
 def _indices_with_sigma(positions: int, total: int):
-    for v in _vectors_with_sum_at_most(positions, total):
-        if sum(v) == total:
-            yield index_vec(v)
+    """Index vectors of sigma `total` on the first `positions` positions."""
+    if positions == 0:
+        if total == 0:
+            yield ()
+        return
+    for head in range(total + 1):
+        for rest in _indices_with_sigma(positions - 1, total - head):
+            yield (head,) + rest if head or rest else ()
 
 
 def frak_a_power(cfg: PrimeConfig, i: int, terms: int, cap=INF) -> PHahn:
@@ -221,17 +233,27 @@ def certificate_residual(cfg: PrimeConfig, cert: Certificate,
     """Standard expansion of sum_i s_i * A_K^i below the certificate cap.
 
     A_K is the terms-term truncation of the headline series (default
-    K = degree + 2).  Fed through one global normalization so every carry is
-    resolved jointly.
+    K = degree + 2), powered on integer exponents and fed through one global
+    normalization so every carry is resolved jointly.
     """
     if terms is None:
         terms = cert.degree + 2
-    bag = []
+    if terms < 0:
+        raise ValueError(f"terms must be >= 0, got {terms}")
+    scale = cfg.p ** terms
+    steps = [-cfg.p ** (terms - k) for k in range(1, terms + 1)]
+    power, total = {0: 1}, {}
     for i, si in enumerate(cert.s):
-        if si == 0:
-            continue
-        for k in _indices_with_sigma(terms, i):
-            bag.append((si * multinomial(i, k), lambda_of(k, cfg.p)))
+        if i:
+            nxt = {}
+            for e, c in power.items():
+                for step in steps:
+                    nxt[e + step] = nxt.get(e + step, 0) + c
+            power = nxt
+        if si:
+            for e, c in power.items():
+                total[e] = total.get(e, 0) + si * c
+    bag = [(c, Fraction(e, scale)) for e, c in total.items() if c]
     return normalize(cfg, bag, cert.cap)
 
 
@@ -243,8 +265,6 @@ def certificate_residual_by_powers(cfg: PrimeConfig, cert: Certificate,
     integer digit lifts, which fail for p >= 5), with enough headroom that
     every partial product still covers the certificate cap.
     """
-    from .hahn_padic import frak_a
-
     if terms is None:
         terms = cert.degree + 2
     work_cap = cert.cap + cert.degree + 1

@@ -55,13 +55,6 @@ class Ordinal:
         return not self.terms or (len(self.terms) == 1
                                   and self.terms[0][0].is_zero())
 
-    def as_int(self):
-        if self.is_zero():
-            return 0
-        if self.is_finite():
-            return self.terms[0][1]
-        raise ValueError("not a finite ordinal")
-
     def leading_exponent(self) -> "Ordinal":
         if self.is_zero():
             raise ValueError("zero has no leading exponent")

@@ -26,6 +26,7 @@ from fractions import Fraction
 from .errors import ParseError
 from .hahn_eqchar import EqHahn
 from .hahn_padic import PHahn, normalize
+from .indexcomb import index_vec
 from .ordinal import MAX_EXPONENT_DEPTH, ZERO, Ordinal
 from .series import INF
 
@@ -281,19 +282,24 @@ def parse_series(text: str):
     return ("series", base, tuple(terms), cap)
 
 
+def _eq_coeff(cfg, sign, coeff):
+    """A parsed signed coefficient as an F_q element."""
+    if coeff[0] == "int":
+        return cfg.fq(sign * coeff[1])
+    c = _fq_from_ast(cfg, coeff[1])
+    return -c if sign < 0 else c
+
+
+def _padic_coeff(cfg, sign, coeff):
+    """A parsed signed coefficient as a normalize bag coefficient."""
+    return sign * coeff[1] if coeff[0] == "int" else (sign, _fq_from_ast(cfg, coeff[1]))
+
+
 def series_to_eq(ast, cfg) -> EqHahn:
     _, base, terms, cap = ast
     if base != "t":
         raise ParseError("equal-characteristic series use base t")
-    bag = []
-    for sign, coeff, exp in terms:
-        if coeff[0] == "int":
-            c = cfg.fq(sign * coeff[1])
-        else:
-            c = _fq_from_ast(cfg, coeff[1])
-            if sign < 0:
-                c = -c
-        bag.append((exp, c))
+    bag = [(exp, _eq_coeff(cfg, sign, coeff)) for sign, coeff, exp in terms]
     return EqHahn(cfg, bag, INF if cap is None else cap)
 
 
@@ -301,12 +307,7 @@ def series_to_phahn(ast, cfg) -> PHahn:
     _, base, terms, cap = ast
     if base != "p":
         raise ParseError("p-adic series use base p")
-    bag = []
-    for sign, coeff, exp in terms:
-        if coeff[0] == "int":
-            bag.append((sign * coeff[1], exp))
-        else:
-            bag.append(((sign, _fq_from_ast(cfg, coeff[1])), exp))
+    bag = [(_padic_coeff(cfg, sign, coeff), exp) for sign, coeff, exp in terms]
     return normalize(cfg, bag, INF if cap is None else cap)
 
 
@@ -432,20 +433,12 @@ def poly_to_coeffs(ast, cfg, ring, coeff_cap=INF):
     if ring is EqHahn:
         coeffs = [EqHahn.zero(cfg) for _ in range(degree + 1)]
         for sign, coeff, exp, xpow in pterms:
-            if coeff[0] == "int":
-                c = cfg.fq(sign * coeff[1])
-            else:
-                c = _fq_from_ast(cfg, coeff[1])
-                if sign < 0:
-                    c = -c
-            coeffs[xpow] = coeffs[xpow] + EqHahn(cfg, [(exp, c)], INF)
+            term = EqHahn(cfg, [(exp, _eq_coeff(cfg, sign, coeff))], INF)
+            coeffs[xpow] = coeffs[xpow] + term
         return coeffs
     bags = [[] for _ in range(degree + 1)]
     for sign, coeff, exp, xpow in pterms:
-        if coeff[0] == "int":
-            bags[xpow].append((sign * coeff[1], exp))
-        else:
-            bags[xpow].append(((sign, _fq_from_ast(cfg, coeff[1])), exp))
+        bags[xpow].append((_padic_coeff(cfg, sign, coeff), exp))
     return [normalize(cfg, bag, coeff_cap) for bag in bags]
 
 
@@ -516,10 +509,7 @@ def parse_index_vec(text: str) -> tuple:
             cur.expect("punct", ")")
             break
     cur.done()
-    out = list(entries)
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
+    return index_vec(entries)
 
 
 def format_index_vec(vec) -> str:

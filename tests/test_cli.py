@@ -97,6 +97,19 @@ class TestExitCodes:
         code, _out, err = invoke(["ordinal", "add", "w", "1"])
         assert code == 1 and err.count("\n") == 1
 
+    def test_memory_error_is_domain_error(self, monkeypatch):
+        def exhaust(*_args):
+            raise MemoryError()
+
+        monkeypatch.setattr("hahnforge.indexcomb.reduce_index", exhaust)
+        code, out, err = invoke(["reduce-index", "(3,1)"])
+        assert (code, out, err) == (1, "", "error: out of memory\n")
+
+    def test_negative_terms_is_domain_error(self):
+        code, out, err = invoke(["certificate-check", "--cap", "1",
+                                 "--terms", "-3", "1,1"])
+        assert (code, out, err) == (1, "", "error: terms must be >= 0, got -3\n")
+
 
 class TestPow:
     def test_large_exponent_is_logarithmic(self, monkeypatch):

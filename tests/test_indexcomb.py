@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -5,9 +6,10 @@ from fractions import Fraction as Fr
 
 import pytest
 
-from hahnforge.errors import SigmaMismatch
+from hahnforge import indexcomb
+from hahnforge.errors import PrecisionLoss, SigmaMismatch
 from hahnforge.exactnum import PrimeConfig
-from hahnforge.hahn_padic import INF, frak_a
+from hahnforge.hahn_padic import INF, frak_a, normalize
 from hahnforge.indexcomb import (
     Certificate,
     certificate_residual,
@@ -44,6 +46,55 @@ def oracle_reduce(a, p):
 def all_vectors(max_pos, max_entry):
     for v in itertools.product(range(max_entry + 1), repeat=max_pos):
         yield index_vec(v)
+
+
+def compositions(positions, total):
+    """Every vector of `positions` naturals summing to `total`."""
+    if positions == 0:
+        if total == 0:
+            yield ()
+        return
+    for head in range(total + 1):
+        for rest in compositions(positions - 1, total - head):
+            yield (head,) + rest
+
+
+@functools.lru_cache(maxsize=None)
+def multinomial_terms(p, positions, i):
+    """(multinomial(i, k), lam(k)) for every k of sigma i on `positions` positions."""
+    return [(multinomial(i, index_vec(v)), lambda_of(v, p))
+            for v in compositions(positions, i)]
+
+
+def residual_by_multinomials(cfg, cert, terms=None):
+    """Oracle: one bag term s_i * multinomial(i, k) * p^lam(k) per index vector k."""
+    if terms is None:
+        terms = cert.degree + 2
+    bag = [(si * m, lam)
+           for i, si in enumerate(cert.s) if si
+           for m, lam in multinomial_terms(cfg.p, terms, i)]
+    return normalize(cfg, bag, cert.cap)
+
+
+class ClassFilter:
+    """Oracle: a class is every vector within the position bound whose
+    reduction is k_red.  Reductions are computed once per bound for all
+    vectors of sigma <= sigma_top and shared across classes."""
+
+    def __init__(self, p, sigma_top):
+        self.p, self.sigma_top, self.by_bound = p, sigma_top, {}
+
+    def members(self, k_red, sigma_max, position_bound):
+        by_red = self.by_bound.get(position_bound)
+        if by_red is None:
+            by_red = self.by_bound[position_bound] = {}
+            for total in range(self.sigma_top + 1):
+                for v in compositions(position_bound, total):
+                    by_red.setdefault(reduce_index(v, self.p), []).append(index_vec(v))
+        if sigma_of(k_red) > sigma_max:
+            return []
+        return sorted((k for k in by_red.get(k_red, ()) if sigma_of(k) <= sigma_max),
+                      key=lambda k: (sigma_of(k), k))
 
 
 class TestStatistics:
@@ -150,6 +201,37 @@ class TestEnumerateClass:
                                            position_bound=bound + 3))
 
 
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_matches_brute_force_filter(self, p):
+        oracle = ClassFilter(p, sigma_top=7)
+        for k_red in sorted(set(all_vectors(3, p - 1))):
+            for sigma_max in range(8):
+                bound = class_position_bound(k_red, sigma_max, p)
+                assert (enumerate_class(k_red, sigma_max, p)
+                        == oracle.members(k_red, sigma_max, bound))
+                for position_bound in (max(bound - 1, 0), bound + 2):
+                    assert (enumerate_class(k_red, sigma_max, p, position_bound)
+                            == oracle.members(k_red, sigma_max, position_bound))
+
+    def test_generation_calls_no_reduction(self, monkeypatch):
+        calls = []
+        reduce = indexcomb.reduce_index
+
+        def counting_reduce(a, p):
+            calls.append(a)
+            return reduce(a, p)
+
+        monkeypatch.setattr(indexcomb, "reduce_index", counting_reduce)
+        assert enumerate_class((1,) * 7, 7, 2) == [(1,) * 7]
+        assert calls == []
+
+    def test_wider_position_bound_adds_nothing_at_sigma_14(self):
+        bound = class_position_bound((), 14, 2)
+        members = enumerate_class((), 14, 2)
+        assert members == enumerate_class((), 14, 2, position_bound=bound + 3)
+        assert len(members) == len(set(members))
+
+
 class TestMultinomial:
     def test_examples(self):
         assert multinomial(2, (1, 1)) == 2
@@ -254,3 +336,41 @@ class TestCertificateResidual:
             a = certificate_residual(cfg, cert)
             b = certificate_residual_by_powers(cfg, cert)
             assert a.agree_below(b, min(a.cap, b.cap))
+
+    @pytest.mark.parametrize("p,max_degree", [(2, 6), (3, 5), (5, 4), (7, 3)])
+    def test_matches_multinomial_expansion(self, p, max_degree):
+        cfg = PrimeConfig.make(p)
+        rng = random.Random(97 + p)
+        for degree in range(1, max_degree + 1):
+            for cap in (Fr(-1), Fr(0), Fr(1), Fr(5, 2)):
+                s = [rng.choice([-3, -2, -1, 1, 2, 3]) for _ in range(degree + 1)]
+                s[1:-1] = [x * rng.randrange(2) for x in s[1:-1]]  # some zeros
+                cert = Certificate(tuple(s), cap=cap)
+                for terms in (None, 0, 1, degree + 3):
+                    got = certificate_residual(cfg, cert, terms=terms)
+                    want = residual_by_multinomials(cfg, cert, terms=terms)
+                    assert got == want
+                    assert got.digits == want.digits and got.cap == want.cap
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_matches_multinomial_expansion_exact(self, p):
+        cfg = PrimeConfig.make(p)
+        for s in [(1, 1), (1, 0, 1), (2, 1, 1), (3, 0, 2, 1), (1, 1, 1, 1, 1)]:
+            cert = Certificate(s, cap=INF)
+            got = certificate_residual(cfg, cert)
+            want = residual_by_multinomials(cfg, cert)
+            assert got.digits == want.digits and got.cap == want.cap == INF
+
+    def test_exact_residual_needs_cap_at_p5(self):
+        cfg = PrimeConfig.make(5)
+        cert = Certificate((1, 0, 1), cap=INF)
+        with pytest.raises(PrecisionLoss):
+            residual_by_multinomials(cfg, cert)
+        with pytest.raises(PrecisionLoss):
+            certificate_residual(cfg, cert)
+
+    def test_negative_terms_rejected(self):
+        cfg = PrimeConfig.make(2)
+        cert = Certificate((1, 1), cap=Fr(1))
+        with pytest.raises(ValueError, match="terms must be >= 0, got -3"):
+            certificate_residual(cfg, cert, terms=-3)
