@@ -7,7 +7,7 @@ import io
 import pathlib
 import sys
 
-from golden_cases import CASES
+from golden_cases import CASES, JSON_CASES
 
 from hahnforge.cli import run
 
@@ -26,7 +26,7 @@ def render(argv):
 def main(check=False):
     GOLDEN_DIR.mkdir(exist_ok=True)
     stale = []
-    for name, argv in CASES:
+    for name, argv in CASES + JSON_CASES:
         text = render(argv)
         path = GOLDEN_DIR / f"{name}.txt"
         if check:

@@ -7,7 +7,7 @@ from fractions import Fraction as Fr
 
 import pytest
 
-from golden_cases import CASES
+from golden_cases import CASES, JSON_CASES
 
 from hahnforge.cli import run
 from hahnforge.exactnum import PrimeConfig
@@ -43,7 +43,8 @@ class TestGolden:
             seen.update(v for v in argv if v in verbs)
         assert seen == verbs
 
-    @pytest.mark.parametrize("name,argv", CASES, ids=[c[0] for c in CASES])
+    @pytest.mark.parametrize("name,argv", CASES + JSON_CASES,
+                             ids=[c[0] for c in CASES + JSON_CASES])
     def test_byte_exact(self, name, argv):
         code, out, err = invoke(argv)
         assert code == 0, err
@@ -145,6 +146,36 @@ class TestStdinBatch:
                               stdin_text="3\nw\nw^(w)\n")
         assert out.splitlines() == ["consistent", "contradicts", "contradicts"]
         assert code == 0
+
+    SERIES_BATCHES = [
+        (["-p", "2", "normalize", "-"],
+         "t^(-1/2) + t^(1/4)\n\n[1]*p^(-1/2) + [1]*p^(-1/2) + O(p^(3))\n",
+         ["[1]*t^(-1/2) + [1]*t^(1/4)", "[1]*p^(1/2) + O(p^(3))"],
+         ['{"cap": null, "terms": [[-1, 2, "1"], [1, 4, "1"]]}',
+          '{"cap": [3, 1], "digits": [[1, 2, "1"]]}']),
+        (["-p", "2", "val", "-"],
+         "t^(-1/2) + t^(1/4)\n  [1]*p^(1/3) + O(p^(2))  \n",
+         ["-1/2", "1/3"],
+         ['{"valuation": "-1/2"}', '{"valuation": "1/3"}']),
+        # a zero below its cap has no digit entries: no text line at all
+        (["-p", "3", "decompose", "-"],
+         "[2] + [1]*p^(1) + O(p^(3))\nO(p^(2))\n",
+         ["q=0 offset=0 unit=2 prec=3"],
+         ['{"cap": "3", "entries": [[0, 1, 0, "2", 3]]}',
+          '{"cap": "2", "entries": []}']),
+    ]
+
+    @pytest.mark.parametrize("argv,stdin_text,text,as_json", SERIES_BATCHES,
+                             ids=["normalize", "val", "decompose"])
+    def test_series_batch(self, argv, stdin_text, text, as_json):
+        code, out, err = invoke(argv, stdin_text)
+        assert (code, err) == (0, "") and out.splitlines() == text
+        code, out, err = invoke(["--json"] + argv, stdin_text)
+        assert (code, err) == (0, "") and out.splitlines() == as_json
+
+    def test_empty_batch_prints_nothing(self):
+        assert invoke(["-p", "3", "decompose", "-"], "O(p^(2))\n") == (0, "", "")
+        assert invoke(["--json", "val", "-"], "\n\n") == (0, "", "")
 
 
 class TestConfigFile:
