@@ -5,8 +5,13 @@ overridable through a JSON config file named by $HAHNFORGE_CONFIG); mixing
 bases or configs inside one expression is a usage error.  Exit codes:
 0 success, 1 domain error, 2 usage error, 3 precision loss.
 
-Verbs taking a single expression argument accept `-` to read a batch of
-expressions from stdin, one per line, emitting one output line each.
+Each verb is one `_VERBS` entry (argument specs, handler, batch argument);
+the specs are (name, add_argument keywords) pairs, added after the shared
+flags.  A handler maps (parsed args, PrimeConfig) to (text lines, JSON
+payload): --json prints the payload as one `json.dumps(payload,
+sort_keys=True)` line, unless it is None (text-only verbs); otherwise each
+line is printed.  A batch argument given as `-` runs the handler once per
+non-blank stdin line, set to the stripped line, printing as it goes.
 """
 
 from __future__ import annotations
@@ -15,7 +20,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import indexcomb, newton, ordinal
 from .errors import HahnForgeError, ParseError, PrecisionLoss
@@ -24,7 +28,6 @@ from .hahn_eqchar import EqHahn
 from .hahn_padic import PHahn, decompose
 from .parsing import (
     format_index_vec,
-    format_ordinal,
     format_rational,
     format_series,
     parse_index_vec,
@@ -38,280 +41,257 @@ from .parsing import (
 )
 from .series import INF
 
-_CONFIG_ENV = "HAHNFORGE_CONFIG"
-_CONFIG_KEYS = ("p", "r", "L", "l_max", "max_field_degree", "stall_limit",
-                "output")
+# the int flags of every verb: (flag, attribute, config-file key, default,
+# help); the config file may also set "output" ("json" turns on --json)
+_SHARED = (
+    ("-p", "p", "p", 2, "prime (default 2)"),
+    ("-r", "r", "r", 1, "residue field extension degree (default 1)"),
+    ("-L", "L", "L", 8, "Witt truncation length (default 8)"),
+    ("--l-max", "l_max", "l_max", 128, None),
+    ("--max-degree", "max_degree", "max_field_degree", 6,
+     "field extension budget for root solving"),
+    ("--stall-limit", "stall_limit", "stall_limit", 3, None),
+)
 
 
 def _env_defaults():
-    path = os.environ.get(_CONFIG_ENV)
+    path = os.environ.get("HAHNFORGE_CONFIG")
     if not path:
         return {}
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    unknown = set(data) - set(_CONFIG_KEYS)
+    if not isinstance(data, dict):
+        raise ValueError("the config must be a JSON object")
+    types = {key: int for _flag, _attr, key, _default, _help in _SHARED}
+    types["output"] = str
+    unknown = set(data) - set(types)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    for key, value in data.items():
+        # exact type: JSON true/false load as bools, which are ints to Python
+        if type(value) is not types[key]:
+            raise ValueError(f"config key {key!r} must be of type "
+                             f"{types[key].__name__}, got {value!r}")
     return data
 
 
-def _build_parser(defaults):
+def _series_value(text, cfg):
+    ast = parse_series(text)
+    to_ring = series_to_phahn if ast[1] == "p" else series_to_eq
+    return to_ring(ast, cfg), ast[1]
+
+
+def _series_json(value, base):
+    cap = None if value.is_exact() else list(value.cap.as_integer_ratio())
+    terms = [[e.numerator, e.denominator, str(c)] for e, c in value.terms]
+    return {"terms" if base == "t" else "digits": terms, "cap": cap}
+
+
+def _series_out(value, base):
+    return [format_series(value, base)], _series_json(value, base)
+
+
+def _normalize(args, cfg):
+    return _series_out(*_series_value(args.expr, cfg))
+
+
+def _binary(op):
+    def handler(args, cfg):
+        a, base_a = _series_value(args.lhs, cfg)
+        b, base_b = _series_value(args.rhs, cfg)
+        if base_a != base_b:
+            raise ParseError("operands use different bases")
+        return _series_out(op(a, b), base_a)
+    return handler
+
+
+def _pow(args, cfg):
+    a, base = _series_value(args.expr, cfg)
+    return _series_out(a ** args.n, base)
+
+
+def _val(args, cfg):
+    v = format_rational(_series_value(args.expr, cfg)[0].valuation())
+    return [v], {"valuation": v}
+
+
+def _decompose(args, cfg):
+    value, base = _series_value(args.expr, cfg)
+    if base != "p":
+        raise ParseError("decompose expects a p-adic series")
+    fd = decompose(value)
+    lines = [f"q={format_rational(q)} offset={off} unit={unit} prec={unit.prec}"
+             for q, off, unit in fd.entries]
+    entries = [[q.numerator, q.denominator, off, str(unit), unit.prec]
+               for q, off, unit in fd.entries]
+    return lines, {"entries": entries, "cap": format_rational(fd.cap)}
+
+
+def _newton_solve(args, cfg):
+    ast = parse_poly(args.poly)
+    opts = newton.ExpandOptions(max_field_degree=args.max_degree,
+                                stall_limit=args.stall_limit)
+    if args.ring == "eq":
+        if args.terms is None:
+            raise ParseError("--terms is required for --ring eq")
+        coeffs = poly_to_coeffs(ast, cfg, EqHahn)
+        branches = newton.expand_roots_eq(coeffs, max_terms=args.terms, opts=opts)
+    else:
+        if args.cap is None:
+            raise ParseError("--cap is required for --ring padic")
+        cap = parse_rational(args.cap)
+        coeffs = poly_to_coeffs(ast, cfg, PHahn, coeff_cap=cap + 4)
+        branches = newton.expand_root_padic(coeffs, cap=cap, opts=opts)
+    base = "t" if args.ring == "eq" else "p"
+    lines = [f"branch {i}: {format_series(b.value(), base)} (bound "
+             f"{format_rational(b.residual_bound)}, field degree {b.field_degree})"
+             for i, b in enumerate(branches, 1)]
+    payload = [{"terms": [[e.numerator, e.denominator, str(c)] for e, c in b.terms],
+                "bound": format_rational(b.residual_bound),
+                "field_degree": b.field_degree}
+               for b in branches]
+    return lines, payload
+
+
+def _verify_root(args, cfg):
+    ast = parse_poly(args.poly)
+    bound = parse_rational(args.bound)
+    ring = EqHahn if args.ring == "eq" else PHahn
+    coeff_cap = INF if ring is EqHahn else bound + 4
+    coeffs = poly_to_coeffs(ast, cfg, ring, coeff_cap=coeff_cap)
+    to_ring = series_to_eq if ring is EqHahn else series_to_phahn
+    prefix = to_ring(parse_series(args.prefix), cfg)
+    v = format_rational(newton.verify_root(coeffs, prefix, bound))
+    return [v], {"valuation": v}
+
+
+def _reduce_index(args, cfg):
+    red = indexcomb.reduce_index(parse_index_vec(args.vec), cfg.p)
+    return [format_index_vec(red)], None
+
+
+def _enumerate_class(args, cfg):
+    vec = parse_index_vec(args.vec)
+    members = indexcomb.enumerate_class(vec, args.sigma_max, cfg.p)
+    return [format_index_vec(m) for m in members], [list(m) for m in members]
+
+
+def _certificate_check(args, cfg):
+    s = tuple(int(x) for x in args.coeffs.split(","))
+    cert = indexcomb.Certificate(s, cap=parse_rational(args.cap))
+    residual = indexcomb.certificate_residual(cfg, cert, terms=args.terms)
+    k_star = (1,) * cert.degree
+    grouped = format_rational(indexcomb.grouped_sum(k_star, cert, cfg.p))
+    nonzero = not residual.is_zero_below_cap()
+    lines = [f"residual: {format_series(residual, 'p')}",
+             f"nonzero below cap: {'true' if nonzero else 'false'}",
+             f"kstar {format_index_vec(k_star)} coefficient: {grouped}"]
+    return lines, {"residual": _series_json(residual, "p"), "nonzero": nonzero,
+                   "kstar": list(k_star), "kstar_coefficient": grouped}
+
+
+def _ordinal(args, cfg):
+    a, b = parse_ordinal(args.lhs), parse_ordinal(args.rhs)
+    if args.op == "cmp":
+        return ["less" if a < b else ("greater" if b < a else "equal")], None
+    return [str(a + b if args.op == "add" else a * b)], None
+
+
+def _replicate(args, cfg):
+    return [str(ordinal.replication_order_type(parse_ordinal(args.ordinal)))], None
+
+
+def _prediction(args, cfg):
+    return [ordinal.prediction_filter(parse_ordinal(args.ordinal))], None
+
+
+_EXPR = [("expr", {"help": "series expression, or - for stdin batch"})]
+_LHS_RHS = [("lhs", {}), ("rhs", {})]
+_RING_POLY = [("--ring", {"choices": ("eq", "padic"), "required": True}),
+              ("--poly", {"required": True})]
+_ORDINAL = [("ordinal", {"help": "ordinal in w-notation, or - for stdin"})]
+
+_VERBS = {
+    "normalize": (_EXPR, _normalize, "expr"),
+    "val": (_EXPR, _val, "expr"),
+    "decompose": (_EXPR, _decompose, "expr"),
+    "add": (_LHS_RHS, _binary(lambda a, b: a + b), None),
+    "mul": (_LHS_RHS, _binary(lambda a, b: a * b), None),
+    "pow": ([("expr", {}), ("n", {"type": int})], _pow, None),
+    "newton-solve": (_RING_POLY + [
+        ("--terms", {"type": int, "help": "term budget per branch (eq)"}),
+        ("--cap", {"help": "digit cap a/b (padic)"})], _newton_solve, None),
+    "verify-root": (_RING_POLY + [("--prefix", {"required": True}),
+                                  ("--bound", {"required": True})], _verify_root, None),
+    "reduce-index": ([("vec", {"help": "index vector (a1,a2,...), or - for stdin"})],
+                     _reduce_index, "vec"),
+    "enumerate-class": ([("vec", {}), ("--sigma-max", {"type": int, "required": True})],
+                        _enumerate_class, None),
+    "certificate-check": ([
+        ("coeffs", {"help": "comma separated integers s_0,...,s_{n+1}"}),
+        ("--cap", {"required": True}),
+        ("--terms", {"type": int, "help": "truncation depth of the base series"})],
+        _certificate_check, None),
+    "ordinal": ([("op", {"choices": ("add", "mul", "cmp")})] + _LHS_RHS,
+                _ordinal, None),
+    "order-type-replicate": (_ORDINAL, _replicate, "ordinal"),
+    "prediction-check": (_ORDINAL, _prediction, "ordinal"),
+}
+
+# options that take free text; argparse refuses a separate value beginning
+# with '-' (`--cap -1/2`), so _glue_values hands it over as `--cap=-1/2`
+_TEXT_OPTIONS = {name for specs, _handler, _batch in _VERBS.values()
+                 for name, kw in specs
+                 if name.startswith("--") and not {"type", "choices"} & set(kw)}
+
+
+def _glue_values(argv):
+    out = []
+    for arg in argv:
+        if out and out[-1] in _TEXT_OPTIONS and arg.startswith("-") \
+                and "--" not in out:
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
+def _build_parser():
     # the shared flags parse both before and after the verb (the subcommand
-    # occurrence, parsed last, wins); unset values fall back to defaults here
+    # occurrence, parsed last, wins); run fills the defaults of unset ones
     common = argparse.ArgumentParser(add_help=False)
     s = argparse.SUPPRESS
-    common.add_argument("-p", type=int, default=s, help="prime (default 2)")
-    common.add_argument("-r", type=int, default=s,
-                        help="residue field extension degree (default 1)")
-    common.add_argument("-L", type=int, default=s,
-                        help="Witt truncation length (default 8)")
-    common.add_argument("--l-max", type=int, default=s)
-    common.add_argument("--max-degree", type=int, default=s,
-                        help="field extension budget for root solving")
-    common.add_argument("--stall-limit", type=int, default=s)
+    for flag, attr, _key, _default, help_text in _SHARED:
+        common.add_argument(flag, dest=attr, type=int, default=s, help=help_text)
     common.add_argument("--json", action="store_true", default=s,
                         help="emit JSON instead of text")
-
     top = argparse.ArgumentParser(
         prog="hahnforge",
         description="exact Hahn-series arithmetic at finite truncation",
         parents=[common])
     sub = top.add_subparsers(dest="verb", required=True)
-
-    for name in ("normalize", "val", "decompose"):
-        sp = sub.add_parser(name, parents=[common])
-        sp.add_argument("expr", help="series expression, or - for stdin batch")
-    for name in ("add", "mul"):
-        sp = sub.add_parser(name, parents=[common])
-        sp.add_argument("lhs")
-        sp.add_argument("rhs")
-    sp = sub.add_parser("pow", parents=[common])
-    sp.add_argument("expr")
-    sp.add_argument("n", type=int)
-
-    sp = sub.add_parser("newton-solve", parents=[common])
-    sp.add_argument("--ring", choices=("eq", "padic"), required=True)
-    sp.add_argument("--poly", required=True)
-    sp.add_argument("--terms", type=int, help="term budget per branch (eq)")
-    sp.add_argument("--cap", help="digit cap a/b (padic)")
-
-    sp = sub.add_parser("verify-root", parents=[common])
-    sp.add_argument("--ring", choices=("eq", "padic"), required=True)
-    sp.add_argument("--poly", required=True)
-    sp.add_argument("--prefix", required=True)
-    sp.add_argument("--bound", required=True)
-
-    sp = sub.add_parser("reduce-index", parents=[common])
-    sp.add_argument("vec", help="index vector (a1,a2,...), or - for stdin")
-
-    sp = sub.add_parser("enumerate-class", parents=[common])
-    sp.add_argument("vec")
-    sp.add_argument("--sigma-max", type=int, required=True)
-
-    sp = sub.add_parser("certificate-check", parents=[common])
-    sp.add_argument("coeffs", help="comma separated integers s_0,...,s_{n+1}")
-    sp.add_argument("--cap", required=True)
-    sp.add_argument("--terms", type=int,
-                    help="truncation depth of the base series")
-
-    sp = sub.add_parser("ordinal", parents=[common])
-    sp.add_argument("op", choices=("add", "mul", "cmp"))
-    sp.add_argument("lhs")
-    sp.add_argument("rhs")
-
-    sp = sub.add_parser("order-type-replicate", parents=[common])
-    sp.add_argument("ordinal", help="ordinal in w-notation, or - for stdin")
-
-    sp = sub.add_parser("prediction-check", parents=[common])
-    sp.add_argument("ordinal", help="ordinal in w-notation, or - for stdin")
+    for verb, (specs, _handler, _batch) in _VERBS.items():
+        sp = sub.add_parser(verb, parents=[common])
+        for name, kw in specs:
+            sp.add_argument(name, **kw)
     return top
 
 
-def _series_value(text, cfg):
-    ast = parse_series(text)
-    base = ast[1]
-    if base == "p":
-        return series_to_phahn(ast, cfg), "p"
-    return series_to_eq(ast, cfg), "t"
-
-
-def _series_json(value, base):
-    if value.is_exact():
-        cap = None
-    else:
-        c = Fraction(value.cap)
-        cap = [c.numerator, c.denominator]
-    key = "terms" if base == "t" else "digits"
-    return {key: [[e.numerator, e.denominator, str(c)] for e, c in value.terms],
-            "cap": cap}
-
-
-def _emit_series(value, base, args, out):
-    if args.json:
-        print(json.dumps(_series_json(value, base), sort_keys=True), file=out)
-    else:
-        print(format_series(value, base), file=out)
-
-
-def _batch(arg, stdin):
-    if arg == "-":
-        return [line.strip() for line in stdin if line.strip()]
-    return [arg]
-
-
 def _dispatch(args, cfg, out, stdin):
-    verb = args.verb
-
-    if verb in ("normalize", "val", "decompose"):
-        for text in _batch(args.expr, stdin):
-            value, base = _series_value(text, cfg)
-            if verb == "normalize":
-                _emit_series(value, base, args, out)
-            elif verb == "val":
-                v = value.valuation()
-                if args.json:
-                    print(json.dumps({"valuation": format_rational(v)}), file=out)
-                else:
-                    print(format_rational(v), file=out)
-            else:
-                if base != "p":
-                    raise ParseError("decompose expects a p-adic series")
-                fd = decompose(value)
-                if args.json:
-                    entries = [[q.numerator, q.denominator, off, str(unit),
-                                unit.prec] for q, off, unit in fd.entries]
-                    print(json.dumps({"entries": entries,
-                                      "cap": format_rational(fd.cap)},
-                                     sort_keys=True), file=out)
-                else:
-                    for q, off, unit in fd.entries:
-                        print(f"q={format_rational(q)} offset={off} "
-                              f"unit={unit} prec={unit.prec}", file=out)
-        return 0
-
-    if verb in ("add", "mul"):
-        a, base_a = _series_value(args.lhs, cfg)
-        b, base_b = _series_value(args.rhs, cfg)
-        if base_a != base_b:
-            raise ParseError("operands use different bases")
-        value = a + b if verb == "add" else a * b
-        _emit_series(value, base_a, args, out)
-        return 0
-
-    if verb == "pow":
-        a, base = _series_value(args.expr, cfg)
-        _emit_series(a ** args.n, base, args, out)
-        return 0
-
-    if verb == "newton-solve":
-        ast = parse_poly(args.poly)
-        opts = newton.ExpandOptions(max_field_degree=args.max_degree,
-                                    stall_limit=args.stall_limit)
-        if args.ring == "eq":
-            if args.terms is None:
-                raise ParseError("--terms is required for --ring eq")
-            coeffs = poly_to_coeffs(ast, cfg, EqHahn)
-            branches = newton.expand_roots_eq(coeffs, max_terms=args.terms, opts=opts)
-            base = "t"
-        else:
-            if args.cap is None:
-                raise ParseError("--cap is required for --ring padic")
-            cap = parse_rational(args.cap)
-            coeffs = poly_to_coeffs(ast, cfg, PHahn, coeff_cap=cap + 4)
-            branches = newton.expand_root_padic(coeffs, cap=cap, opts=opts)
-            base = "p"
-        if args.json:
-            payload = [{"terms": [[e.numerator, e.denominator, str(c)]
-                                  for e, c in b.terms],
-                        "bound": format_rational(b.residual_bound),
-                        "field_degree": b.field_degree}
-                       for b in branches]
+    _specs, handler, batch = _VERBS[args.verb]
+    texts = [None]
+    if batch and getattr(args, batch) == "-":
+        texts = [line.strip() for line in stdin if line.strip()]
+    for text in texts:
+        if text is not None:
+            setattr(args, batch, text)
+        lines, payload = handler(args, cfg)
+        if args.json and payload is not None:
             print(json.dumps(payload, sort_keys=True), file=out)
         else:
-            for i, b in enumerate(branches, 1):
-                body = format_series(b.value(), base)
-                print(f"branch {i}: {body} (bound {format_rational(b.residual_bound)}, "
-                      f"field degree {b.field_degree})", file=out)
-        return 0
-
-    if verb == "verify-root":
-        ast = parse_poly(args.poly)
-        bound = parse_rational(args.bound)
-        ring = EqHahn if args.ring == "eq" else PHahn
-        coeff_cap = INF if ring is EqHahn else bound + 4
-        coeffs = poly_to_coeffs(ast, cfg, ring, coeff_cap=coeff_cap)
-        prefix_ast = parse_series(args.prefix)
-        prefix = series_to_eq(prefix_ast, cfg) if ring is EqHahn \
-            else series_to_phahn(prefix_ast, cfg)
-        val = newton.verify_root(coeffs, prefix, bound)
-        if args.json:
-            print(json.dumps({"valuation": format_rational(val)}), file=out)
-        else:
-            print(format_rational(val), file=out)
-        return 0
-
-    if verb == "reduce-index":
-        for text in _batch(args.vec, stdin):
-            vec = parse_index_vec(text)
-            red = indexcomb.reduce_index(vec, cfg.p)
-            print(format_index_vec(red), file=out)
-        return 0
-
-    if verb == "enumerate-class":
-        vec = parse_index_vec(args.vec)
-        members = indexcomb.enumerate_class(vec, args.sigma_max, cfg.p)
-        if args.json:
-            print(json.dumps([list(m) for m in members]), file=out)
-        else:
-            for m in members:
-                print(format_index_vec(m), file=out)
-        return 0
-
-    if verb == "certificate-check":
-        s = tuple(int(x) for x in args.coeffs.split(","))
-        cap = parse_rational(args.cap)
-        cert = indexcomb.Certificate(s, cap=cap)
-        residual = indexcomb.certificate_residual(cfg, cert, terms=args.terms)
-        k_star = (1,) * cert.degree
-        grouped = indexcomb.grouped_sum(k_star, cert, cfg.p)
-        nonzero = not residual.is_zero_below_cap()
-        if args.json:
-            print(json.dumps({
-                "residual": _series_json(residual, "p"),
-                "nonzero": nonzero,
-                "kstar": list(k_star),
-                "kstar_coefficient": format_rational(grouped),
-            }, sort_keys=True), file=out)
-        else:
-            print(f"residual: {format_series(residual, 'p')}", file=out)
-            print(f"nonzero below cap: {'true' if nonzero else 'false'}", file=out)
-            print(f"kstar {format_index_vec(k_star)} coefficient: "
-                  f"{format_rational(grouped)}", file=out)
-        return 0
-
-    if verb == "ordinal":
-        a = parse_ordinal(args.lhs)
-        b = parse_ordinal(args.rhs)
-        if args.op == "cmp":
-            result = "less" if a < b else ("greater" if b < a else "equal")
-            print(result, file=out)
-        else:
-            value = a + b if args.op == "add" else a * b
-            print(format_ordinal(value), file=out)
-        return 0
-
-    if verb == "order-type-replicate":
-        for text in _batch(args.ordinal, stdin):
-            a = parse_ordinal(text)
-            print(format_ordinal(ordinal.replication_order_type(a)), file=out)
-        return 0
-
-    if verb == "prediction-check":
-        for text in _batch(args.ordinal, stdin):
-            print(ordinal.prediction_filter(parse_ordinal(text)), file=out)
-        return 0
-
-    raise AssertionError(f"unhandled verb {verb}")
+            for line in lines:
+                print(line, file=out)
+    return 0
 
 
 def run(argv, out=None, err=None, stdin=None):
@@ -321,28 +301,20 @@ def run(argv, out=None, err=None, stdin=None):
     stdin = stdin if stdin is not None else sys.stdin
     try:
         defaults = _env_defaults()
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: bad config file: {exc}", file=err)
         return 2
-    parser = _build_parser(defaults)
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(_glue_values(argv))
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     # shared flags carry SUPPRESS defaults so either position wins; fill the
-    # program defaults for whatever was never given
-    fills = {
-        "p": defaults.get("p", 2),
-        "r": defaults.get("r", 1),
-        "L": defaults.get("L", 8),
-        "l_max": defaults.get("l_max", 128),
-        "max_degree": defaults.get("max_field_degree", 6),
-        "stall_limit": defaults.get("stall_limit", 3),
-        "json": defaults.get("output") == "json",
-    }
-    for key, value in fills.items():
-        if not hasattr(args, key):
-            setattr(args, key, value)
+    # config-file or program default of whatever was never given
+    for _flag, attr, key, default, _help in _SHARED:
+        if not hasattr(args, attr):
+            setattr(args, attr, defaults.get(key, default))
+    if not hasattr(args, "json"):
+        args.json = defaults.get("output") == "json"
     try:
         cfg = PrimeConfig.make(args.p, args.r, L=args.L, l_max=args.l_max)
     except ValueError as exc:
@@ -356,10 +328,7 @@ def run(argv, out=None, err=None, stdin=None):
     except PrecisionLoss as exc:
         print(f"precision loss: {exc}", file=err)
         return 3
-    except HahnForgeError as exc:
-        print(f"error: {exc}", file=err)
-        return 1
-    except (ValueError, ArithmeticError, RecursionError) as exc:
+    except (HahnForgeError, ValueError, ArithmeticError, RecursionError) as exc:
         print(f"error: {exc}", file=err)
         return 1
     except MemoryError:

@@ -203,6 +203,8 @@ def frak_a_power(cfg: PrimeConfig, i: int, terms: int, cap=INF) -> PHahn:
     """
     if i < 0:
         raise ValueError("power must be >= 0")
+    if terms < 0:
+        raise ValueError(f"terms must be >= 0, got {terms}")
     bag = [(multinomial(i, k), lambda_of(k, cfg.p))
            for k in _indices_with_sigma(terms, i)]
     return normalize(cfg, bag, cap)

@@ -193,10 +193,6 @@ def _fq_from_ast(cfg, terms):
     return cfg.fq(vec)
 
 
-def format_fq(d) -> str:
-    return str(d)
-
-
 # ---------------------------------------------------------------------------
 # series expressions
 # ---------------------------------------------------------------------------
@@ -316,9 +312,9 @@ def format_series(value, base: str) -> str:
     parts = []
     for e, c in value.terms:
         if e == 0:
-            parts.append(f"[{format_fq(c)}]")
+            parts.append(f"[{c}]")
         else:
-            parts.append(f"[{format_fq(c)}]*{base}^({format_rational(e)})")
+            parts.append(f"[{c}]*{base}^({format_rational(e)})")
     if not value.is_exact():
         parts.append(f"O({base}^({format_rational(value.cap)}))")
     return " + ".join(parts) if parts else "0"
@@ -492,10 +488,6 @@ def parse_ordinal(text: str) -> Ordinal:
     if value.depth() > MAX_EXPONENT_DEPTH:
         raise _depth_error()
     return value
-
-
-def format_ordinal(x: Ordinal) -> str:
-    return str(x)
 
 
 def parse_index_vec(text: str) -> tuple:

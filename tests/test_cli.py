@@ -112,6 +112,32 @@ class TestExitCodes:
         assert (code, out, err) == (1, "", "error: terms must be >= 0, got -3\n")
 
 
+class TestDashValues:
+    # the value follows the option as a separate argument and begins with '-'
+    @pytest.mark.parametrize("option,argv", [
+        ("--cap", ["certificate-check", "--cap", "-1/2", "1,1"]),
+        ("--bound", ["-p", "2", "verify-root", "--ring", "eq",
+                     "--poly", "X^2+X+t^(-1)", "--prefix", "t^(-1/2)+t^(-1/4)",
+                     "--bound", "-1/4"]),
+        ("--poly", ["-p", "2", "newton-solve", "--ring", "eq",
+                    "--poly", "-X^2+X+t^(-1)", "--terms", "3"]),
+        ("--prefix", ["-p", "3", "verify-root", "--ring", "padic",
+                      "--poly", "X^2-p", "--prefix", "-[1]*p^(1/2)",
+                      "--bound", "1"]),
+    ], ids=["cap", "bound", "poly", "prefix"])
+    def test_separate_value_matches_equals_form(self, option, argv):
+        i = argv.index(option)
+        glued = argv[:i] + [f"{option}={argv[i + 1]}"] + argv[i + 2:]
+        result = invoke(argv)
+        assert result[0] == 0 and result[1] and result == invoke(glued)
+
+    def test_positional_after_double_dash(self, capsys):
+        assert invoke(["-p", "3", "val", "--", "-t^(1/2)"]) == (0, "1/2\n", "")
+        # after `--` an option name is a positional value, and nothing is glued
+        assert invoke(["val", "--", "--cap", "-1"])[0] == 2
+        assert "unrecognized arguments: -1" in capsys.readouterr().err
+
+
 class TestPow:
     def test_large_exponent_is_logarithmic(self, monkeypatch):
         # About 12 ms on a 2-vCPU VM; multiplying n times would take about
@@ -195,6 +221,24 @@ class TestConfigFile:
         monkeypatch.setenv("HAHNFORGE_CONFIG", str(cfgfile))
         code, out, _ = invoke(["-p", "2", "val", "t^(-1/2)"])
         assert code == 0 and out.strip() == "-1/2"
+
+    @pytest.mark.parametrize("text,message", [
+        ("5", "the config must be a JSON object"),
+        ("[1, 2]", "the config must be a JSON object"),
+        ('{"p": "3"}', "config key 'p' must be of type int, got '3'"),
+        ('{"L": true}', "config key 'L' must be of type int, got True"),
+        ('{"stall_limit": 2.0}',
+         "config key 'stall_limit' must be of type int, got 2.0"),
+        ('{"output": 5}', "config key 'output' must be of type str, got 5"),
+    ], ids=["int", "list", "str", "bool", "float", "output"])
+    def test_bad_config_type_is_usage_error(self, tmp_path, monkeypatch, text,
+                                            message):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(text)
+        monkeypatch.setenv("HAHNFORGE_CONFIG", str(cfgfile))
+        # rejected even where a flag would override the value
+        assert invoke(["-p", "2", "-L", "8", "val", "t^(1)"]) == (
+            2, "", f"error: bad config file: {message}\n")
 
     def test_bad_config_is_usage_error(self, tmp_path, monkeypatch):
         cfgfile = tmp_path / "cfg.json"

@@ -270,6 +270,11 @@ class TestFrakAPower:
         by_product = (frak_a(cfg, INF, terms=3) ** 2).truncate(Fr(0))
         assert by_multinomial == by_product
 
+    def test_negative_terms_rejected(self):
+        cfg = PrimeConfig.make(2)
+        with pytest.raises(ValueError, match="terms must be >= 0, got -1"):
+            frak_a_power(cfg, 2, terms=-1)
+
 
 class TestGroupedSum:
     def test_all_ones_class_coefficient(self):
