@@ -1,6 +1,6 @@
 """Command-line front end.
 
-One PrimeConfig per invocation (flags -p/-r/-L and friends, defaults
+One PrimeConfig per invocation (flags -p/-r and friends, defaults
 overridable through a JSON config file named by $HAHNFORGE_CONFIG); mixing
 bases or configs inside one expression is a usage error.  Exit codes:
 0 success, 1 domain error, 2 usage error, 3 precision loss.
@@ -46,7 +46,6 @@ from .series import INF
 _SHARED = (
     ("-p", "p", "p", 2, "prime (default 2)"),
     ("-r", "r", "r", 1, "residue field extension degree (default 1)"),
-    ("-L", "L", "L", 8, "Witt truncation length (default 8)"),
     ("--l-max", "l_max", "l_max", 128, None),
     ("--max-degree", "max_degree", "max_field_degree", 6,
      "field extension budget for root solving"),
@@ -316,7 +315,7 @@ def run(argv, out=None, err=None, stdin=None):
     if not hasattr(args, "json"):
         args.json = defaults.get("output") == "json"
     try:
-        cfg = PrimeConfig.make(args.p, args.r, L=args.L, l_max=args.l_max)
+        cfg = PrimeConfig.make(args.p, args.r, l_max=args.l_max)
     except ValueError as exc:
         print(f"error: {exc}", file=err)
         return 2

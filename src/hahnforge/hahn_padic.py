@@ -6,9 +6,10 @@ below which the digits are exact (the error is O(p^cap); cap = +inf marks a
 finite exact digit map).  Because digits add p-adically, sums and products of
 digit terms generate carries; normalization is where all of them are resolved.
 
-Normalization works in the fractional-part coordinates: raw terms c * p^e are
-bucketed by e mod 1, each bucket is summed inside a truncated Witt ring whose
-length is sized from the cap (plus a two-digit guard; carries only propagate
+Normalization works in the fractional-part coordinates: raw terms k*[d]*p^e
+(the bag coefficient is an int k, a digit d or a pair (k, d)) are bucketed by
+e mod 1, each bucket is summed inside a truncated Witt ring whose length is
+sized from the cap plus the constant GUARD_DIGITS (carries only propagate
 upward), the bucket sum is digit-decomposed, and the digit streams of the
 buckets are merged.  Distinct fractional parts can never interact, which is
 why the bucketing is sound.
@@ -36,7 +37,7 @@ from .errors import PrecisionLoss
 from .exactnum import FqElem, PrimeConfig, WittElem, digit_decompose, teichmueller
 from .series import INF, TruncatedSeries, as_frac
 
-GUARD_DIGITS = 2
+GUARD_DIGITS = 2  # carries only propagate upward: these absorb the cap boundary
 
 __all__ = [
     "PHahn",
@@ -58,20 +59,6 @@ def _floor(x: Fraction) -> int:
 # normalization kernel
 # ---------------------------------------------------------------------------
 
-def _coeff_parts(cfg, coeff):
-    """Split a raw-bag coefficient into (integer multiplier, digit, witt)."""
-    if isinstance(coeff, WittElem):
-        return None, None, coeff
-    if isinstance(coeff, FqElem):
-        return 1, coeff, None
-    if isinstance(coeff, int):
-        return coeff, None, None
-    if isinstance(coeff, tuple) and len(coeff) == 2:
-        k, d = coeff
-        return int(k), d, None
-    raise TypeError(f"unsupported bag coefficient {coeff!r}")
-
-
 def _int_lift(cfg, d: FqElem):
     """Exact integer Teichmüller lift, or None when it does not exist."""
     if d.is_zero():
@@ -85,136 +72,106 @@ def _int_lift(cfg, d: FqElem):
     return None
 
 
-def _bucket_exact(cfg, items):
+def _bucket_exact(cfg, items, n_min):
     """Exact digit extraction for one fractional-part bucket.
 
-    Every coefficient must have an integer Teichmüller lift; the bucket sum
-    is then an exact integer vector whose greedy digit expansion either
-    terminates within l_max digits or raises PrecisionLoss.
+    Every digit must have an integer Teichmüller lift; the bucket sum is
+    then a rational integer whose greedy digit expansion either terminates
+    within l_max digits or raises PrecisionLoss.
     """
-    n_min = min(n for n, _ in items)
-    total = [0] * cfg.r
-    for n, coeff in items:
-        k, d, w = _coeff_parts(cfg, coeff)
-        if w is not None:
-            raise PrecisionLoss(
-                "exact normalization cannot absorb a truncated Witt coefficient")
-        if d is not None:
-            lift = _int_lift(cfg, d)
-            if lift is None:
-                raise PrecisionLoss(
-                    f"digit {d} has no integer Teichmüller lift; a cap is required")
-            k = k * lift
-        total[0] += k * cfg.p ** (n - n_min)
     p = cfg.p
+    cur = 0
+    for n, k, d in items:
+        lift = _int_lift(cfg, d)
+        if lift is None:
+            raise PrecisionLoss(
+                f"digit {d} has no integer Teichmüller lift; a cap is required")
+        cur += k * lift * p ** (n - n_min)
     digits = []
-    cur = total
-    while any(cur):
+    while cur:
         if len(digits) > cfg.l_max:
             raise PrecisionLoss(
                 f"digit expansion did not terminate within l_max={cfg.l_max}")
-        d = cfg.fq([c % p for c in cur])
+        d = cfg.fq(cur % p)
         digits.append(d)
         lift = _int_lift(cfg, d)
         if lift is None:
             raise PrecisionLoss(
                 f"digit {d} has no integer Teichmüller lift; a cap is required")
-        cur = [(c - (lift if i == 0 else 0)) // p for i, c in enumerate(cur)]
-    return n_min, digits
+        cur = (cur - lift) // p
+    return digits
 
 
-def _bucket_capped(cfg, items, need, frac_cap, guard):
-    """Digit extraction for one bucket modulo p^(need + guard).
-
-    `need` counts the digits wanted above the bucket's minimal integer
-    offset; `frac_cap` = cap - q bounds emitted exponents.  Carries only
-    propagate upward, so the guard merely absorbs boundary effects at the
-    cap.
-    """
-    n_min = min(n for n, _ in items)
-    ell = need + guard
-    for n, coeff in items:
-        _, _, w = _coeff_parts(cfg, coeff)
-        if w is not None:
-            avail = (n - n_min) + w.prec
-            if avail < need:
-                raise PrecisionLoss(
-                    "Witt coefficient precision insufficient for requested cap")
-            ell = min(ell, avail)
+def _bucket_capped(cfg, items, n_min, need):
+    """The first `need` digits of one bucket, summed mod p^(need + GUARD_DIGITS)."""
+    ell = need + GUARD_DIGITS
     if ell > cfg.l_max:
         raise PrecisionLoss(
             f"bucket needs Witt length {ell} > l_max={cfg.l_max}")
-    pk = cfg.p ** ell
+    p = cfg.p
+    mult = {}  # digit coeffs -> [digit, integer multiplier of its lift]
+    for n, k, d in items:
+        mult.setdefault(d.coeffs, [d, 0])[1] += k * p ** (n - n_min)
     total = [0] * cfg.r
-    lifts = {}  # the bucket's distinct digits (keyed by coeffs), lifted once
-    for n, coeff in items:
-        k, d, w = _coeff_parts(cfg, coeff)
-        shift = cfg.p ** (n - n_min)
-        if w is not None:
-            vec = [c * shift % pk for c in w.coeffs]
+    for d, m in mult.values():
+        lift = _int_lift(cfg, d)
+        if lift is not None:
+            total[0] += m * lift
         else:
-            vec = [0] * cfg.r
-            if d is not None:
-                lift = lifts.get(d.coeffs)
-                if lift is None:
-                    lift = lifts[d.coeffs] = teichmueller(d, prec=ell)
-                vec = [c * k * shift % pk for c in lift.coeffs]
-            else:
-                vec[0] = k * shift % pk
-        total = [(x + y) % pk for x, y in zip(total, vec)]
-    w = WittElem(cfg, tuple(total), ell)
-    digits = list(digit_decompose(w))
-    out = []
-    for i, d in enumerate(digits):
-        if n_min + i >= frac_cap:
-            break
-        out.append(d)
-    return n_min, out
+            for i, c in enumerate(teichmueller(d, prec=ell).coeffs):
+                total[i] += m * c
+    pk = p ** ell
+    w = WittElem(cfg, tuple(c % pk for c in total), ell)
+    return digit_decompose(w)[:need]
 
 
-def normalize(cfg: PrimeConfig, bag, cap, guard: int = GUARD_DIGITS) -> "PHahn":
+def normalize(cfg: PrimeConfig, bag, cap) -> "PHahn":
     """Standard expansion of a raw term bag, exact below cap.
 
-    Bag items are (coefficient, exponent) pairs; a coefficient is an int, an
-    FqElem (meaning its Teichmüller lift), an (int, FqElem) product, or a
-    WittElem.  Terms are bucketed by the fractional part of the exponent,
-    summed per bucket in a truncated Witt ring sized from the cap (each
-    bucket runs at ceil(cap - q) digits past its offset, plus `guard`),
-    digit decomposed, and merged.
+    Bag items are (coefficient, exponent) pairs; a coefficient is an int n,
+    an FqElem d (meaning its Teichmüller lift) or an (int, FqElem) product
+    (k, d), and is read as the pair (n, [1]), (1, d) or (k, d).  Terms are
+    bucketed by the fractional part q of the exponent; a capped bucket is
+    summed in a truncated Witt ring at ceil(cap - q) digits past its
+    offset plus GUARD_DIGITS, digit decomposed, and the buckets merged.
     """
     cap = as_frac(cap)
+    one = cfg.fq(1)
     buckets = {}
     for coeff, exp in bag:
+        if isinstance(coeff, FqElem):
+            k, d = 1, coeff
+        elif isinstance(coeff, int):
+            k, d = coeff, one
+        elif isinstance(coeff, tuple) and len(coeff) == 2:
+            k, d = coeff
+        else:
+            raise TypeError(f"unsupported bag coefficient {coeff!r}")
         exp = as_frac(exp)
         n = _floor(exp)
-        buckets.setdefault(exp - n, []).append((n, coeff))
+        buckets.setdefault(exp - n, []).append((n, k, d))
     out = []
     for q, items in buckets.items():
+        n_min = min(n for n, _, _ in items)
         if cap is INF or cap == INF:
             if len(items) == 1:
-                # single digit terms are already in standard form
-                n, coeff = items[0]
-                k, d, w = _coeff_parts(cfg, coeff)
-                if w is None and d is not None:
-                    if k == -1 and cfg.p > 2:
-                        k, d = 1, d * cfg.fq(cfg.p - 1)
-                    if k == 1:
-                        if not d.is_zero():
-                            out.append((q + n, d))
-                        continue
-                elif w is None and d is None and k == 0:
+                # a single digit term is already in standard form
+                n, k, d = items[0]
+                if k == -1 and cfg.p > 2:
+                    k, d = 1, d * cfg.fq(cfg.p - 1)
+                if k == 1:
+                    if not d.is_zero():
+                        out.append((q + n, d))
                     continue
-            base, digits = _bucket_exact(cfg, items)
+            digits = _bucket_exact(cfg, items, n_min)
         else:
-            n_min = min(n for n, _ in items)
             need = math.ceil(cap - q) - n_min
             if need <= 0:
                 continue
-            base, digits = _bucket_capped(cfg, items, need, cap - q, guard)
+            digits = _bucket_capped(cfg, items, n_min, need)
         for i, d in enumerate(digits):
-            e = q + base + i
-            if not d.is_zero() and e < cap:
-                out.append((e, d))
+            if not d.is_zero():
+                out.append((q + n_min + i, d))
     out.sort(key=lambda t: t[0])
     return PHahn(cfg, tuple(out), cap)
 

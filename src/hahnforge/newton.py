@@ -35,7 +35,7 @@ lexicographic coefficient order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .errors import (
@@ -207,22 +207,18 @@ class RootBranch:
 class _State:
     cfg: PrimeConfig
     coeffs: list                     # shifted polynomial, low degree first
-    terms: list = field(default_factory=list)
-    prev_exp: object = None
-    steps: int = 0
-    history: list = field(default_factory=list)   # committed exponents
+    terms: list = field(default_factory=list)   # committed (exponent, digit)
     prev_strip: object = None        # stripped residual one step ago
-    jumped: bool = False
-    jump_bound: object = None        # head valuation at the jump
+    jump_bound: object = None        # head valuation at the jump, once jumped
     stall_count: int = 0
     last_val: object = None
 
 
-def _geo_chain(history, p):
+def _geo_chain(terms, p):
     """Last GEO_WINDOW exponents have consecutive differences of ratio 1/p."""
-    if len(history) < GEO_WINDOW:
+    if len(terms) < GEO_WINDOW:
         return False
-    window = history[-GEO_WINDOW:]
+    window = [e for e, _ in terms[-GEO_WINDOW:]]
     diffs = [b - a for a, b in zip(window, window[1:])]
     if any(d == 0 for d in diffs):
         return False
@@ -277,7 +273,7 @@ def _candidates(state, upper):
     cands = []
     for i1, v1, _i2, _v2, slope in poly.segments():
         e = -slope
-        if state.prev_exp is not None and e <= state.prev_exp:
+        if state.terms and e <= state.terms[-1][0]:
             continue
         if upper is not None and e >= upper:
             continue
@@ -291,57 +287,40 @@ def _candidates(state, upper):
 
 
 def _children_for_segment(ring, st, e, m, opts, upper):
-    cfg, coeffs, terms = st.cfg, st.coeffs, st.terms
-    members = _segment_members(coeffs, e, m)
-    phi = [cfg.fq(0)] * (max(members) + 1)
+    members = _segment_members(st.coeffs, e, m)
+    phi = [st.cfg.fq(0)] * (max(members) + 1)
     for i in members:
-        phi[i] = coeffs[i].leading()[1]
-    roots = sorted((c for c in fq_poly_roots(phi) if not c.is_zero()),
-                   key=lambda c: c.sort_key())
+        phi[i] = st.coeffs[i].leading()[1]
+    roots = [c for c in fq_poly_roots(phi) if not c.is_zero()]
     if not roots:
-        cfg, coeffs, terms, phi = _extend_field(st, phi, opts)
-        roots = sorted((c for c in fq_poly_roots(phi) if not c.is_zero()),
-                       key=lambda c: c.sort_key())
-        if not roots:
-            raise FieldExtensionExceeded(
-                f"residue equation rootless within degree {opts.max_field_degree}")
+        st, roots = _extend_field(st, phi, opts)
     # p-adic shifts work at a finite cap: sums of exact Teichmüller terms can
     # have infinite digit expansions (no integer lift for p >= 5), so the
     # shift monomial carries enough cap to cover all digits below `upper`
     tau_cap = INF
     if upper is not None:
-        tau_cap = upper + (len(coeffs) - 1) * max(0, -e) + 4
+        tau_cap = upper + (len(st.coeffs) - 1) * max(0, -e) + 4
     out = []
-    for c in roots:
-        tau = ring.monomial(cfg, c, e, cap=tau_cap)
-        out.append(_State(
-            cfg=cfg,
-            coeffs=_taylor_shift(coeffs, tau),
-            terms=terms + [(e, c)],
-            prev_exp=e,
-            steps=st.steps + 1,
-            history=st.history + [e],
-            prev_strip=st.prev_strip,
-            jumped=st.jumped,
-            jump_bound=st.jump_bound,
-            stall_count=st.stall_count,
-            last_val=st.last_val,
-        ))
+    for c in sorted(roots, key=lambda c: c.sort_key()):
+        tau = ring.monomial(st.cfg, c, e, cap=tau_cap)
+        out.append(replace(st, coeffs=_taylor_shift(st.coeffs, tau),
+                           terms=st.terms + [(e, c)]))
     return out
 
 
 def _extend_field(st, phi, opts):
-    """Re-run a rootless residue equation over the minimal viable extension."""
+    """State and nonzero roots of phi over the least extension that has any."""
     base_r = st.cfg.r
     factor = 2
     while base_r * factor <= opts.max_field_degree:
         big = PrimeConfig.make(st.cfg.p, base_r * factor, L=st.cfg.L,
                                l_max=st.cfg.l_max)
         phi_big = [subfield_embedding(c, big) for c in phi]
-        if any(not c.is_zero() for c in fq_poly_roots(phi_big)):
-            coeffs = [c.embed(big) for c in st.coeffs]
+        roots = [c for c in fq_poly_roots(phi_big) if not c.is_zero()]
+        if roots:
             terms = [(e, subfield_embedding(c, big)) for e, c in st.terms]
-            return big, coeffs, terms, phi_big
+            coeffs = [c.embed(big) for c in st.coeffs]
+            return replace(st, cfg=big, coeffs=coeffs, terms=terms), roots
         factor += 1
     raise FieldExtensionExceeded(
         f"no residue root within extension degree {opts.max_field_degree}")
@@ -358,11 +337,12 @@ def _finish(ring, st, branches, bound):
 def _advance(ring, st, stack, branches, upper, max_terms, opts):
     """Process one state to its next branching point, pushing children."""
     while True:
-        if st.steps > opts.max_steps:
+        if len(st.terms) > opts.max_steps:
             raise NoProgress(f"no convergence within {opts.max_steps} steps")
         a0 = st.coeffs[0]
         lead0 = a0.leading()
         emitted = False
+        jumped = st.jump_bound is not None
 
         if lead0 is None:
             _finish(ring, st, branches,
@@ -381,8 +361,8 @@ def _advance(ring, st, stack, branches, upper, max_terms, opts):
             st.last_val = lead0[0]
 
             # acceleration past an exponent accumulation point
-            if (not st.jumped and _geo_chain(st.history, st.cfg.p)
-                    and (max_terms is None or st.steps >= max_terms)):
+            if (not jumped and _geo_chain(st.terms, st.cfg.p)
+                    and (max_terms is None or len(st.terms) >= max_terms)):
                 stripped = a0.strip_leading()
                 if stripped.is_exact_zero():
                     accept, bound = True, INF
@@ -393,7 +373,6 @@ def _advance(ring, st, stack, branches, upper, max_terms, opts):
                     st.coeffs = list(st.coeffs)
                     st.coeffs[0] = stripped if bound is INF or bound == INF \
                         else stripped.truncate(bound)
-                    st.jumped = True
                     st.prev_strip = None
                     st.last_val = None
                     st.stall_count = 0
@@ -403,10 +382,10 @@ def _advance(ring, st, stack, branches, upper, max_terms, opts):
                 st.prev_strip = None
 
         # depth budget (equal characteristic); pending acceleration may run on
-        accel_pending = st.prev_strip is not None and not st.jumped
+        accel_pending = st.prev_strip is not None and not jumped
         if (max_terms is not None and not accel_pending
-                and st.steps >= (max_terms if not st.jumped
-                                 else 2 * max_terms + 2)):
+                and len(st.terms) >= (max_terms if not jumped
+                                      else 2 * max_terms + 2)):
             if not emitted:
                 _finish(ring, st, branches, lead0[0])
             return

@@ -226,7 +226,7 @@ class TestConfigFile:
         ("5", "the config must be a JSON object"),
         ("[1, 2]", "the config must be a JSON object"),
         ('{"p": "3"}', "config key 'p' must be of type int, got '3'"),
-        ('{"L": true}', "config key 'L' must be of type int, got True"),
+        ('{"r": true}', "config key 'r' must be of type int, got True"),
         ('{"stall_limit": 2.0}',
          "config key 'stall_limit' must be of type int, got 2.0"),
         ('{"output": 5}', "config key 'output' must be of type str, got 5"),
@@ -237,7 +237,7 @@ class TestConfigFile:
         cfgfile.write_text(text)
         monkeypatch.setenv("HAHNFORGE_CONFIG", str(cfgfile))
         # rejected even where a flag would override the value
-        assert invoke(["-p", "2", "-L", "8", "val", "t^(1)"]) == (
+        assert invoke(["-p", "2", "-r", "1", "val", "t^(1)"]) == (
             2, "", f"error: bad config file: {message}\n")
 
     def test_bad_config_is_usage_error(self, tmp_path, monkeypatch):
@@ -245,6 +245,18 @@ class TestConfigFile:
         cfgfile.write_text(json.dumps({"nope": 1}))
         monkeypatch.setenv("HAHNFORGE_CONFIG", str(cfgfile))
         assert invoke(["val", "t^(1)"])[0] == 2
+
+    def test_witt_length_is_not_a_cli_setting(self, tmp_path, monkeypatch,
+                                              capsys):
+        # normalize sizes its Witt rings from the cap, so no verb reads L
+        assert invoke(["-p", "2", "-L", "8", "val", "t^(1)"])[0] == 2
+        assert invoke(["-p", "2", "val", "t^(1)", "-L", "8"])[0] == 2
+        assert "unrecognized arguments: -L 8" in capsys.readouterr().err
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"L": 8}))
+        monkeypatch.setenv("HAHNFORGE_CONFIG", str(cfgfile))
+        assert invoke(["val", "t^(1)"]) == (
+            2, "", "error: bad config file: unknown config keys: ['L']\n")
 
 
 class TestParseExamples:

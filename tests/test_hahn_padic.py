@@ -3,6 +3,7 @@ import random
 from fractions import Fraction as Fr
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hahnforge.errors import PrecisionLoss
 from hahnforge.exactnum import PrimeConfig, digit_decompose, teichmueller
@@ -104,6 +105,104 @@ class TestNormalize:
         assert out.digit_at(Fr(-1, 3)) == one
         assert out.digit_at(Fr(1, 2)) == one
         assert out.digit_at(Fr(0)) == one
+
+
+FIELDS = [(p, r) for p in (2, 3, 5, 7) for r in (1, 2)]
+
+
+def _outcome(cfg, bag, cap):
+    """normalize's result, or the message of the PrecisionLoss it raises."""
+    try:
+        return normalize(cfg, bag, cap)
+    except PrecisionLoss as exc:
+        return str(exc)
+
+
+class TestCoefficientForms:
+    """An int n is (n, [1]), a digit d is (1, d) and (k, d) is k copies of d."""
+
+    @pytest.mark.parametrize("cap", [INF, Fr(5, 2)], ids=["exact", "capped"])
+    @pytest.mark.parametrize("p,r", FIELDS)
+    def test_forms_agree(self, p, r, cap):
+        cfg = PrimeConfig.make(p, r)
+        one = cfg.fq(1)
+        rest = [(one, Fr(1, 2)), (-1, Fr(1))]  # a second term in each bucket
+        for e in (Fr(0), Fr(-3, 2)):
+            for tail in ([], rest):
+                for n in range(-3, 4):
+                    assert (_outcome(cfg, [(n, e)] + tail, cap)
+                            == _outcome(cfg, [((n, one), e)] + tail, cap))
+                for d in cfg.fq_elements():
+                    single = _outcome(cfg, [(d, e)] + tail, cap)
+                    assert _outcome(cfg, [((1, d), e)] + tail, cap) == single
+                    for k in (2, 3):
+                        assert (_outcome(cfg, [((k, d), e)] + tail, cap)
+                                == _outcome(cfg, [(d, e)] * k + tail, cap))
+
+    def test_witt_coefficient_is_rejected(self):
+        cfg = PrimeConfig.make(3)
+        with pytest.raises(TypeError, match="unsupported bag coefficient"):
+            normalize(cfg, [(cfg.witt(1, prec=4), Fr(0))], Fr(3))
+
+    def test_l_max_bounds_the_exact_path(self):
+        # 1023 = 1 + 2 + ... + 2^9 terminates after ten digits
+        assert len(normalize(PrimeConfig.make(2), [(1023, Fr(0))], INF).digits) == 10
+        with pytest.raises(PrecisionLoss, match="within l_max=4"):
+            normalize(PrimeConfig.make(2, l_max=4), [(1023, Fr(0))], INF)
+
+
+@st.composite
+def bags(draw):
+    """A field and a raw bag mixing all three coefficient forms."""
+    p, r = draw(st.sampled_from(FIELDS))
+    cfg = PrimeConfig.make(p, r)
+    digit = st.lists(st.integers(0, p - 1), min_size=r, max_size=r).map(cfg.fq)
+    coeff = st.one_of(st.integers(-9, 9), digit,
+                      st.tuples(st.integers(-4, 4), digit))
+    exp = st.builds(Fr, st.integers(-6, 6), st.sampled_from([1, 2, 3, p]))
+    return cfg, draw(st.lists(st.tuples(coeff, exp), max_size=8))
+
+
+finite_caps = st.builds(Fr, st.integers(-4, 12), st.sampled_from([1, 2, 3]))
+hypothesis_settings = settings(max_examples=80, derandomize=True,
+                               database=None, deadline=None)
+
+
+class TestNormalizeProperties:
+    @hypothesis_settings
+    @given(bags(), finite_caps, finite_caps)
+    def test_cap_monotone(self, cfg_bag, c1, c2):
+        cfg, bag = cfg_bag
+        c1, c2 = min(c1, c2), max(c1, c2)
+        assert normalize(cfg, bag, c2).truncate(c1) == normalize(cfg, bag, c1)
+
+    @hypothesis_settings
+    @given(bags(), finite_caps)
+    def test_exact_result_agrees_with_every_cap(self, cfg_bag, cap):
+        cfg, bag = cfg_bag
+        try:
+            exact = normalize(cfg, bag, INF)
+        except PrecisionLoss:
+            return
+        assert exact.truncate(cap) == normalize(cfg, bag, cap)
+
+    @hypothesis_settings
+    @given(bags(), st.one_of(finite_caps, st.just(INF)), st.randoms())
+    def test_bag_order_is_irrelevant(self, cfg_bag, cap, rnd):
+        cfg, bag = cfg_bag
+        shuffled = list(bag)
+        rnd.shuffle(shuffled)
+        a, b = _outcome(cfg, bag, cap), _outcome(cfg, shuffled, cap)
+        # an exact bag names the first digit it cannot lift
+        assert a == b or (isinstance(a, str) and isinstance(b, str))
+
+    @hypothesis_settings
+    @given(bags(), st.one_of(finite_caps, st.just(INF)))
+    def test_idempotent_on_normalized_bags(self, cfg_bag, cap):
+        cfg, bag = cfg_bag
+        x = _outcome(cfg, bag, cap)
+        if isinstance(x, PHahn):
+            assert normalize(cfg, x.digit_bag(), x.cap) == x
 
 
 class TestAddMul:
