@@ -255,7 +255,34 @@ def _glue_values(argv):
     return out
 
 
-def _build_parser():
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that prints help to `out` and usage errors to `err`.
+
+    argparse's own methods write to sys.stdout and sys.stderr, which are not
+    the streams an in-process caller of `run` passed.
+    """
+
+    def __init__(self, *args, out, err, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.out, self.err = out, err
+
+    def print_usage(self, file=None):
+        super().print_usage(self.out if file is None else file)
+
+    def print_help(self, file=None):
+        super().print_help(self.out if file is None else file)
+
+    def error(self, message):
+        self.print_usage(self.err)
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+    def exit(self, status=0, message=None):
+        if message:
+            self.err.write(message)
+        raise SystemExit(status)
+
+
+def _build_parser(out, err):
     # the shared flags parse both before and after the verb (the subcommand
     # occurrence, parsed last, wins); run fills the defaults of unset ones
     common = argparse.ArgumentParser(add_help=False)
@@ -264,13 +291,13 @@ def _build_parser():
         common.add_argument(flag, dest=attr, type=int, default=s, help=help_text)
     common.add_argument("--json", action="store_true", default=s,
                         help="emit JSON instead of text")
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="hahnforge",
         description="exact Hahn-series arithmetic at finite truncation",
-        parents=[common])
+        parents=[common], out=out, err=err)
     sub = top.add_subparsers(dest="verb", required=True)
     for verb, (specs, _handler, _batch) in _VERBS.items():
-        sp = sub.add_parser(verb, parents=[common])
+        sp = sub.add_parser(verb, parents=[common], out=out, err=err)
         for name, kw in specs:
             sp.add_argument(name, **kw)
     return top
@@ -304,7 +331,7 @@ def run(argv, out=None, err=None, stdin=None):
         print(f"error: bad config file: {exc}", file=err)
         return 2
     try:
-        args = _build_parser().parse_args(_glue_values(argv))
+        args = _build_parser(out, err).parse_args(_glue_values(argv))
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     # shared flags carry SUPPRESS defaults so either position wins; fill the

@@ -15,12 +15,17 @@ of known p-adic digits), defaulting to the configuration's L, so callers that
 need longer or shorter truncations can mix them; binary operations return the
 minimum precision of their operands.
 
-Teichmüller lifts are computed by fixpoint iteration x -> x^(p^r), which
-gains at least one p-adic digit per step, so `prec` iterations always
-suffice.  Rational numbers are stdlib fractions.Fraction throughout.
+Teichmüller lifts come from one module-level table that holds, for each
+digit of each field, its lift at the largest precision asked for so far; the
+lift at precision k is that lift reduced mod p^k, so a field of q elements
+never has more than q entries.  A missing or too short entry is computed in
+closed form a^(p^(k-1)) mod p^k when r = 1, and otherwise by fixpoint
+iteration x -> x^(p^r), which gains at least one p-adic digit per step, so
+`prec` iterations always suffice.  Rational numbers are stdlib
+fractions.Fraction throughout.
 
 All values are immutable; operations are pure functions of their operands
-and the shared PrimeConfig.
+and the shared PrimeConfig.  The lift table only caches such a function.
 """
 
 from __future__ import annotations
@@ -450,21 +455,45 @@ class WittElem:
         return _format_gpoly(self.coeffs)
 
 
+# (p, modulus, digit coeffs) -> (prec, lift coeffs mod p^prec)
+_LIFTS = {}
+
+
+def _lift(cfg: PrimeConfig, coeffs: tuple, prec: int) -> tuple:
+    """Teichmüller lift coefficients of the digit `coeffs`, correct mod p^prec.
+
+    The result may be the lift at a higher precision, so a caller that needs
+    coefficients in [0, p^prec) reduces them itself.
+    """
+    key = (cfg.p, cfg.modulus, coeffs)
+    entry = _LIFTS.get(key)
+    if entry is not None and entry[0] >= prec:
+        return entry[1]
+    pk = cfg.p ** prec
+    if cfg.r == 1:
+        lift = (pow(coeffs[0], pk // cfg.p, pk),)
+    else:
+        x = [c % pk for c in coeffs]
+        for _ in range(prec):
+            nxt = _poly_powmod(x, cfg.q, cfg.modulus, pk)
+            if nxt == x:
+                break
+            x = nxt
+        lift = tuple(x)
+    _LIFTS[key] = (prec, lift)
+    return lift
+
+
 def teichmueller(a: FqElem, prec: int | None = None) -> WittElem:
     """Multiplicative lift of a to W_prec: the fixpoint of x -> x^(p^r).
 
-    Iterating from any lift gains at least one p-adic digit per step, so at
-    most `prec` iterations are needed; the loop exits early on a fixpoint.
+    Read from the lift table (see the module docstring); `prec` defaults to
+    a.cfg.L and the result carries a's own config.
     """
     cfg = a.cfg
     prec = cfg.L if prec is None else prec
-    x = cfg.witt(list(a.coeffs), prec=prec)
-    for _ in range(prec):
-        nxt = x ** cfg.q
-        if nxt == x:
-            break
-        x = nxt
-    return x
+    pk = cfg.p ** prec
+    return WittElem(cfg, tuple(c % pk for c in _lift(cfg, a.coeffs, prec)), prec)
 
 
 def digit_decompose(c: WittElem) -> tuple:
@@ -473,19 +502,28 @@ def digit_decompose(c: WittElem) -> tuple:
     Digit i is only determined modulo p^(prec-i); the returned tuple always
     has length c.prec.
     """
+    # The coefficients are never reduced: subtracting the lift of digit d
+    # leaves them divisible by p, and a lift read at a higher precision than
+    # rem moves them by multiples of p^rem, which no later digit sees.
     cfg = c.cfg
     p = cfg.p
     digits = []
-    cur = list(c.coeffs)
-    for i in range(c.prec):
-        rem = c.prec - i
-        pk = p ** rem
-        cur = [x % pk for x in cur]
-        d = FqElem(cfg, tuple(x % p for x in cur))
-        digits.append(d)
-        if not d.is_zero():
-            lift = teichmueller(d, prec=rem)
-            cur = [(x - y) % pk for x, y in zip(cur, lift.coeffs)]
+    if cfg.r == 1:
+        # the loop below on the single coefficient as a plain int
+        x = c.coeffs[0]
+        for rem in range(c.prec, 0, -1):
+            d = x % p
+            digits.append(FqElem(cfg, (d,)))
+            if d:
+                x -= _lift(cfg, (d,), rem)[0]
+            x //= p
+        return tuple(digits)
+    cur = c.coeffs
+    for rem in range(c.prec, 0, -1):
+        d = tuple([x % p for x in cur])
+        digits.append(FqElem(cfg, d))
+        if any(d):
+            cur = [x - y for x, y in zip(cur, _lift(cfg, d, rem))]
         cur = [x // p for x in cur]
     return tuple(digits)
 

@@ -89,7 +89,7 @@ def _bucket_exact(cfg, items, n_min):
         cur += k * lift * p ** (n - n_min)
     digits = []
     while cur:
-        if len(digits) > cfg.l_max:
+        if len(digits) >= cfg.l_max:
             raise PrecisionLoss(
                 f"digit expansion did not terminate within l_max={cfg.l_max}")
         d = cfg.fq(cur % p)
@@ -114,12 +114,8 @@ def _bucket_capped(cfg, items, n_min, need):
         mult.setdefault(d.coeffs, [d, 0])[1] += k * p ** (n - n_min)
     total = [0] * cfg.r
     for d, m in mult.values():
-        lift = _int_lift(cfg, d)
-        if lift is not None:
-            total[0] += m * lift
-        else:
-            for i, c in enumerate(teichmueller(d, prec=ell).coeffs):
-                total[i] += m * c
+        for i, c in enumerate(teichmueller(d, prec=ell).coeffs):
+            total[i] += m * c
     pk = p ** ell
     w = WittElem(cfg, tuple(c % pk for c in total), ell)
     return digit_decompose(w)[:need]

@@ -61,6 +61,17 @@ class TestExitCodes:
         code, _out, _err = invoke(["frobnicate"])
         assert code == 2
 
+    def test_help_and_usage_errors_use_the_given_streams(self, capsys):
+        for argv in (["-h"], ["val", "-h"]):
+            code, out, err = invoke(argv)
+            assert (code, err) == (0, "")
+            assert out.startswith("usage: hahnforge")
+        for argv in (["frobnicate"], ["val"], ["-p", "x", "val", "t"]):
+            code, out, err = invoke(argv)
+            assert (code, out) == (2, "")
+            assert err.startswith("usage: hahnforge") and "error: " in err
+        assert capsys.readouterr() == ("", "")
+
     def test_syntax_error_is_usage_error(self):
         code, _out, err = invoke(["-p", "2", "val", "t^("])
         assert code == 2 and "syntax" in err
@@ -131,11 +142,12 @@ class TestDashValues:
         result = invoke(argv)
         assert result[0] == 0 and result[1] and result == invoke(glued)
 
-    def test_positional_after_double_dash(self, capsys):
+    def test_positional_after_double_dash(self):
         assert invoke(["-p", "3", "val", "--", "-t^(1/2)"]) == (0, "1/2\n", "")
         # after `--` an option name is a positional value, and nothing is glued
-        assert invoke(["val", "--", "--cap", "-1"])[0] == 2
-        assert "unrecognized arguments: -1" in capsys.readouterr().err
+        code, out, err = invoke(["val", "--", "--cap", "-1"])
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: -1" in err
 
 
 class TestPow:
@@ -246,12 +258,12 @@ class TestConfigFile:
         monkeypatch.setenv("HAHNFORGE_CONFIG", str(cfgfile))
         assert invoke(["val", "t^(1)"])[0] == 2
 
-    def test_witt_length_is_not_a_cli_setting(self, tmp_path, monkeypatch,
-                                              capsys):
+    def test_witt_length_is_not_a_cli_setting(self, tmp_path, monkeypatch):
         # normalize sizes its Witt rings from the cap, so no verb reads L
         assert invoke(["-p", "2", "-L", "8", "val", "t^(1)"])[0] == 2
-        assert invoke(["-p", "2", "val", "t^(1)", "-L", "8"])[0] == 2
-        assert "unrecognized arguments: -L 8" in capsys.readouterr().err
+        code, _out, err = invoke(["-p", "2", "val", "t^(1)", "-L", "8"])
+        assert code == 2
+        assert "unrecognized arguments: -L 8" in err
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(json.dumps({"L": 8}))
         monkeypatch.setenv("HAHNFORGE_CONFIG", str(cfgfile))

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from hahnforge import exactnum
 from hahnforge.errors import DivisionByZero, NotAUnit, ZeroPolynomial
 from hahnforge.exactnum import (
     PrimeConfig,
@@ -26,6 +27,21 @@ def naive_mul_mod(a, b, modulus, q):
         for j in range(deg):
             out[i - deg + j] -= t * modulus[j]
     return [x % q for x in out[:deg]] + [0] * max(0, deg - len(out))
+
+
+def fixpoint_lift(a, prec):
+    """Independent oracle: iterate x -> x^q mod (p^prec, modulus) to its
+    fixpoint, each power by q schoolbook multiplications."""
+    cfg = a.cfg
+    pk = cfg.p ** prec
+    x = [c % pk for c in a.coeffs]
+    while True:
+        y = [1] + [0] * (cfg.r - 1)
+        for _ in range(cfg.q):
+            y = naive_mul_mod(y, x, cfg.modulus, pk)
+        if y == x:
+            return tuple(x)
+        x = y
 
 
 class TestFindModulus:
@@ -203,6 +219,64 @@ class TestTeichmueller:
         cfg = PrimeConfig.make(5, L=4)
         for a in cfg.fq_elements():
             assert teichmueller(a).residue() == a
+
+
+class TestLiftTable:
+    @pytest.fixture
+    def empty_table(self, monkeypatch):
+        table = {}
+        monkeypatch.setattr(exactnum, "_LIFTS", table)
+        return table
+
+    def test_default_precision_follows_each_config(self, empty_table):
+        short = PrimeConfig.make(5, L=3)
+        long = PrimeConfig.make(5, L=7)
+        for first, second in ((long, short), (short, long)):
+            for cfg in (first, second):
+                for a in cfg.fq_elements():
+                    t = teichmueller(a)
+                    assert t.prec == cfg.L and t.cfg is cfg
+                    assert t.coeffs == fixpoint_lift(a, cfg.L)
+
+    @pytest.mark.parametrize("p,r", [(3, 1), (7, 1), (2, 2), (5, 2)])
+    def test_lower_precision_after_higher(self, empty_table, p, r):
+        cfg = PrimeConfig.make(p, r)
+        for a in cfg.fq_elements():
+            for prec in (3, 8, 3):
+                t = teichmueller(a, prec=prec)
+                assert t.prec == prec
+                assert t.coeffs == fixpoint_lift(a, prec)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_closed_form_for_prime_fields(self, empty_table, p):
+        cfg = PrimeConfig.make(p)
+        for prec in range(1, 7):
+            for a in cfg.fq_elements():
+                assert teichmueller(a, prec=prec).coeffs == fixpoint_lift(a, prec)
+                # each precision is new, so the lift was computed, not reduced
+                assert empty_table[p, cfg.modulus, a.coeffs][0] == prec
+
+    @pytest.mark.parametrize("p,r", [(3, 1), (5, 1), (2, 2), (3, 2)])
+    def test_digit_decompose_from_an_empty_table(self, empty_table, p, r):
+        # digit i is read at precision prec - i, below every earlier entry
+        cfg = PrimeConfig.make(p, r, L=5)
+        pk = p ** cfg.L
+        rng = random.Random(17)
+        for _ in range(40):
+            w = cfg.witt([rng.randrange(pk) for _ in range(r)])
+            acc = [0] * r
+            for i, d in enumerate(digit_decompose(w)):
+                lift = fixpoint_lift(d, cfg.L)
+                acc = [(x + y * p ** i) % pk for x, y in zip(acc, lift)]
+            assert tuple(acc) == w.coeffs
+
+    def test_at_most_one_entry_per_digit(self):
+        cfg = PrimeConfig.make(3, r=2)
+        for prec in (2, 6, 4, 9, 1):
+            for a in cfg.fq_elements():
+                teichmueller(a, prec=prec)
+        field = [key for key in exactnum._LIFTS if key[:2] == (3, cfg.modulus)]
+        assert len(field) == cfg.q
 
 
 class TestDigitDecompose:

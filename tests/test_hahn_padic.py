@@ -150,6 +150,13 @@ class TestCoefficientForms:
         with pytest.raises(PrecisionLoss, match="within l_max=4"):
             normalize(PrimeConfig.make(2, l_max=4), [(1023, Fr(0))], INF)
 
+    def test_l_max_boundary_on_the_exact_path(self):
+        # 15 = 1111 and 31 = 11111 in base 2: l_max digits pass, one more fails
+        cfg = PrimeConfig.make(2, l_max=4)
+        assert len(normalize(cfg, [(15, Fr(0))], INF).digits) == 4
+        with pytest.raises(PrecisionLoss, match="within l_max=4"):
+            normalize(cfg, [(31, Fr(0))], INF)
+
 
 @st.composite
 def bags(draw):
