@@ -15,6 +15,12 @@ of known p-adic digits), defaulting to the configuration's L, so callers that
 need longer or shorter truncations can mix them; binary operations return the
 minimum precision of their operands.
 
+Both are one presentation, Z[g]/(n, m(g)) with n = p or n = p^prec, so their
+ring operations (sum, difference, negation, product, power, printing) are
+written once, in a private base class, and PrimeConfig.fq and .witt reduce an
+int or a coefficient sequence by one routine.  Each class keeps only its n,
+its coercion of the other operand, equality, hashing and inversion.
+
 Teichmüller lifts come from one module-level table that holds, for each
 digit of each field, its lift at the largest precision asked for so far; the
 lift at precision k is that lift reduced mod p^k, so a field of q elements
@@ -66,23 +72,6 @@ def is_prime(n: int) -> bool:
 # dense polynomial helpers over Z/q, coefficient lists low degree first
 # ---------------------------------------------------------------------------
 
-def _trim(c):
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _poly_mul(a, b, q):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % q
-    return _trim(out)
-
-
 def _poly_reduce(c, modulus, q):
     """Reduce c by a monic modulus, coefficients mod q."""
     c = [x % q for x in c]
@@ -100,7 +89,13 @@ def _poly_reduce(c, modulus, q):
 
 
 def _poly_mulmod(a, b, modulus, q):
-    return _poly_reduce(_poly_mul(a, b, q), modulus, q)
+    """a * b reduced by a monic modulus, coefficients mod q."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] = (out[i + j] + ai * bj) % q
+    return _poly_reduce(out, modulus, q)
 
 
 def _poly_powmod(a, e, modulus, q):
@@ -114,25 +109,11 @@ def _poly_powmod(a, e, modulus, q):
     return result
 
 
-def _poly_divmod_fp(a, b, p):
-    """Quotient and remainder of dense polynomials over F_p, b nonzero."""
-    a = _trim([x % p for x in a])
-    b = _trim([x % p for x in b])
-    inv_lead = pow(b[-1], -1, p)
-    quo = [0] * max(0, len(a) - len(b) + 1)
-    rem = list(a)
-    while len(rem) >= len(b) and rem:
-        shift = len(rem) - len(b)
-        factor = rem[-1] * inv_lead % p
-        quo[shift] = factor
-        for i, bi in enumerate(b):
-            rem[shift + i] = (rem[shift + i] - factor * bi) % p
-        _trim(rem)
-    return quo, rem
-
-
 def _fp_irreducible(coeffs, p):
-    """Irreducibility over F_p by trial division up to half the degree."""
+    """Irreducibility over F_p by trial division up to half the degree.
+
+    Every divisor tried is monic, so the remainder is `_poly_reduce`'s.
+    """
     deg = len(coeffs) - 1
     if deg <= 0:
         return False
@@ -141,8 +122,7 @@ def _fp_irreducible(coeffs, p):
     for d in range(1, deg // 2 + 1):
         for n in range(p ** d):
             divisor = _int_digits(n, p, d) + [1]
-            _, rem = _poly_divmod_fp(list(coeffs), divisor, p)
-            if not rem:
+            if not any(_poly_reduce(coeffs, divisor, p)):
                 return False
     return True
 
@@ -196,6 +176,8 @@ class PrimeConfig:
             raise ValueError(f"{p} is not prime")
         if r < 1 or L < 1:
             raise ValueError("r and L must be >= 1")
+        if l_max < 1:
+            raise ValueError("l_max must be >= 1")
         if modulus is None:
             modulus = find_modulus(p, r)
         else:
@@ -215,19 +197,21 @@ class PrimeConfig:
 
     # constructors ---------------------------------------------------------
 
+    def _coeffs(self, value, n) -> tuple:
+        """An int or a coefficient sequence as r coefficients mod (n, m(g))."""
+        if isinstance(value, int):
+            return (value % n,) + (0,) * (self.r - 1)
+        coeffs = [int(v) % n for v in value]
+        if len(coeffs) > self.r:
+            coeffs = _poly_reduce(coeffs, self.modulus, n)
+        return tuple(coeffs + [0] * (self.r - len(coeffs)))
+
     def fq(self, value) -> "FqElem":
         if isinstance(value, FqElem):
             if not self.same_field(value.cfg):
                 raise ValueError("field mismatch")
             return value
-        if isinstance(value, int):
-            coeffs = [value % self.p] + [0] * (self.r - 1)
-        else:
-            coeffs = [int(v) % self.p for v in value]
-            if len(coeffs) > self.r:
-                coeffs = _poly_reduce(coeffs, self.modulus, self.p)
-            coeffs += [0] * (self.r - len(coeffs))
-        return FqElem(self, tuple(coeffs))
+        return FqElem(self, self._coeffs(value, self.p))
 
     def fq_gen(self) -> "FqElem":
         if self.r == 1:
@@ -241,40 +225,24 @@ class PrimeConfig:
 
     def witt(self, value, prec: int | None = None) -> "WittElem":
         prec = self.L if prec is None else prec
-        pk = self.p ** prec
         if isinstance(value, WittElem):
             if not self.same_field(value.cfg):
                 raise ValueError("field mismatch")
             if value.prec == prec:
                 return value
-            return WittElem(self, tuple(c % pk for c in value.coeffs), prec)
-        if isinstance(value, int):
-            coeffs = [value % pk] + [0] * (self.r - 1)
-        else:
-            coeffs = [int(v) % pk for v in value]
-            if len(coeffs) > self.r:
-                coeffs = _poly_reduce(coeffs, self.modulus, pk)
-            coeffs += [0] * (self.r - len(coeffs))
-        return WittElem(self, tuple(coeffs), prec)
+            value = value.coeffs
+        return WittElem(self, self._coeffs(value, self.p ** prec), prec)
 
 
-def _format_gpoly(coeffs) -> str:
-    """Generator-basis coefficients as text, highest power first: 2*g^2+g+1."""
-    parts = []
-    for i in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[i]
-        if c == 0:
-            continue
-        if i == 0:
-            parts.append(str(c))
-        else:
-            gpow = "g" if i == 1 else f"g^{i}"
-            parts.append(gpow if c == 1 else f"{c}*{gpow}")
-    return "+".join(parts) if parts else "0"
+class _ResidueElem:
+    """Element of Z[g]/(n, m(g)) for the config's modulus m; immutable.
 
-
-class FqElem:
-    """Element of F_{p^r} in the generator basis; immutable."""
+    The ring arithmetic of FqElem (n = p) and WittElem (n = p^prec).  A
+    subclass supplies `_n` (the coefficient modulus), `_new` (an element of
+    its own ring from reduced coefficients), `_binary` (the other operand
+    coerced, both aligned to one ring, and that ring's n), equality, hashing
+    and `inv`.
+    """
 
     __slots__ = ("cfg", "coeffs")
 
@@ -283,13 +251,74 @@ class FqElem:
         object.__setattr__(self, "coeffs", coeffs)
 
     def __setattr__(self, *a):
-        raise AttributeError("FqElem is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
     def __bool__(self):
         return not self.is_zero()
+
+    def __add__(self, other):
+        a, b, n = self._binary(other)
+        return a._new(tuple((x + y) % n for x, y in zip(a.coeffs, b.coeffs)))
+
+    def __sub__(self, other):
+        a, b, n = self._binary(other)
+        return a._new(tuple((x - y) % n for x, y in zip(a.coeffs, b.coeffs)))
+
+    def __neg__(self):
+        n = self._n
+        return self._new(tuple(-x % n for x in self.coeffs))
+
+    def __mul__(self, other):
+        a, b, n = self._binary(other)
+        return a._new(tuple(_poly_mulmod(a.coeffs, b.coeffs, a.cfg.modulus, n)))
+
+    __radd__ = __add__
+    __rmul__ = __mul__
+
+    def __pow__(self, e: int):
+        if e < 0:
+            return self.inv() ** (-e)
+        return self._new(tuple(_poly_powmod(self.coeffs, e, self.cfg.modulus, self._n)))
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self})"
+
+    def __str__(self):
+        """Generator-basis coefficients, highest power first: 2*g^2+g+1."""
+        parts = []
+        for i in range(len(self.coeffs) - 1, -1, -1):
+            c = self.coeffs[i]
+            if c == 0:
+                continue
+            if i == 0:
+                parts.append(str(c))
+            else:
+                gpow = "g" if i == 1 else f"g^{i}"
+                parts.append(gpow if c == 1 else f"{c}*{gpow}")
+        return "+".join(parts) if parts else "0"
+
+
+class FqElem(_ResidueElem):
+    """Element of F_{p^r} in the generator basis; immutable."""
+
+    __slots__ = ()
+
+    @property
+    def _n(self) -> int:
+        return self.cfg.p
+
+    def _new(self, coeffs):
+        return FqElem(self.cfg, coeffs)
+
+    def _binary(self, other):
+        if not isinstance(other, FqElem):
+            other = self.cfg.fq(other)
+        elif not self.cfg.same_field(other.cfg):
+            raise ValueError("field mismatch")
+        return self, other, self.cfg.p
 
     def __eq__(self, other):
         return (isinstance(other, FqElem)
@@ -301,41 +330,6 @@ class FqElem:
 
     def sort_key(self):
         return self.coeffs[::-1]
-
-    def _binary(self, other):
-        if not isinstance(other, FqElem):
-            other = self.cfg.fq(other)
-        elif not self.cfg.same_field(other.cfg):
-            raise ValueError("field mismatch")
-        return other
-
-    def __add__(self, other):
-        other = self._binary(other)
-        p = self.cfg.p
-        return FqElem(self.cfg, tuple((a + b) % p for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other):
-        other = self._binary(other)
-        p = self.cfg.p
-        return FqElem(self.cfg, tuple((a - b) % p for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self):
-        p = self.cfg.p
-        return FqElem(self.cfg, tuple(-a % p for a in self.coeffs))
-
-    def __mul__(self, other):
-        other = self._binary(other)
-        out = _poly_mulmod(list(self.coeffs), list(other.coeffs), self.cfg.modulus, self.cfg.p)
-        return FqElem(self.cfg, tuple(out))
-
-    __radd__ = __add__
-    __rmul__ = __mul__
-
-    def __pow__(self, e: int):
-        if e < 0:
-            return self.inv() ** (-e)
-        out = _poly_powmod(list(self.coeffs), e, self.cfg.modulus, self.cfg.p)
-        return FqElem(self.cfg, tuple(out))
 
     def inv(self) -> "FqElem":
         if self.is_zero():
@@ -349,35 +343,32 @@ class FqElem:
         """Inverse of frobenius: x^(p^(r-1))."""
         return self ** (self.cfg.p ** (self.cfg.r - 1))
 
-    def __repr__(self):
-        return f"FqElem({self})"
 
-    def __str__(self):
-        return _format_gpoly(self.coeffs)
-
-
-class WittElem:
+class WittElem(_ResidueElem):
     """Element of W_prec(F_{p^r}) = Z[g]/(p^prec, modulus); immutable."""
 
-    __slots__ = ("cfg", "coeffs", "prec")
+    __slots__ = ("prec",)
 
     def __init__(self, cfg: PrimeConfig, coeffs: tuple, prec: int):
-        object.__setattr__(self, "cfg", cfg)
-        object.__setattr__(self, "coeffs", coeffs)
+        super().__init__(cfg, coeffs)
         object.__setattr__(self, "prec", prec)
-
-    def __setattr__(self, *a):
-        raise AttributeError("WittElem is immutable")
 
     @property
     def pk(self) -> int:
         return self.cfg.p ** self.prec
 
-    def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+    _n = pk
 
-    def __bool__(self):
-        return not self.is_zero()
+    def _new(self, coeffs):
+        return WittElem(self.cfg, coeffs, self.prec)
+
+    def _binary(self, other):
+        if not isinstance(other, WittElem):
+            other = self.cfg.witt(other, prec=self.prec)
+        elif not self.cfg.same_field(other.cfg):
+            raise ValueError("field mismatch")
+        prec = min(self.prec, other.prec)
+        return self.at_prec(prec), other.at_prec(prec), self.cfg.p ** prec
 
     def __eq__(self, other):
         return (isinstance(other, WittElem)
@@ -395,42 +386,6 @@ class WittElem:
             raise ValueError("cannot raise Witt precision")
         pk = self.cfg.p ** prec
         return WittElem(self.cfg, tuple(c % pk for c in self.coeffs), prec)
-
-    def _binary(self, other):
-        if not isinstance(other, WittElem):
-            other = self.cfg.witt(other, prec=self.prec)
-        elif not self.cfg.same_field(other.cfg):
-            raise ValueError("field mismatch")
-        prec = min(self.prec, other.prec)
-        return self.at_prec(prec), other.at_prec(prec), prec
-
-    def __add__(self, other):
-        a, b, prec = self._binary(other)
-        pk = a.pk
-        return WittElem(self.cfg, tuple((x + y) % pk for x, y in zip(a.coeffs, b.coeffs)), prec)
-
-    def __sub__(self, other):
-        a, b, prec = self._binary(other)
-        pk = a.pk
-        return WittElem(self.cfg, tuple((x - y) % pk for x, y in zip(a.coeffs, b.coeffs)), prec)
-
-    def __neg__(self):
-        pk = self.pk
-        return WittElem(self.cfg, tuple(-c % pk for c in self.coeffs), self.prec)
-
-    def __mul__(self, other):
-        a, b, prec = self._binary(other)
-        out = _poly_mulmod(list(a.coeffs), list(b.coeffs), self.cfg.modulus, a.pk)
-        return WittElem(self.cfg, tuple(out), prec)
-
-    __radd__ = __add__
-    __rmul__ = __mul__
-
-    def __pow__(self, e: int):
-        if e < 0:
-            return self.inv() ** (-e)
-        out = _poly_powmod(list(self.coeffs), e, self.cfg.modulus, self.pk)
-        return WittElem(self.cfg, tuple(out), self.prec)
 
     def residue(self) -> FqElem:
         p = self.cfg.p
@@ -450,9 +405,6 @@ class WittElem:
 
     def __repr__(self):
         return f"WittElem({self}, prec={self.prec})"
-
-    def __str__(self):
-        return _format_gpoly(self.coeffs)
 
 
 # (p, modulus, digit coeffs) -> (prec, lift coeffs mod p^prec)

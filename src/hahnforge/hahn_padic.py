@@ -315,13 +315,6 @@ class FracDecomp:
                 and self.entries == other.entries
                 and self.cap == other.cap)
 
-    def coefficient(self, q):
-        q = as_frac(q)
-        for qq, off, unit in self.entries:
-            if qq == q:
-                return off, unit
-        return None
-
     def __repr__(self):
         parts = [f"{q}: p^{off} * ({unit})" for q, off, unit in self.entries]
         return "FracDecomp{" + ", ".join(parts) + f"; cap={self.cap}" + "}"

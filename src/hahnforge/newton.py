@@ -265,7 +265,7 @@ def _candidates(state, upper):
     try:
         poly = polygon_of(state.coeffs)
     except PrecisionLoss:
-        return None
+        return []
     a0 = state.coeffs[0]
     cap0 = None
     if a0.leading() is None and not a0.is_exact_zero():
@@ -391,18 +391,16 @@ def _advance(ring, st, stack, branches, upper, max_terms, opts):
             return
 
         cands = _candidates(st, upper)
-        if cands is None or not cands:
+        if not cands:
             if not emitted:
                 _finish(ring, st, branches, lead0[0])
             return
 
+        # every segment has a root, over an extension if need be
+        # (_extend_field raises otherwise), so there is at least one child
         children = []
         for e, m in cands:
             children.extend(_children_for_segment(ring, st, e, m, opts, upper))
-        if not children:
-            if not emitted:
-                _finish(ring, st, branches, lead0[0])
-            return
         for child in reversed(children):
             stack.append(child)
         return

@@ -291,18 +291,28 @@ def _padic_coeff(cfg, sign, coeff):
     return sign * coeff[1] if coeff[0] == "int" else (sign, _fq_from_ast(cfg, coeff[1]))
 
 
+# the series base of each ring, and the error for any other base
+_RING_BASES = {EqHahn: ("t", "equal-characteristic series use base t"),
+               PHahn: ("p", "p-adic series use base p")}
+
+
+def _check_base(base, ring):
+    """Reject a base other than the ring's; None (no base written) passes."""
+    want, message = _RING_BASES[ring]
+    if base is not None and base != want:
+        raise ParseError(message)
+
+
 def series_to_eq(ast, cfg) -> EqHahn:
     _, base, terms, cap = ast
-    if base != "t":
-        raise ParseError("equal-characteristic series use base t")
+    _check_base(base, EqHahn)
     bag = [(exp, _eq_coeff(cfg, sign, coeff)) for sign, coeff, exp in terms]
     return EqHahn(cfg, bag, INF if cap is None else cap)
 
 
 def series_to_phahn(ast, cfg) -> PHahn:
     _, base, terms, cap = ast
-    if base != "p":
-        raise ParseError("p-adic series use base p")
+    _check_base(base, PHahn)
     bag = [(_padic_coeff(cfg, sign, coeff), exp) for sign, coeff, exp in terms]
     return normalize(cfg, bag, INF if cap is None else cap)
 
@@ -423,8 +433,13 @@ def parse_poly(text: str):
 
 
 def poly_to_coeffs(ast, cfg, ring, coeff_cap=INF):
-    """Materialize a poly AST as a coefficient list over the requested ring."""
+    """Materialize a poly AST as a coefficient list over the requested ring.
+
+    A polynomial written in the other ring's base is a ParseError; one with
+    constant coefficients only (base None) fits either ring.
+    """
     _, base, pterms = ast
+    _check_base(base, ring)
     degree = max(x for *_r, x in pterms)
     if ring is EqHahn:
         coeffs = [EqHahn.zero(cfg) for _ in range(degree + 1)]

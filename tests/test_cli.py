@@ -91,6 +91,10 @@ class TestExitCodes:
         code, _out, _err = invoke(["-p", "4", "val", "t^(1)"])
         assert code == 2
 
+    def test_l_max_below_one_is_usage_error(self):
+        code, out, err = invoke(["-p", "2", "--l-max", "0", "normalize", "p+p"])
+        assert (code, out, err) == (2, "", "error: l_max must be >= 1\n")
+
     def test_mixed_bases_rejected(self):
         code, _out, _err = invoke(["-p", "2", "add", "t^(1)", "p^(1)"])
         assert code == 2

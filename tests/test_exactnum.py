@@ -73,6 +73,16 @@ class TestFindModulus:
         with pytest.raises(ValueError):
             PrimeConfig.make(3, r=2, modulus=(1, 0, 2))  # not monic
 
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"r": 0}, "r and L must be >= 1"),
+        ({"L": 0}, "r and L must be >= 1"),
+        ({"l_max": 0}, "l_max must be >= 1"),
+        ({"l_max": -3}, "l_max must be >= 1"),
+    ])
+    def test_sizes_below_one_rejected(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            PrimeConfig.make(2, **kwargs)
+
 
 class TestFqArithmetic:
     def test_char_2_add(self):
@@ -187,6 +197,64 @@ class TestWittArithmetic:
         cfg = PrimeConfig.make(2, L=4)
         assert cfg.witt(3) - cfg.witt(5) == cfg.witt(-2)
         assert cfg.witt(3) - cfg.witt(5) == cfg.witt(14)
+
+    def test_witt_of_a_witt_element_changes_precision(self):
+        cfg = PrimeConfig.make(3, r=2, L=3)
+        w = cfg.witt([26, 10])
+        assert cfg.witt(w) is w
+        assert cfg.witt(w, prec=2) == w.at_prec(2)
+        assert cfg.witt(w.at_prec(1), prec=3).coeffs == (2, 1)
+        with pytest.raises(ValueError, match="^cannot raise Witt precision$"):
+            w.at_prec(4)
+
+
+# both element kinds of one F_9 config; a WittElem at precision 3
+CORE_CFG = PrimeConfig.make(3, r=2, L=3)
+CORE_KINDS = {"fq": CORE_CFG.fq, "witt": CORE_CFG.witt}
+
+
+@pytest.mark.parametrize("kind", sorted(CORE_KINDS))
+class TestElementCore:
+    """What FqElem and WittElem share: coercion, ints, printing, immutability."""
+
+    def test_long_sequence_reduces_by_the_modulus(self, kind):
+        make = CORE_KINDS[kind]
+        g = make([0, 1])
+        assert make([1, 2, 1]) == make([1, 2]) + g * g
+        assert make([-1, 5, 4, 7]) == make(-1) + 5 * g + 4 * g ** 2 + 7 * g ** 3
+
+    def test_ints_on_either_side(self, kind):
+        make = CORE_KINDS[kind]
+        x = make([2, 1])
+        assert x + 1 == 1 + x == x + make(1)
+        assert x * 2 == 2 * x == x + x
+        assert x - 1 == x + -make(1)
+        assert x ** -2 == x.inv() ** 2
+
+    def test_str_repr_and_bool(self, kind):
+        make = CORE_KINDS[kind]
+        assert str(make([1, 2])) == "2*g+1"
+        assert repr(make([0, 1])) == {"fq": "FqElem(g)",
+                                      "witt": "WittElem(g, prec=3)"}[kind]
+        assert str(make(0)) == "0" and not make(0) and make(1)
+
+    def test_immutable(self, kind):
+        x = CORE_KINDS[kind](1)
+        with pytest.raises(AttributeError,
+                           match=f"^{type(x).__name__} is immutable$"):
+            x.coeffs = (0, 0)
+
+    def test_other_field_rejected(self, kind):
+        x = CORE_KINDS[kind](1)
+        other = getattr(PrimeConfig.make(3, r=3, L=3), kind)(1)
+        for op in (lambda: x + other, lambda: x * other,
+                   lambda: getattr(CORE_CFG, kind)(other)):
+            with pytest.raises(ValueError, match="^field mismatch$"):
+                op()
+
+    def test_equal_values_hash_alike(self, kind):
+        make = CORE_KINDS[kind]
+        assert {make(7), make([7, 0]), make([1, 2, 0])} == {make(7), make([1, 2])}
 
 
 class TestTeichmueller:
