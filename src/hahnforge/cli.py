@@ -159,7 +159,8 @@ def _verify_root(args, cfg):
     coeff_cap = INF if ring is EqHahn else bound + 4
     coeffs = poly_to_coeffs(ast, cfg, ring, coeff_cap=coeff_cap)
     to_ring = series_to_eq if ring is EqHahn else series_to_phahn
-    prefix = to_ring(parse_series(args.prefix), cfg)
+    # a constant prefix, like a constant polynomial, fits either ring
+    prefix = to_ring(parse_series(args.prefix, default_base=ring.BASE), cfg)
     v = format_rational(newton.verify_root(coeffs, prefix, bound))
     return [v], {"valuation": v}
 

@@ -99,13 +99,23 @@ def _poly_mulmod(a, b, modulus, q):
 
 
 def _poly_powmod(a, e, modulus, q):
-    result = _poly_reduce([1], modulus, q)
+    """a^e (e >= 0) reduced by a monic modulus, coefficients mod q.
+
+    Starts from the base's power at e's lowest set bit and squares no further
+    than e's top bit: bit_length(e) - 1 squarings, popcount(e) - 1 products.
+    """
+    if e == 0:
+        return _poly_reduce([1], modulus, q)
     base = _poly_reduce(list(a), modulus, q)
-    while e > 0:
-        if e & 1:
-            result = _poly_mulmod(result, base, modulus, q)
+    while not e & 1:
         base = _poly_mulmod(base, base, modulus, q)
         e >>= 1
+    result = base
+    while e > 1:
+        e >>= 1
+        base = _poly_mulmod(base, base, modulus, q)
+        if e & 1:
+            result = _poly_mulmod(result, base, modulus, q)
     return result
 
 

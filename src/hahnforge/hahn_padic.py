@@ -12,7 +12,10 @@ e mod 1, each bucket is summed inside a truncated Witt ring whose length is
 sized from the cap plus the constant GUARD_DIGITS (carries only propagate
 upward), the bucket sum is digit-decomposed, and the digit streams of the
 buckets are merged.  Distinct fractional parts can never interact, which is
-why the bucketing is sound.
+why the bucketing is sound.  Exponents are handled as ints x standing for
+x/den: a caller that already counts exponents over a common denominator
+(products, certificate residuals) passes den= and normalize builds no
+Fraction until the output digits; Fraction exponents are scaled to ints.
 
 The same fractional-part coordinates, kept as honest Witt values instead of
 digits, form a second representation (FracDecomp).  Multiplication performed
@@ -121,19 +124,23 @@ def _bucket_capped(cfg, items, n_min, need):
     return digit_decompose(w)[:need]
 
 
-def normalize(cfg: PrimeConfig, bag, cap) -> "PHahn":
+def normalize(cfg: PrimeConfig, bag, cap, den: int = 1) -> "PHahn":
     """Standard expansion of a raw term bag, exact below cap.
 
     Bag items are (coefficient, exponent) pairs; a coefficient is an int n,
     an FqElem d (meaning its Teichmüller lift) or an (int, FqElem) product
-    (k, d), and is read as the pair (n, [1]), (1, d) or (k, d).  Terms are
-    bucketed by the fractional part q of the exponent; a capped bucket is
-    summed in a truncated Witt ring at ceil(cap - q) digits past its
-    offset plus GUARD_DIGITS, digit decomposed, and the buckets merged.
+    (k, d), and is read as the pair (n, [1]), (1, d) or (k, d).  Every
+    exponent x stands for x/den (den a positive int): int exponents go in as
+    they are, and Fraction exponents are scaled by the lcm of their
+    denominators (den with them), so bucketing, cap tests and sorting run on
+    ints and one Fraction is built per output digit.  Terms are bucketed by the
+    fractional part q of the exponent; a capped bucket is summed in a
+    truncated Witt ring at ceil(cap - q) digits past its offset plus
+    GUARD_DIGITS, digit decomposed, and the buckets merged.
     """
     cap = as_frac(cap)
     one = cfg.fq(1)
-    buckets = {}
+    raw = []
     for coeff, exp in bag:
         if isinstance(coeff, FqElem):
             k, d = 1, coeff
@@ -143,13 +150,20 @@ def normalize(cfg: PrimeConfig, bag, cap) -> "PHahn":
             k, d = coeff
         else:
             raise TypeError(f"unsupported bag coefficient {coeff!r}")
-        exp = as_frac(exp)
-        n = _floor(exp)
-        buckets.setdefault(exp - n, []).append((n, k, d))
-    out = []
+        raw.append((exp if type(exp) is int else as_frac(exp), k, d))
+    scale = math.lcm(*(x.denominator for x, _, _ in raw))
+    den *= scale
+    buckets = {}  # x mod den -> [(x div den, k, d)]
+    for x, k, d in raw:
+        n, q = divmod(x.numerator * (scale // x.denominator), den)
+        buckets.setdefault(q, []).append((n, k, d))
+    exact = cap is INF or cap == INF
+    if not exact:  # ceil(cap - q/den) = -((q * cd - cn) // (cd * den))
+        cn, cd = cap.numerator * den, cap.denominator
+    out = []  # (exponent * den, digit)
     for q, items in buckets.items():
         n_min = min(n for n, _, _ in items)
-        if cap is INF or cap == INF:
+        if exact:
             if len(items) == 1:
                 # a single digit term is already in standard form
                 n, k, d = items[0]
@@ -157,19 +171,19 @@ def normalize(cfg: PrimeConfig, bag, cap) -> "PHahn":
                     k, d = 1, d * cfg.fq(cfg.p - 1)
                 if k == 1:
                     if not d.is_zero():
-                        out.append((q + n, d))
+                        out.append((n * den + q, d))
                     continue
             digits = _bucket_exact(cfg, items, n_min)
         else:
-            need = math.ceil(cap - q) - n_min
+            need = -((q * cd - cn) // (cd * den)) - n_min
             if need <= 0:
                 continue
             digits = _bucket_capped(cfg, items, n_min, need)
         for i, d in enumerate(digits):
             if not d.is_zero():
-                out.append((q + n_min + i, d))
+                out.append(((n_min + i) * den + q, d))
     out.sort(key=lambda t: t[0])
-    return PHahn(cfg, tuple(out), cap)
+    return PHahn(cfg, tuple((Fraction(x, den), d) for x, d in out), cap)
 
 
 def _indexed(terms, den):
@@ -249,8 +263,8 @@ class PHahn(TruncatedSeries):
             d = digit.get((ia, ib))
             if d is None:
                 d = digit[ia, ib] = da[ia] * db[ib]
-            bag.append((d if k == 1 else (k, d), Fraction(x, den)))
-        return normalize(self.cfg, bag, cap)
+            bag.append((d if k == 1 else (k, d), x))
+        return normalize(self.cfg, bag, cap, den=den)
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +277,7 @@ def from_integer(cfg: PrimeConfig, n: int, cap=INF) -> PHahn:
     Negative n at p = 2 has the infinite complement expansion, so a finite
     cap is required there.
     """
-    return normalize(cfg, [(n, Fraction(0))], cap)
+    return normalize(cfg, [(n, 0)], cap)
 
 
 def frak_a(cfg: PrimeConfig, cap, terms: int | None = None) -> PHahn:

@@ -255,8 +255,8 @@ def certificate_residual(cfg: PrimeConfig, cert: Certificate,
         if si:
             for e, c in power.items():
                 total[e] = total.get(e, 0) + si * c
-    bag = [(c, Fraction(e, scale)) for e, c in total.items() if c]
-    return normalize(cfg, bag, cert.cap)
+    bag = [(c, e) for e, c in total.items() if c]
+    return normalize(cfg, bag, cert.cap, den=scale)
 
 
 def certificate_residual_by_powers(cfg: PrimeConfig, cert: Certificate,

@@ -250,8 +250,11 @@ def _parse_series_term(cur, base_seen):
     return ("term", coeff, exp), base
 
 
-def parse_series(text: str):
-    """AST ('series', base, terms, cap) with terms ((sign, coeff, exp), ...)."""
+def parse_series(text: str, default_base: str = "t"):
+    """AST ('series', base, terms, cap) with terms ((sign, coeff, exp), ...).
+
+    A series with no base written (constants only) gets default_base.
+    """
     cur = _Cursor(tokenize(text))
     terms = []
     cap = None
@@ -273,9 +276,7 @@ def parse_series(text: str):
         else:
             break
     cur.done()
-    if base is None:
-        base = "t"
-    return ("series", base, tuple(terms), cap)
+    return ("series", base or default_base, tuple(terms), cap)
 
 
 def _eq_coeff(cfg, sign, coeff):

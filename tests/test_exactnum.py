@@ -84,6 +84,37 @@ class TestFindModulus:
             PrimeConfig.make(2, **kwargs)
 
 
+class TestPowMod:
+    @pytest.mark.parametrize("p,r", [(2, 2), (3, 2), (2, 3), (5, 3)])
+    def test_matches_repeated_multiplication(self, p, r):
+        cfg = PrimeConfig.make(p, r)
+        rng = random.Random(p * r)
+        for _ in range(3):
+            a = [rng.randrange(p) for _ in range(r)]
+            want = [1] + [0] * (r - 1)
+            for e in range(65):
+                assert exactnum._poly_powmod(a, e, cfg.modulus, p) == want
+                want = naive_mul_mod(want, a, cfg.modulus, p)
+
+    def test_power_zero_is_one(self):
+        cfg = PrimeConfig.make(3, 2)
+        assert exactnum._poly_powmod([0, 0], 0, cfg.modulus, 3) == [1, 0]
+        assert cfg.fq([2, 1]) ** 0 == cfg.fq(1)
+
+    def test_inverse_at_q_961_makes_17_products(self, monkeypatch):
+        # q - 2 = 959 has 10 bits, 9 of them set: 9 squarings, 8 products
+        cfg = PrimeConfig.make(31, 2)
+        a = cfg.fq([3, 5])
+        calls = []
+        mulmod = exactnum._poly_mulmod
+        monkeypatch.setattr(exactnum, "_poly_mulmod",
+                            lambda *args: calls.append(1) or mulmod(*args))
+        inv = a.inv()
+        assert len(calls) == 17
+        monkeypatch.undo()
+        assert a * inv == cfg.fq(1)
+
+
 class TestFqArithmetic:
     def test_char_2_add(self):
         cfg = PrimeConfig.make(2)

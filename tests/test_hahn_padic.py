@@ -110,10 +110,10 @@ class TestNormalize:
 FIELDS = [(p, r) for p in (2, 3, 5, 7) for r in (1, 2)]
 
 
-def _outcome(cfg, bag, cap):
+def _outcome(cfg, bag, cap, **kw):
     """normalize's result, or the message of the PrecisionLoss it raises."""
     try:
-        return normalize(cfg, bag, cap)
+        return normalize(cfg, bag, cap, **kw)
     except PrecisionLoss as exc:
         return str(exc)
 
@@ -158,16 +158,31 @@ class TestCoefficientForms:
             normalize(cfg, [(31, Fr(0))], INF)
 
 
+def coeffs(cfg):
+    """Bag coefficients of all three forms."""
+    p, r = cfg.p, cfg.r
+    digit = st.lists(st.integers(0, p - 1), min_size=r, max_size=r).map(cfg.fq)
+    return st.one_of(st.integers(-9, 9), digit,
+                     st.tuples(st.integers(-4, 4), digit))
+
+
 @st.composite
 def bags(draw):
     """A field and a raw bag mixing all three coefficient forms."""
     p, r = draw(st.sampled_from(FIELDS))
     cfg = PrimeConfig.make(p, r)
-    digit = st.lists(st.integers(0, p - 1), min_size=r, max_size=r).map(cfg.fq)
-    coeff = st.one_of(st.integers(-9, 9), digit,
-                      st.tuples(st.integers(-4, 4), digit))
     exp = st.builds(Fr, st.integers(-6, 6), st.sampled_from([1, 2, 3, p]))
-    return cfg, draw(st.lists(st.tuples(coeff, exp), max_size=8))
+    return cfg, draw(st.lists(st.tuples(coeffs(cfg), exp), max_size=8))
+
+
+@st.composite
+def int_bags(draw):
+    """A field, a den (some not coprime to p) and a bag of int exponents."""
+    p, r = draw(st.sampled_from(FIELDS))
+    cfg = PrimeConfig.make(p, r)
+    den = draw(st.sampled_from([1, 2, 3, 6, p, p * p, 2 * p]))
+    exp = st.integers(-6 * den, 6 * den)
+    return cfg, den, draw(st.lists(st.tuples(coeffs(cfg), exp), max_size=8))
 
 
 finite_caps = st.builds(Fr, st.integers(-4, 12), st.sampled_from([1, 2, 3]))
@@ -210,6 +225,34 @@ class TestNormalizeProperties:
         x = _outcome(cfg, bag, cap)
         if isinstance(x, PHahn):
             assert normalize(cfg, x.digit_bag(), x.cap) == x
+
+
+class TestExponentDenominator:
+    """normalize(bag, cap, den=den) reads every exponent x as x/den."""
+
+    @hypothesis_settings
+    @given(int_bags(), st.one_of(finite_caps, st.just(INF)))
+    def test_int_exponents_match_fractions(self, cfg_den_bag, cap):
+        cfg, den, bag = cfg_den_bag
+        fractions = [(c, Fr(x, den)) for c, x in bag]
+        # equal results, or the same PrecisionLoss message on the exact path
+        assert _outcome(cfg, bag, cap, den=den) == _outcome(cfg, fractions, cap)
+
+    @hypothesis_settings
+    @given(bags(), st.sampled_from([2, 3, 4, 9]),
+           st.one_of(finite_caps, st.just(INF)))
+    def test_mixed_exponents_over_den(self, cfg_bag, den, cap):
+        cfg, bag = cfg_bag
+        mixed = [(c, int(e) if e.denominator == 1 else e) for c, e in bag]
+        scaled = [(c, e / den) for c, e in bag]
+        assert _outcome(cfg, mixed, cap, den=den) == _outcome(cfg, scaled, cap)
+
+    def test_output_exponents_are_reduced_fractions(self):
+        cfg = PrimeConfig.make(3)
+        out = normalize(cfg, [(1, 6), (1, 2), (1, -3)], Fr(5), den=6)
+        assert out.digits == ((Fr(-1, 2), cfg.fq(1)), (Fr(1, 3), cfg.fq(1)),
+                              (Fr(1), cfg.fq(1)))
+        assert all(type(e) is Fr for e, _ in out.digits)
 
 
 class TestAddMul:

@@ -342,6 +342,22 @@ class TestCertificateResidual:
             b = certificate_residual_by_powers(cfg, cert)
             assert a.agree_below(b, min(a.cap, b.cap))
 
+    @pytest.mark.parametrize("p,degree", [
+        (2, 4), (2, 5), (2, 6), (2, 7), (3, 2), (3, 3), (3, 4), (3, 5), (3, 6),
+        (5, 2), (5, 3), (5, 4), (5, 5)])
+    def test_routes_agree_on_benchmark_rungs(self, p, degree):
+        # perfbench's certificate_ladder rungs: cap 1 + degree % 3, all-ones
+        # at p = 2 and random signs at p = 3 and 5
+        cfg = PrimeConfig.make(p)
+        rng = random.Random(degree)
+        signs = [[1] * (degree + 1)] + [
+            [rng.choice((-1, 1)) for _ in range(degree + 1)] for _ in range(2)]
+        for s in signs:
+            cert = Certificate(tuple(s), cap=Fr(1 + degree % 3))
+            a = certificate_residual(cfg, cert)
+            b = certificate_residual_by_powers(cfg, cert)
+            assert a.digits == b.digits and a.cap == b.cap
+
     @pytest.mark.parametrize("p,max_degree", [(2, 6), (3, 5), (5, 4), (7, 3)])
     def test_matches_multinomial_expansion(self, p, max_degree):
         cfg = PrimeConfig.make(p)

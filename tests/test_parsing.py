@@ -146,3 +146,17 @@ def test_verify_root_polynomial_base_must_match_ring(ring, poly, prefix, message
 def test_constant_polynomial_fits_either_ring(ring):
     coeffs = poly_to_coeffs(parse_poly("X^2 + X + 1"), CFG, ring, Fr(4))
     assert [c.is_exact_zero() for c in coeffs] == [False, False, False]
+
+
+@pytest.mark.parametrize("ring,valuation", [("eq", "inf"), ("padic", "5")])
+def test_constant_prefix_fits_either_ring(ring, valuation):
+    # 1 is the exact root of X - 1: inf in t, the coefficient cap bound + 4 in p
+    argv = ["-p", "3", "verify-root", "--ring", ring, "--poly", "X-1",
+            "--prefix", "1", "--bound", "1"]
+    assert invoke(argv) == (0, f"{valuation}\n", "")
+
+
+@pytest.mark.parametrize("text,out", [("1", "[1]"), ("1 + 1", "0")])
+def test_verb_series_without_base_stays_in_t(text, out):
+    # at p = 2, 1 + 1 is 0 in t and [1]*p^(1) in p
+    assert invoke(["-p", "2", "normalize", text]) == (0, f"{out}\n", "")
