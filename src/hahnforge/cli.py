@@ -12,11 +12,18 @@ payload): --json prints the payload as one `json.dumps(payload,
 sort_keys=True)` line, unless it is None (text-only verbs); otherwise each
 line is printed.  A batch argument given as `-` runs the handler once per
 non-blank stdin line, set to the stripped line, printing as it goes.
+
+The argparse tree is built once per process, on the first `run`, and shared
+by every later call; each call's `out` and `err` reach it through a context
+variable, so help and usage errors go to the streams of the call that
+parsed, also when threads call `run` at the same time.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextvars
+import functools
 import json
 import os
 import sys
@@ -256,34 +263,40 @@ def _glue_values(argv):
     return out
 
 
+# the (out, err) of the `run` call that is parsing right now
+_STREAMS = contextvars.ContextVar("streams")
+
+
 class _Parser(argparse.ArgumentParser):
-    """An ArgumentParser that prints help to `out` and usage errors to `err`.
+    """An ArgumentParser that prints help to the `out` and usage errors to the
+    `err` of the `run` call that is parsing.
 
     argparse's own methods write to sys.stdout and sys.stderr, which are not
-    the streams an in-process caller of `run` passed.
+    the streams an in-process caller of `run` passed.  The tree is built once
+    per process and shared by every call, so the streams are not stored on
+    it: `run` sets `_STREAMS` around `parse_args`, and each thread sees only
+    the value it set.
     """
 
-    def __init__(self, *args, out, err, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.out, self.err = out, err
-
     def print_usage(self, file=None):
-        super().print_usage(self.out if file is None else file)
+        super().print_usage(_STREAMS.get()[0] if file is None else file)
 
     def print_help(self, file=None):
-        super().print_help(self.out if file is None else file)
+        super().print_help(_STREAMS.get()[0] if file is None else file)
 
     def error(self, message):
-        self.print_usage(self.err)
+        self.print_usage(_STREAMS.get()[1])
         self.exit(2, f"{self.prog}: error: {message}\n")
 
     def exit(self, status=0, message=None):
         if message:
-            self.err.write(message)
+            _STREAMS.get()[1].write(message)
         raise SystemExit(status)
 
 
-def _build_parser(out, err):
+@functools.cache
+def _parser():
+    # built on the first `run`, not at import, and reused by every later one;
     # the shared flags parse both before and after the verb (the subcommand
     # occurrence, parsed last, wins); run fills the defaults of unset ones
     common = argparse.ArgumentParser(add_help=False)
@@ -295,10 +308,10 @@ def _build_parser(out, err):
     top = _Parser(
         prog="hahnforge",
         description="exact Hahn-series arithmetic at finite truncation",
-        parents=[common], out=out, err=err)
+        parents=[common])
     sub = top.add_subparsers(dest="verb", required=True)
     for verb, (specs, _handler, _batch) in _VERBS.items():
-        sp = sub.add_parser(verb, parents=[common], out=out, err=err)
+        sp = sub.add_parser(verb, parents=[common])
         for name, kw in specs:
             sp.add_argument(name, **kw)
     return top
@@ -331,10 +344,13 @@ def run(argv, out=None, err=None, stdin=None):
     except (OSError, ValueError) as exc:
         print(f"error: bad config file: {exc}", file=err)
         return 2
+    streams = _STREAMS.set((out, err))
     try:
-        args = _build_parser(out, err).parse_args(_glue_values(argv))
+        args = _parser().parse_args(_glue_values(argv))
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    finally:
+        _STREAMS.reset(streams)
     # shared flags carry SUPPRESS defaults so either position wins; fill the
     # config-file or program default of whatever was never given
     for _flag, attr, key, default, _help in _SHARED:

@@ -141,12 +141,13 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(x) -> str:
-    if x is INF or x == INF:
+    """`a/b` in lowest terms, `a` for an integer, `inf` for INF."""
+    # a Fraction or int prints from its own ratio: no new Fraction, and no
+    # Fraction == float test, per printed exponent
+    if isinstance(x, float) and x == INF:
         return "inf"
-    x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+    num, den = x.as_integer_ratio()
+    return str(num) if den == 1 else f"{num}/{den}"
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +323,7 @@ def format_series(value, base: str) -> str:
     """Canonical text for an EqHahn or PHahn value."""
     parts = []
     for e, c in value.terms:
-        if e == 0:
+        if not e:
             parts.append(f"[{c}]")
         else:
             parts.append(f"[{c}]*{base}^({format_rational(e)})")
