@@ -142,8 +142,7 @@ def parse_rational(text: str) -> Fraction:
 
 def format_rational(x) -> str:
     """`a/b` in lowest terms, `a` for an integer, `inf` for INF."""
-    # a Fraction or int prints from its own ratio: no new Fraction, and no
-    # Fraction == float test, per printed exponent
+    # no Fraction is built or compared per printed term
     if isinstance(x, float) and x == INF:
         return "inf"
     num, den = x.as_integer_ratio()

@@ -1,7 +1,13 @@
+import argparse
+import functools
 import io
 import json
+import os
 import pathlib
 import random
+import subprocess
+import sys
+import threading
 import time
 from fractions import Fraction as Fr
 
@@ -9,6 +15,7 @@ import pytest
 
 from golden_cases import CASES, JSON_CASES
 
+from hahnforge import cli
 from hahnforge.cli import run
 from hahnforge.exactnum import PrimeConfig
 from hahnforge.hahn_padic import PHahn
@@ -152,6 +159,113 @@ class TestDashValues:
         code, out, err = invoke(["val", "--", "--cap", "-1"])
         assert (code, out) == (2, "")
         assert "unrecognized arguments: -1" in err
+
+
+class TestCachedParser:
+    """One argparse tree serves every `run` call of the process."""
+
+    def test_tree_is_built_once(self, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        # a fresh cache, so the count starts from an unbuilt tree
+        monkeypatch.setattr(cli, "_parser", functools.cache(cli._parser.__wrapped__))
+        invoke(CASES[0][1])
+        # the shared-flags parent, the top parser and one per verb
+        assert len(built) == 2 + len(cli._VERBS)
+        for _ in range(3):
+            for _name, argv in CASES:
+                invoke(argv)
+            invoke(["-h"])
+            invoke(["frobnicate"])
+        assert len(built) == 2 + len(cli._VERBS)
+
+    def test_import_builds_no_tree(self):
+        # the first `run` builds it: importing the module does no argparse work
+        src = pathlib.Path(cli.__file__).parents[1]
+        done = subprocess.run(
+            [sys.executable, "-c", "import hahnforge.cli as c; "
+             "print(c._parser.cache_info().currsize)"],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stdout, done.stderr) == (0, "0\n", "")
+
+    def test_interleaved_callers_keep_their_own_streams(self, capsys):
+        argvs = [["-h"], ["val", "-h"], ["frobnicate"], ["-p", "x", "val", "t"]]
+        callers = [(argvs, io.StringIO(), io.StringIO(), []),
+                   (argvs[::-1], io.StringIO(), io.StringIO(), [])]
+        for step in range(len(argvs)):
+            for mine, out, err, codes in callers:
+                codes.append(run(mine[step], out=out, err=err, stdin=io.StringIO()))
+        for mine, out, err, codes in callers:
+            alone = [invoke(argv) for argv in mine]
+            assert codes == [code for code, _o, _e in alone]
+            assert sorted(codes) == [0, 0, 2, 2]
+            assert out.getvalue() == "".join(o for _c, o, _e in alone)
+            assert err.getvalue() == "".join(e for _c, _o, e in alone)
+        assert capsys.readouterr() == ("", "")
+
+    def test_threads_keep_their_own_streams(self, capsys):
+        # more threads than cores, and a short switch interval, so that the
+        # threads switch inside parse_args; each thread has its own verb, so
+        # text that reached another thread's streams would show
+        verbs, loops = ("val", "pow", "add", "ordinal"), 20
+        streams = {v: (io.StringIO(), io.StringIO()) for v in verbs}
+
+        def work(verb):
+            out, err = streams[verb]
+            for _ in range(loops):
+                for argv in ([verb], ["-h"], [verb, "-h"]):
+                    run(argv, out=out, err=err, stdin=io.StringIO())
+
+        threads = [threading.Thread(target=work, args=(v,)) for v in verbs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for verb, (out, err) in streams.items():
+            assert out.getvalue() == (invoke(["-h"])[1] + invoke([verb, "-h"])[1]) * loops
+            assert err.getvalue() == invoke([verb])[2] * loops
+            assert f"usage: hahnforge {verb} " in err.getvalue()
+        assert capsys.readouterr() == ("", "")
+
+    @pytest.mark.parametrize("argv", [["-h"], ["newton-solve", "-h"]],
+                             ids=["top", "verb"])
+    def test_help_follows_columns_per_call(self, monkeypatch, argv):
+        screens = []
+        for columns in ("60", "200", "60"):
+            monkeypatch.setenv("COLUMNS", columns)
+            screens.append(invoke(argv))
+        assert screens[0] != screens[1] and screens[2] == screens[0]
+
+    def test_usage_error_leaves_no_state(self):
+        for name, argv in CASES:
+            assert invoke(["-p", "x"] + argv)[0] == 2
+            assert invoke(argv) == (0, (GOLDEN_DIR / f"{name}.txt").read_text(), "")
+
+    def test_flags_do_not_carry_into_the_next_call(self):
+        two = ["normalize", "[1]*p^(0) + [1]*p^(0) + O(p^(2))"]
+        plain = (0, "[1]*p^(1) + O(p^(2))\n", "")
+        assert invoke(two) == plain
+        assert invoke(["-p", "5", "--json"] + two) == (
+            0, '{"cap": [2, 1], "digits": [[0, 1, "2"], [1, 1, "4"]]}\n', "")
+        assert invoke(two) == plain
+        solve = ["-p", "2", "newton-solve", "--ring", "eq", "--poly", "X^2+X+t^(-1)"]
+        assert invoke(solve + ["--terms", "3"]) == (
+            0, (GOLDEN_DIR / "newton_eq_abhyankar.txt").read_text(), "")
+        assert invoke(solve) == (
+            2, "", "syntax error: --terms is required for --ring eq (col 0)\n")
 
 
 class TestPow:
