@@ -27,6 +27,7 @@ import functools
 import json
 import os
 import sys
+import textwrap
 
 from . import indexcomb, newton, ordinal
 from .errors import HahnForgeError, ParseError, PrecisionLoss
@@ -294,6 +295,15 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(status)
 
 
+class _HelpFormatter(argparse.HelpFormatter):
+    """argparse's formatter, wrapping help text at spaces only, so that a
+    hyphenated verb in the verb list stays on one line."""
+
+    def _split_lines(self, text, width):
+        return textwrap.wrap(" ".join(text.split()), width,
+                             break_on_hyphens=False)
+
+
 @functools.cache
 def _parser():
     # built on the first `run`, not at import, and reused by every later one;
@@ -308,8 +318,9 @@ def _parser():
     top = _Parser(
         prog="hahnforge",
         description="exact Hahn-series arithmetic at finite truncation",
-        parents=[common])
-    sub = top.add_subparsers(dest="verb", required=True)
+        parents=[common], formatter_class=_HelpFormatter)
+    sub = top.add_subparsers(dest="verb", required=True, metavar="VERB",
+                             help=", ".join(_VERBS))
     for verb, (specs, _handler, _batch) in _VERBS.items():
         sp = sub.add_parser(verb, parents=[common])
         for name, kw in specs:

@@ -30,6 +30,14 @@ iteration x -> x^(p^r), which gains at least one p-adic digit per step, so
 `prec` iterations always suffice.  Rational numbers are stdlib
 fractions.Fraction throughout.
 
+Roots in F_q of a polynomial over F_q (fq_poly_roots) are the roots of
+h = gcd(f, x^q - x), with x^q mod f by square-and-multiply; Berlekamp's
+trace algorithm splits h into its linear factors (von zur Gathen and
+Gerhard, Modern Computer Algebra, ch. 14).  find_modulus tests candidates
+by Rabin's irreducibility test.  Both work on raw coefficient values (ints
+when r = 1, r-tuples otherwise), not on FqElem objects, in time polynomial
+in the degree and in log q.
+
 All values are immutable; operations are pure functions of their operands
 and the shared PrimeConfig.  The lift table only caches such a function.
 """
@@ -98,43 +106,202 @@ def _poly_mulmod(a, b, modulus, q):
     return _poly_reduce(out, modulus, q)
 
 
-def _poly_powmod(a, e, modulus, q):
-    """a^e (e >= 0) reduced by a monic modulus, coefficients mod q.
+def _square_multiply(base, e, mul):
+    """base^e (e >= 1) under the product `mul`.
 
     Starts from the base's power at e's lowest set bit and squares no further
     than e's top bit: bit_length(e) - 1 squarings, popcount(e) - 1 products.
     """
-    if e == 0:
-        return _poly_reduce([1], modulus, q)
-    base = _poly_reduce(list(a), modulus, q)
     while not e & 1:
-        base = _poly_mulmod(base, base, modulus, q)
+        base = mul(base, base)
         e >>= 1
     result = base
     while e > 1:
         e >>= 1
-        base = _poly_mulmod(base, base, modulus, q)
+        base = mul(base, base)
         if e & 1:
-            result = _poly_mulmod(result, base, modulus, q)
+            result = mul(result, base)
     return result
 
 
-def _fp_irreducible(coeffs, p):
-    """Irreducibility over F_p by trial division up to half the degree.
+def _poly_powmod(a, e, modulus, q):
+    """a^e (e >= 0) reduced by a monic modulus, coefficients mod q."""
+    if e == 0:
+        return _poly_reduce([1], modulus, q)
+    return _square_multiply(_poly_reduce(list(a), modulus, q), e,
+                            lambda x, y: _poly_mulmod(x, y, modulus, q))
 
-    Every divisor tried is monic, so the remainder is `_poly_reduce`'s.
+
+class _FpPolys:
+    """Polynomials over F_p as int lists low degree first, for root finding.
+
+    Values are ints in [0, p), so the products are `_poly_mulmod`'s.  The
+    monic gcd and the root search are written once on the value operations;
+    `_FqPolys` replaces those operations for F_q with r > 1.  Every modulus
+    f is monic and every polynomial reduced by f has deg(f) entries.
     """
-    deg = len(coeffs) - 1
-    if deg <= 0:
-        return False
-    if deg == 1:
-        return True
-    for d in range(1, deg // 2 + 1):
-        for n in range(p ** d):
-            divisor = _int_digits(n, p, d) + [1]
-            if not any(_poly_reduce(coeffs, divisor, p)):
-                return False
-    return True
+
+    r = 1
+    zero, one = 0, 1
+    basis = (1,)                        # of F_q over F_p, for the traces
+
+    def __init__(self, p):
+        self.p = self.q = p
+
+    def add(self, a, b):
+        return (a + b) % self.p
+
+    def sub(self, a, b):
+        return (a - b) % self.p
+
+    def mul(self, a, b):
+        return a * b % self.p
+
+    def inv(self, a):
+        return pow(a, -1, self.p)
+
+    def reduce(self, c, f):
+        return _poly_reduce(c, f, self.p)
+
+    def mulmod(self, a, b, f):
+        return _poly_mulmod(a, b, f, self.p)
+
+    def powmod(self, a, e, f):
+        return _square_multiply(self.reduce(a, f), e,
+                                lambda x, y: self.mulmod(x, y, f))
+
+    def minus_x(self, y):
+        """y - x, for y with at least two entries."""
+        y = list(y)
+        y[1] = self.sub(y[1], self.one)
+        return y
+
+    def monic(self, f):
+        """f without zero high coefficients, divided by its leading one."""
+        f = list(f)
+        while f and f[-1] == self.zero:
+            f.pop()
+        if len(f) == 1:
+            return [self.one]
+        if f and f[-1] != self.one:
+            u = self.inv(f[-1])
+            f = [self.mul(u, c) for c in f]
+        return f
+
+    def gcd(self, a, b):
+        """The monic gcd of a nonzero a and any b."""
+        a, b = self.monic(a), self.monic(b)
+        while b:
+            a, b = b, self.monic(self.reduce(a, b))
+        return a
+
+    def roots(self, f):
+        """The distinct roots in F_q of a nonzero f with f(0) != 0.
+
+        Past degree 1 they are the roots of h = gcd(f, x^q - x), which has
+        no repeated root; x^q mod f takes O(log q) products.
+        """
+        f = self.monic(f)
+        if len(f) > 2:
+            xq = self.powmod([self.zero, self.one], self.q, f)
+            f = self.gcd(f, self.minus_x(xq))
+        return self._split(f, 0)
+
+    def _split(self, h, k):
+        """The roots of a monic h that has distinct roots, all in F_q, on
+        which Tr(b x) is constant for the basis elements b before basis[k].
+
+        Berlekamp's trace algorithm (1970): T = Tr(basis[k] x) mod h, where
+        Tr(y) = y + y^p + ... + y^(p^(r-1)), takes a value c in F_p at each
+        root, and gcd(h, T - c) gathers the roots with value c.  The trace
+        form is nondegenerate, so the basis separates any two roots.
+        """
+        if len(h) <= 2:
+            return [self.sub(self.zero, h[0])] if len(h) == 2 else []
+        y = self.reduce([self.zero, self.basis[k]], h)
+        trace = y
+        for _ in range(self.r - 1):
+            y = self.powmod(y, self.p, h)
+            trace = [self.add(u, v) for u, v in zip(trace, y)]
+        # T - c = u (T/u - c/u) for T's leading coefficient u, and T/u - c/u
+        # is monic: one inversion serves every c
+        u = next((v for v in reversed(trace[1:]) if v != self.zero), None)
+        if u is None:                   # T is constant on the roots of h
+            return self._split(h, k + 1)
+        w = self.inv(u)
+        trace = [self.mul(w, v) for v in trace]
+        out, left, shift = [], len(h) - 1, self.zero
+        for _ in range(self.p):
+            g = self.gcd(h, [self.sub(trace[0], shift)] + trace[1:])
+            if len(g) > 1:
+                out += self._split(g, k + 1)
+                left -= len(g) - 1
+                if not left:
+                    break
+            shift = self.add(shift, w)
+        return out
+
+
+class _FqPolys(_FpPolys):
+    """Polynomials over F_q with r > 1: a value is its r-tuple of generator
+    basis coefficients, and a product of values is `_poly_mulmod` by the
+    field modulus."""
+
+    def __init__(self, cfg):
+        self.p, self.q, self.r, self.m = cfg.p, cfg.q, cfg.r, cfg.modulus
+        self.zero = (0,) * cfg.r
+        self.one = (1,) + self.zero[1:]
+        self.basis = tuple(self.zero[:i] + (1,) + self.zero[i + 1:]
+                           for i in range(cfg.r))
+
+    def add(self, a, b):
+        return tuple((x + y) % self.p for x, y in zip(a, b))
+
+    def sub(self, a, b):
+        return tuple((x - y) % self.p for x, y in zip(a, b))
+
+    def mul(self, a, b):
+        return tuple(_poly_mulmod(a, b, self.m, self.p))
+
+    def inv(self, a):
+        return tuple(_poly_powmod(a, self.q - 2, self.m, self.p))
+
+    def reduce(self, c, f):
+        c, d = list(c), len(f) - 1
+        for i in range(len(c) - 1, d - 1, -1):
+            t = c[i]
+            if t != self.zero:
+                for j in range(d):
+                    if f[j] != self.zero:
+                        c[i - d + j] = self.sub(c[i - d + j], self.mul(t, f[j]))
+        del c[d:]
+        return c + [self.zero] * (d - len(c))
+
+    def mulmod(self, a, b, f):
+        out = [self.zero] * (len(a) + len(b) - 1)
+        for i, u in enumerate(a):
+            if u != self.zero:
+                for j, v in enumerate(b):
+                    if v != self.zero:
+                        out[i + j] = self.add(out[i + j], self.mul(u, v))
+        return self.reduce(out, f)
+
+
+def _fp_irreducible(coeffs, p):
+    """Rabin's test (1980) for a monic f of degree r >= 1 over F_p.
+
+    f is irreducible exactly when it divides x^(p^r) - x and is coprime to
+    x^(p^(r/l)) - x for every prime l dividing r.  The powers x^(p^k) mod f
+    come one from the other by a p-th power, r of them in all.
+    """
+    F, f = _FpPolys(p), list(coeffs)
+    r = len(f) - 1
+    frob = [F.reduce([0, 1], f)]        # frob[k] = x^(p^k) mod f
+    for _ in range(r):
+        frob.append(F.powmod(frob[-1], p, f))
+    return frob[r] == frob[0] and all(
+        len(F.gcd(f, F.minus_x(frob[r // l]))) == 1
+        for l in range(2, r + 1) if r % l == 0 and is_prime(l))
 
 
 def _int_digits(n, p, width):
@@ -493,20 +660,24 @@ def digit_decompose(c: WittElem) -> tuple:
 def fq_poly_roots(coeffs) -> set:
     """Roots in F_{p^r} of the polynomial with the given FqElem coefficients.
 
-    Exhaustive evaluation over the whole field; raises ZeroPolynomial when
-    every coefficient vanishes.
+    Coefficients run low degree first.  A zero constant coefficient gives the
+    root 0 and is divided out; the rest are the roots of gcd(f, x^q - x),
+    split by traces (see `_FpPolys.roots`), in time polynomial in deg f and
+    log q.  Raises ZeroPolynomial when every coefficient vanishes.
     """
     coeffs = list(coeffs)
     if not coeffs or all(c.is_zero() for c in coeffs):
         raise ZeroPolynomial("all coefficients are zero")
     cfg = coeffs[0].cfg
-    roots = set()
-    for x in cfg.fq_elements():
-        acc = cfg.fq(0)
-        for c in reversed(coeffs):
-            acc = acc * x + c
-        if acc.is_zero():
-            roots.add(x)
+    values = [cfg.fq(c).coeffs for c in coeffs]
+    if cfg.r == 1:
+        F, values = _FpPolys(cfg.p), [v[0] for v in values]
+    else:
+        F = _FqPolys(cfg)
+    low = next(i for i, v in enumerate(values) if v != F.zero)
+    roots = {FqElem(cfg, v if cfg.r > 1 else (v,)) for v in F.roots(values[low:])}
+    if low:
+        roots.add(cfg.fq(0))
     return roots
 
 

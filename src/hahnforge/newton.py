@@ -7,8 +7,8 @@ coefficient rings (equal characteristic and p-adic):
        f(prefix + X); each hull segment of slope -e with e above the previous
        increment offers a candidate next exponent;
     2. the segment's residue polynomial (leading digits of the on-segment
-       coefficients) is solved over F_{p^r} by exhaustive search, extending
-       the field by the minimal factor when rootless;
+       coefficients) is solved over F_{p^r} by exactnum.fq_poly_roots,
+       extending the field by the minimal factor when rootless;
     3. every nonzero residue root appends a term and the polynomial is
        Taylor-shifted by it (synthetic division).
 
@@ -338,6 +338,9 @@ def _advance(ring, st, stack, branches, upper, max_terms, opts):
     """Process one state to its next branching point, pushing children."""
     while True:
         if len(st.terms) > opts.max_steps:
+            if max_terms is not None and max_terms >= opts.max_steps:
+                raise NoProgress(f"max_terms={max_terms} reaches the step "
+                                 f"budget max_steps={opts.max_steps}")
             raise NoProgress(f"no convergence within {opts.max_steps} steps")
         a0 = st.coeffs[0]
         lead0 = a0.leading()
