@@ -79,6 +79,22 @@ class TestExitCodes:
             assert err.startswith("usage: hahnforge") and "error: " in err
         assert capsys.readouterr() == ("", "")
 
+    def test_terms_over_the_step_budget_names_the_budget(self):
+        code, out, err = invoke(["-p", "2", "newton-solve", "--ring", "eq",
+                                 "--poly", "X^2+X+t^(-1)", "--terms", "2000"])
+        assert (code, out) == (1, "")
+        assert err == "error: max_terms=2000 reaches the step budget max_steps=120\n"
+
+    @pytest.mark.parametrize("columns", [60, 80, 200])
+    def test_help_lists_the_verbs_within_the_width(self, monkeypatch, columns):
+        monkeypatch.setenv("COLUMNS", str(columns))
+        code, out, err = invoke(["-h"])
+        assert (code, err) == (0, "")
+        assert max(len(line) for line in out.splitlines()) <= columns
+        words = out.split()
+        assert "VERB" in words
+        assert all(f"{verb}," in words or verb in words for verb in cli._VERBS)
+
     def test_syntax_error_is_usage_error(self):
         code, _out, err = invoke(["-p", "2", "val", "t^("])
         assert code == 2 and "syntax" in err

@@ -1,6 +1,8 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hahnforge import exactnum
 from hahnforge.errors import DivisionByZero, NotAUnit, ZeroPolynomial
@@ -9,6 +11,7 @@ from hahnforge.exactnum import (
     digit_decompose,
     find_modulus,
     fq_poly_roots,
+    is_prime,
     subfield_embedding,
     teichmueller,
 )
@@ -44,6 +47,49 @@ def fixpoint_lift(a, prec):
         x = y
 
 
+def exhaustive_roots(coeffs):
+    """Independent oracle: evaluate the polynomial at every field element."""
+    cfg = coeffs[0].cfg
+    roots = set()
+    for x in cfg.fq_elements():
+        acc = cfg.fq(0)
+        for c in reversed(coeffs):
+            acc = acc * x + c
+        if acc.is_zero():
+            roots.add(x)
+    return roots
+
+
+def base_p_digits(n, p, width):
+    return [n // p ** i % p for i in range(width)]
+
+
+def naive_rem(c, divisor, p):
+    """Independent oracle: remainder of c by a monic divisor over F_p."""
+    c, d = list(c), len(divisor) - 1
+    for i in range(len(c) - 1, d - 1, -1):
+        t = c[i] % p
+        for j in range(d + 1):
+            c[i - d + j] -= t * divisor[j]
+    return [x % p for x in c[:d]]
+
+
+def trial_division_irreducible(coeffs, p):
+    """Independent oracle: no monic divisor of degree 1 .. deg/2 over F_p."""
+    deg = len(coeffs) - 1
+    return all(any(naive_rem(coeffs, base_p_digits(n, p, d) + [1], p))
+               for d in range(1, deg // 2 + 1) for n in range(p ** d))
+
+
+def first_irreducible(p, r):
+    """Independent oracle for find_modulus: the same base-p scan, tested by
+    trial division."""
+    for n in range(p ** r):
+        coeffs = tuple(base_p_digits(n, p, r) + [1])
+        if trial_division_irreducible(coeffs, p):
+            return coeffs
+
+
 class TestFindModulus:
     def test_degree_one_is_x(self):
         assert find_modulus(2, 1) == (0, 1)
@@ -72,6 +118,25 @@ class TestFindModulus:
             PrimeConfig.make(2, r=2, modulus=(1, 0, 1))
         with pytest.raises(ValueError):
             PrimeConfig.make(3, r=2, modulus=(1, 0, 2))  # not monic
+
+    def test_scan_matches_trial_division_up_to_2_16(self):
+        # every (p, r) with p^r <= 2^16; __wrapped__ bypasses the cache
+        fields = [(p, r) for p in range(2, 2 ** 16 + 1) if is_prime(p)
+                  for r in range(1, 17) if p ** r <= 2 ** 16]
+        assert len(fields) == 6635
+        for p, r in fields:
+            assert find_modulus.__wrapped__(p, r) == first_irreducible(p, r)
+
+    @pytest.mark.parametrize("p,degree", [(2, 8), (3, 5), (5, 4), (7, 3)])
+    def test_rabin_matches_trial_division_on_every_monic(self, p, degree):
+        for d in range(1, degree + 1):
+            for n in range(p ** d):
+                coeffs = tuple(base_p_digits(n, p, d) + [1])
+                assert (exactnum._fp_irreducible(coeffs, p)
+                        == trial_division_irreducible(coeffs, p)), coeffs
+
+    def test_degree_30_modulus(self):
+        assert find_modulus(2, 30) == (1, 1) + (0,) * 28 + (1,)  # x^30+x+1
 
     @pytest.mark.parametrize("kwargs,message", [
         ({"r": 0}, "r and L must be >= 1"),
@@ -416,6 +481,33 @@ class TestDigitDecompose:
             seen[digits] = n
 
 
+# fields with q <= 64, characteristic 2 and odd
+SMALL_FIELDS = [(p, r) for p in range(2, 65) if is_prime(p)
+                for r in range(1, 7) if p ** r <= 64]
+
+
+@st.composite
+def small_polys(draw):
+    """A nonzero polynomial of degree <= 4 over a field with q <= 64: linear
+    factors x - a (a may repeat or be 0) times a nonzero cofactor, with up to
+    two zero high coefficients appended."""
+    p, r = draw(st.sampled_from(SMALL_FIELDS))
+    cfg = PrimeConfig.make(p, r)
+    elem = st.lists(st.integers(0, p - 1), min_size=r, max_size=r).map(cfg.fq)
+    roots = draw(st.lists(elem, max_size=4))
+    poly = draw(st.lists(elem, min_size=1, max_size=5 - len(roots)).filter(any))
+    for a in roots:
+        poly = [x - a * y for x, y in zip([cfg.fq(0)] + poly, poly + [cfg.fq(0)])]
+    return poly + [cfg.fq(0)] * draw(st.integers(0, 2))
+
+
+def horner(coeffs, x):
+    acc = x.cfg.fq(0)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
 class TestFqPolyRoots:
     def test_x2_plus_x_char2(self):
         cfg = PrimeConfig.make(2)
@@ -435,12 +527,71 @@ class TestFqPolyRoots:
         with pytest.raises(ZeroPolynomial):
             fq_poly_roots([cfg.fq(0), cfg.fq(0)])
 
+    @pytest.mark.parametrize("values", [[], [0], [0, 0, 0, 0]])
+    def test_zero_polynomial_of_any_length_raises(self, values):
+        cfg = PrimeConfig.make(2, r=2)
+        with pytest.raises(ZeroPolynomial, match="^all coefficients are zero$"):
+            fq_poly_roots([cfg.fq(v) for v in values])
+
     def test_splits_in_extension(self):
         small = PrimeConfig.make(2, r=1)
         big = PrimeConfig.make(2, r=2)
         poly = [big.fq(c) for c in (1, 1, 1)]  # x^2+x+1 splits in F_4
         roots = fq_poly_roots(poly)
         assert len(roots) == 2
+
+    @pytest.mark.parametrize("p,r,values,want", [
+        (5, 1, [4, 3, 2, 1], [[1]]),                  # (x-1)^3
+        (3, 2, [0, 2, [0, 1], 1], [[0], [0, 1]]),     # x (x-g)^2 over F_9
+        (2, 3, [0, 0, 0, 1], [[0]]),                  # x^3
+        (7, 1, [0, 0, 6, 1], [[0], [1]]),             # x^2 (x-1)
+        (3, 1, [1, 1, 0, 0], [[2]]),                  # x+1, zero high terms
+        (2, 2, [0, 0, 1, 0, 0], [[0]]),               # x^2, zero high terms
+        (3, 2, [[1, 2]], []),                         # a nonzero constant
+        (5, 1, [3, 0, 0], []),                        # the same, zero-padded
+    ], ids=["repeated", "repeated-with-zero", "zero-only", "zero-and-one",
+            "zero-high-terms", "zero-root-padded", "constant",
+            "constant-padded"])
+    def test_named_cases(self, p, r, values, want):
+        cfg = PrimeConfig.make(p, r)
+        poly = [cfg.fq(v) for v in values]
+        assert fq_poly_roots(poly) == {cfg.fq(v) for v in want}
+        assert fq_poly_roots(poly) == exhaustive_roots(poly)
+
+    @pytest.mark.parametrize("p,r,length", [(2, 1, 5), (3, 1, 5), (2, 2, 5),
+                                            (5, 1, 4), (3, 2, 3)])
+    def test_every_polynomial_of_a_small_field(self, p, r, length):
+        cfg = PrimeConfig.make(p, r)
+        elems = list(cfg.fq_elements())
+        for n in range(1, len(elems) ** length):
+            poly = [elems[n // len(elems) ** i % len(elems)] for i in range(length)]
+            assert fq_poly_roots(poly) == exhaustive_roots(poly), poly
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(small_polys())
+    def test_matches_exhaustive_search(self, poly):
+        assert fq_poly_roots(poly) == exhaustive_roots(poly)
+
+    @pytest.mark.parametrize("p,r", [(31, 2), (2, 16), (101, 2), (3, 9)])
+    def test_large_fields_root_count(self, p, r):
+        # X^2 + X + c (c = -u^2 - u, so u is a root) and X^p - X - c (a
+        # translate of its roots by F_p, all or none) have their roots in F_q
+        cfg = PrimeConfig.make(p, r)
+        rng = random.Random(p * r)
+        for _ in range(5):
+            u = cfg.fq([rng.randrange(p) for _ in range(r)])
+            quad = [-(u * u) - u, cfg.fq(1), cfg.fq(1)]
+            roots = fq_poly_roots(quad)
+            assert u in roots and len(roots) == (1 if u + u + 1 == 0 else 2)
+            assert all(horner(quad, x).is_zero() for x in roots)
+            c = u ** p - u
+            artin = [-c, cfg.fq(-1)] + [cfg.fq(0)] * (p - 2) + [cfg.fq(1)]
+            assert fq_poly_roots(artin) == {u + k for k in range(p)}
+
+    def test_mixed_fields_rejected(self):
+        f9, f27 = PrimeConfig.make(3, r=2), PrimeConfig.make(3, r=3)
+        with pytest.raises(ValueError, match="^field mismatch$"):
+            fq_poly_roots([f9.fq(1), f27.fq(1)])
 
 
 class TestSubfieldEmbedding:

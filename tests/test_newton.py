@@ -166,6 +166,16 @@ class TestExpandEq:
             expand_roots_eq(coeffs, max_terms=2,
                             opts=ExpandOptions(max_field_degree=1))
 
+    @pytest.mark.parametrize("max_terms", [10, 12, 2000])
+    def test_term_budget_at_the_step_budget_is_named(self, max_terms):
+        from hahnforge.errors import NoProgress
+        cfg = PrimeConfig.make(2)
+        message = (f"^max_terms={max_terms} reaches the step budget "
+                   f"max_steps=10$")
+        with pytest.raises(NoProgress, match=message):
+            expand_roots_eq(eq_artin_schreier(cfg), max_terms=max_terms,
+                            opts=ExpandOptions(max_steps=10))
+
     def test_deeper_truncations(self):
         cfg = PrimeConfig.make(2)
         branches = expand_roots_eq(eq_artin_schreier(cfg), max_terms=6)
