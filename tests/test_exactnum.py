@@ -47,17 +47,16 @@ def fixpoint_lift(a, prec):
         x = y
 
 
+def horner(coeffs, x):
+    acc = x.cfg.fq(0)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
 def exhaustive_roots(coeffs):
     """Independent oracle: evaluate the polynomial at every field element."""
-    cfg = coeffs[0].cfg
-    roots = set()
-    for x in cfg.fq_elements():
-        acc = cfg.fq(0)
-        for c in reversed(coeffs):
-            acc = acc * x + c
-        if acc.is_zero():
-            roots.add(x)
-    return roots
+    return {x for x in coeffs[0].cfg.fq_elements() if horner(coeffs, x).is_zero()}
 
 
 def base_p_digits(n, p, width):
@@ -499,13 +498,6 @@ def small_polys(draw):
     for a in roots:
         poly = [x - a * y for x, y in zip([cfg.fq(0)] + poly, poly + [cfg.fq(0)])]
     return poly + [cfg.fq(0)] * draw(st.integers(0, 2))
-
-
-def horner(coeffs, x):
-    acc = x.cfg.fq(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
 
 
 class TestFqPolyRoots:
