@@ -286,8 +286,13 @@ class _Parser(argparse.ArgumentParser):
         super().print_help(_STREAMS.get()[0] if file is None else file)
 
     def error(self, message):
+        # argparse formats the message without the formatter, so a long one
+        # (an unknown verb's names every verb) is wrapped here as help is
         self.print_usage(_STREAMS.get()[1])
-        self.exit(2, f"{self.prog}: error: {message}\n")
+        text, fmt = f"{self.prog}: error: {message}", _HelpFormatter(self.prog)
+        if len(text) > fmt._width:
+            text = "\n".join(fmt._split_lines(text, fmt._width))
+        self.exit(2, text + "\n")
 
     def exit(self, status=0, message=None):
         if message:

@@ -10,10 +10,10 @@ reduced into [0, p).
 The length-L truncated Witt ring W_L(F_{p^r}) is realized as
 Z[g]/(p^L, m(g)): a WittElem stores r integer coefficients reduced into
 [0, p^L).  Ring operations are plain polynomial arithmetic; Witt coordinates
-are never materialized.  A WittElem carries its own precision `prec` (number
-of known p-adic digits), defaulting to the configuration's L, so callers that
-need longer or shorter truncations can mix them; binary operations return the
-minimum precision of their operands.
+are never materialized.  A WittElem carries its length L as `prec` (the
+number of known p-adic digits), which every caller gives; truncations of
+different lengths mix, and binary operations return the minimum precision of
+their operands.
 
 Both are one presentation, Z[g]/(n, m(g)) with n = p or n = p^prec, so their
 ring operations (sum, difference, negation, product, power, printing) are
@@ -333,7 +333,7 @@ def find_modulus(p: int, r: int) -> tuple:
 
 @dataclass(frozen=True)
 class PrimeConfig:
-    """Fixed arithmetic context: prime p, extension degree r, Witt length L.
+    """Fixed arithmetic context: prime p and extension degree r.
 
     `modulus` is the monic degree-r integer polynomial whose reduction mod p
     presents F_{p^r}; all scalar arithmetic happens under exactly one config.
@@ -342,17 +342,16 @@ class PrimeConfig:
 
     p: int
     r: int
-    L: int
     modulus: tuple
     l_max: int = 128
 
     @staticmethod
-    def make(p: int, r: int = 1, L: int = 8, l_max: int = 128,
+    def make(p: int, r: int = 1, l_max: int = 128,
              modulus: tuple | None = None) -> "PrimeConfig":
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
-        if r < 1 or L < 1:
-            raise ValueError("r and L must be >= 1")
+        if r < 1:
+            raise ValueError("r must be >= 1")
         if l_max < 1:
             raise ValueError("l_max must be >= 1")
         if modulus is None:
@@ -363,7 +362,7 @@ class PrimeConfig:
                 raise ValueError("modulus must be monic of degree r")
             if not _fp_irreducible(tuple(c % p for c in modulus), p):
                 raise ValueError("modulus is reducible mod p")
-        return PrimeConfig(p=p, r=r, L=L, modulus=modulus, l_max=l_max)
+        return PrimeConfig(p=p, r=r, modulus=modulus, l_max=l_max)
 
     @property
     def q(self) -> int:
@@ -400,8 +399,7 @@ class PrimeConfig:
         for n in range(self.q):
             yield self.fq(_int_digits(n, self.p, self.r))
 
-    def witt(self, value, prec: int | None = None) -> "WittElem":
-        prec = self.L if prec is None else prec
+    def witt(self, value, prec: int) -> "WittElem":
         if isinstance(value, WittElem):
             if not self.same_field(value.cfg):
                 raise ValueError("field mismatch")
@@ -613,14 +611,13 @@ def _lift(cfg: PrimeConfig, coeffs: tuple, prec: int) -> tuple:
     return lift
 
 
-def teichmueller(a: FqElem, prec: int | None = None) -> WittElem:
+def teichmueller(a: FqElem, prec: int) -> WittElem:
     """Multiplicative lift of a to W_prec: the fixpoint of x -> x^(p^r).
 
-    Read from the lift table (see the module docstring); `prec` defaults to
-    a.cfg.L and the result carries a's own config.
+    Read from the lift table (see the module docstring); the result carries
+    a's own config.
     """
     cfg = a.cfg
-    prec = cfg.L if prec is None else prec
     pk = cfg.p ** prec
     return WittElem(cfg, tuple(c % pk for c in _lift(cfg, a.coeffs, prec)), prec)
 

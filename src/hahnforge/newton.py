@@ -59,7 +59,6 @@ __all__ = [
     "expand_roots_eq",
     "expand_root_padic",
     "verify_root",
-    "eval_poly_generic",
 ]
 
 
@@ -157,9 +156,6 @@ def polygon_of(coeffs) -> NewtonPolygon:
 # ---------------------------------------------------------------------------
 # generic ring plumbing
 # ---------------------------------------------------------------------------
-
-eval_poly_generic = eval_poly
-
 
 def _taylor_shift(coeffs, tau):
     """Coefficients of f(X + tau) by repeated synthetic division."""
@@ -313,8 +309,7 @@ def _extend_field(st, phi, opts):
     base_r = st.cfg.r
     factor = 2
     while base_r * factor <= opts.max_field_degree:
-        big = PrimeConfig.make(st.cfg.p, base_r * factor, L=st.cfg.L,
-                               l_max=st.cfg.l_max)
+        big = PrimeConfig.make(st.cfg.p, base_r * factor, l_max=st.cfg.l_max)
         phi_big = [subfield_embedding(c, big) for c in phi]
         roots = [c for c in fq_poly_roots(phi_big) if not c.is_zero()]
         if roots:
@@ -460,7 +455,7 @@ def verify_root(coeffs, prefix, expected_bound):
     BoundViolation (carrying the valuation) when the bound fails and
     PrecisionLoss when the truncation cannot decide.
     """
-    residual = eval_poly_generic(coeffs, prefix)
+    residual = eval_poly(coeffs, prefix)
     lead = residual.leading()
     if lead is not None:
         val = lead[0]

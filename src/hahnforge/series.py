@@ -18,10 +18,11 @@ lives here.  Values are immutable.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 from .errors import PrecisionLoss
-from .exactnum import FqElem, PrimeConfig, subfield_embedding
+from .exactnum import FqElem, PrimeConfig, _square_multiply, subfield_embedding
 
 INF = math.inf
 
@@ -125,14 +126,9 @@ class TruncatedSeries:
         """Square-and-multiply: O(log n) ring multiplications."""
         if n < 0:
             raise ValueError(f"power exponent must be >= 0, got {n}")
-        acc, base = None, self
-        while n:
-            if n & 1:
-                acc = base if acc is None else acc * base
-            n >>= 1
-            if n:
-                base = base * base
-        return type(self).one(self.cfg) if acc is None else acc
+        if n == 0:
+            return type(self).one(self.cfg)
+        return _square_multiply(self, n, operator.mul)
 
     def shift(self, exp):
         """Multiply by the monomial base^exp (exact: exponent translation)."""

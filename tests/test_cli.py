@@ -12,6 +12,7 @@ import time
 from fractions import Fraction as Fr
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from golden_cases import CASES, JSON_CASES
 
@@ -117,6 +118,35 @@ class TestExitCodes:
     def test_l_max_below_one_is_usage_error(self):
         code, out, err = invoke(["-p", "2", "--l-max", "0", "normalize", "p+p"])
         assert (code, out, err) == (2, "", "error: l_max must be >= 1\n")
+
+    def test_r_below_one_is_usage_error(self):
+        code, out, err = invoke(["-r", "0", "val", "1"])
+        assert (code, out, err) == (2, "", "error: r must be >= 1\n")
+
+    @pytest.mark.parametrize("columns", [60, 80, 200])
+    def test_unknown_verb_error_wraps_to_the_width(self, monkeypatch, columns):
+        monkeypatch.setenv("COLUMNS", str(columns))
+        code, out, err = invoke(["frobnicate"])
+        assert (code, out) == (2, "")
+        assert max(len(line) for line in err.splitlines()) <= columns
+        words = err[err.index("hahnforge: error: "):].split()
+        assert "'frobnicate'" in words
+        # every verb is named whole, hyphenated ones unbroken
+        assert all(f"'{verb}'," in words or f"'{verb}')" in words
+                   for verb in cli._VERBS)
+
+    @pytest.mark.parametrize("columns", [80, 200])
+    @pytest.mark.parametrize("argv,help_argv,message", [
+        (["newton-solve", "--poly", "X"], ["newton-solve", "-h"],
+         "hahnforge newton-solve: error: the following arguments are required: --ring"),
+        (["-p", "x", "val", "t"], ["-h"],
+         "hahnforge: error: argument -p: invalid int value: 'x'"),
+    ], ids=["missing-ring", "bad-p"])
+    def test_short_usage_error_is_one_line(self, monkeypatch, columns, argv,
+                                           help_argv, message):
+        monkeypatch.setenv("COLUMNS", str(columns))
+        usage = invoke(help_argv)[1].split("\n\n")[0]
+        assert invoke(argv) == (2, "", f"{usage}\n{message}\n")
 
     def test_mixed_bases_rejected(self):
         code, _out, _err = invoke(["-p", "2", "add", "t^(1)", "p^(1)"])
@@ -489,3 +519,70 @@ class TestRoundTrip:
             parsed = series_to_phahn(parse_series(text), cfg)
             assert parsed == value
             assert format_series(parsed, "p") == text
+
+
+# the fuzz below builds argv from these pools: good and bad values of every
+# kind, and small ints only, so that no budget a large value needs is reached
+FUZZ_SERIES = ["t^(-1/2)+t^(1/4)", "[1]*p^(-1/2) + O(p^(2))", "[g+1]*t^(1/3)",
+               "O(t^(1))", "2*p^(0) + O(p^(4))", "t^(", "[1]*q^(1)", "1", "-"]
+FUZZ_POLYS = ["X^2+X+t^(-1)", "X^2-X-p^(-1)", "X^2-p", "X^2+X+1", "X^2+", "X"]
+FUZZ_RATIONALS = ["-1/4", "0", "1/2", "2", "1/0", "x"]
+FUZZ_INTS = ["-1", "0", "1", "2", "3", "4"]
+FUZZ_ORDINALS = ["w", "w^(2)*3 + w", "5", "w^(", "w*", "-"]
+FUZZ_VECTORS = ["(0,2)", "(1)", "(3,1)", "(1,", "()", "-"]
+# each verb's arguments in order, one pool per token; verify-root glues its
+# last value so that the whole call fits in 8 tokens
+FUZZ_SHAPES = {
+    "normalize": [FUZZ_SERIES],
+    "val": [FUZZ_SERIES],
+    "decompose": [FUZZ_SERIES],
+    "add": [FUZZ_SERIES, FUZZ_SERIES],
+    "mul": [FUZZ_SERIES, FUZZ_SERIES],
+    "pow": [FUZZ_SERIES, FUZZ_INTS],
+    "newton-solve": [["--ring"], ["eq", "padic"], ["--poly"], FUZZ_POLYS,
+                     ["--terms", "--cap"], FUZZ_INTS + FUZZ_RATIONALS],
+    "verify-root": [["--ring"], ["eq", "padic"], ["--poly"], FUZZ_POLYS,
+                    ["--prefix"], FUZZ_SERIES,
+                    ["--bound=" + b for b in FUZZ_RATIONALS]],
+    "reduce-index": [FUZZ_VECTORS],
+    "enumerate-class": [FUZZ_VECTORS, ["--sigma-max"], FUZZ_INTS],
+    "certificate-check": [["1,0,1", "2,1", "1", "1,x"], ["--cap"], FUZZ_RATIONALS],
+    "ordinal": [["add", "mul", "cmp", "pow"], FUZZ_ORDINALS, FUZZ_ORDINALS],
+    "order-type-replicate": [FUZZ_ORDINALS],
+    "prediction-check": [FUZZ_ORDINALS],
+}
+FUZZ_FLAGS = {"-p": ["2", "3", "4", "-1"], "-r": ["0", "1", "2", "3"],
+              "--l-max": ["0", "2", "4"], "--max-degree": ["0", "2", "4"],
+              "--stall-limit": ["0", "1", "3"], "--terms": FUZZ_INTS}
+FUZZ_STDIN = ["", "t^(1)\n", "[1]*p^(0) + O(p^(2))\n\n(0,2)\n", "w\n5\n",
+              "t^(\n"]
+
+
+def fuzz_argv():
+    """Up to 8 tokens: a verb with its arguments drawn from the pools and
+    shared flags around it, cut at 8; or tokens drawn from all pools in no
+    order at all."""
+    flag = st.sampled_from(sorted(FUZZ_FLAGS)).flatmap(
+        lambda f: st.sampled_from(FUZZ_FLAGS[f]).map(lambda v: [f, v]))
+    extra = st.one_of(flag, st.sampled_from(["--json", "-h", "--"]).map(lambda w: [w]))
+    call = st.sampled_from(sorted(FUZZ_SHAPES)).flatmap(
+        lambda verb: st.tuples(*map(st.sampled_from, FUZZ_SHAPES[verb])).map(
+            lambda args: [verb, *args]))
+    shaped = st.tuples(st.lists(flag, max_size=1), call.map(lambda c: [c]),
+                       st.lists(extra, max_size=2))
+    tokens = sorted({t for shape in FUZZ_SHAPES.values() for pool in shape
+                     for t in pool} | set(FUZZ_SHAPES) | set(FUZZ_FLAGS))
+    return st.one_of(
+        shaped.map(lambda parts: [t for chunks in parts for chunk in chunks
+                                  for t in chunk][:8]),
+        st.lists(st.sampled_from(tokens), max_size=8))
+
+
+class TestNeverATraceback:
+    @settings(max_examples=400, derandomize=True, database=None, deadline=None)
+    @given(fuzz_argv(), st.sampled_from(FUZZ_STDIN))
+    def test_every_argv_ends_in_an_exit_code(self, argv, stdin_text):
+        code, _out, err = invoke(argv, stdin_text)
+        assert code in (0, 1, 2, 3)
+        if code in (1, 3):
+            assert err.endswith("\n") and err.count("\n") == 1, err

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -138,8 +139,8 @@ class TestFindModulus:
         assert find_modulus(2, 30) == (1, 1) + (0,) * 28 + (1,)  # x^30+x+1
 
     @pytest.mark.parametrize("kwargs,message", [
-        ({"r": 0}, "r and L must be >= 1"),
-        ({"L": 0}, "r and L must be >= 1"),
+        ({"r": 0}, "r must be >= 1"),
+        ({"r": -2}, "r must be >= 1"),
         ({"l_max": 0}, "l_max must be >= 1"),
         ({"l_max": -3}, "l_max must be >= 1"),
     ])
@@ -247,30 +248,30 @@ class TestFqArithmetic:
 
 class TestWittArithmetic:
     def test_add_small(self):
-        cfg = PrimeConfig.make(3, L=3)
-        assert (cfg.witt(1) + cfg.witt(1)) == cfg.witt(2)
+        cfg = PrimeConfig.make(3)
+        assert cfg.witt(1, prec=3) + cfg.witt(1, prec=3) == cfg.witt(2, prec=3)
 
     def test_mul_is_integer_arith_for_r1(self):
-        cfg = PrimeConfig.make(2, L=4)
-        assert cfg.witt(3) * cfg.witt(5) == cfg.witt(15)
+        cfg = PrimeConfig.make(2)
+        assert cfg.witt(3, prec=4) * cfg.witt(5, prec=4) == cfg.witt(15, prec=4)
 
     def test_inv_mod_125(self):
-        cfg = PrimeConfig.make(5, L=3)
+        cfg = PrimeConfig.make(5)
         expected = pow(2, -1, 125)  # extended Euclid oracle
         assert expected == 63
-        assert cfg.witt(2).inv() == cfg.witt(63)
+        assert cfg.witt(2, prec=3).inv() == cfg.witt(63, prec=3)
 
     def test_inv_non_unit_raises(self):
-        cfg = PrimeConfig.make(3, L=3)
+        cfg = PrimeConfig.make(3)
         with pytest.raises(NotAUnit):
-            cfg.witt(3).inv()
+            cfg.witt(3, prec=3).inv()
 
     @pytest.mark.parametrize("p,r,L", [(2, 1, 5), (3, 1, 4), (2, 2, 4), (3, 2, 3)])
     def test_ring_axioms_random(self, p, r, L):
-        cfg = PrimeConfig.make(p, r, L=L)
+        cfg = PrimeConfig.make(p, r)
         rng = random.Random(11)
         pk = p ** L
-        rand = lambda: cfg.witt([rng.randrange(pk) for _ in range(r)])
+        rand = lambda: cfg.witt([rng.randrange(pk) for _ in range(r)], prec=L)
         for _ in range(150):
             a, b, c = rand(), rand(), rand()
             assert a * (b + c) == a * b + a * c
@@ -279,24 +280,24 @@ class TestWittArithmetic:
         for _ in range(100):
             a = rand()
             if not a.residue().is_zero():
-                assert a * a.inv() == cfg.witt(1)
+                assert a * a.inv() == cfg.witt(1, prec=L)
 
     def test_precision_mixing(self):
-        cfg = PrimeConfig.make(3, L=5)
+        cfg = PrimeConfig.make(3)
         a = cfg.witt(7, prec=5)
         b = cfg.witt(7, prec=2)
         assert (a + b).prec == 2
         assert (a * b) == cfg.witt(49, prec=2)
 
     def test_sub_wraps(self):
-        cfg = PrimeConfig.make(2, L=4)
-        assert cfg.witt(3) - cfg.witt(5) == cfg.witt(-2)
-        assert cfg.witt(3) - cfg.witt(5) == cfg.witt(14)
+        cfg = PrimeConfig.make(2)
+        diff = cfg.witt(3, prec=4) - cfg.witt(5, prec=4)
+        assert diff == cfg.witt(-2, prec=4) == cfg.witt(14, prec=4)
 
     def test_witt_of_a_witt_element_changes_precision(self):
-        cfg = PrimeConfig.make(3, r=2, L=3)
-        w = cfg.witt([26, 10])
-        assert cfg.witt(w) is w
+        cfg = PrimeConfig.make(3, r=2)
+        w = cfg.witt([26, 10], prec=3)
+        assert cfg.witt(w, prec=3) is w
         assert cfg.witt(w, prec=2) == w.at_prec(2)
         assert cfg.witt(w.at_prec(1), prec=3).coeffs == (2, 1)
         with pytest.raises(ValueError, match="^cannot raise Witt precision$"):
@@ -304,8 +305,15 @@ class TestWittArithmetic:
 
 
 # both element kinds of one F_9 config; a WittElem at precision 3
-CORE_CFG = PrimeConfig.make(3, r=2, L=3)
-CORE_KINDS = {"fq": CORE_CFG.fq, "witt": CORE_CFG.witt}
+CORE_CFG = PrimeConfig.make(3, r=2)
+
+
+def core_maker(cfg, kind):
+    """The element constructor of `kind` over cfg; Witt elements at precision 3."""
+    return cfg.fq if kind == "fq" else functools.partial(cfg.witt, prec=3)
+
+
+CORE_KINDS = {kind: core_maker(CORE_CFG, kind) for kind in ("fq", "witt")}
 
 
 @pytest.mark.parametrize("kind", sorted(CORE_KINDS))
@@ -341,9 +349,9 @@ class TestElementCore:
 
     def test_other_field_rejected(self, kind):
         x = CORE_KINDS[kind](1)
-        other = getattr(PrimeConfig.make(3, r=3, L=3), kind)(1)
+        other = core_maker(PrimeConfig.make(3, r=3), kind)(1)
         for op in (lambda: x + other, lambda: x * other,
-                   lambda: getattr(CORE_CFG, kind)(other)):
+                   lambda: CORE_KINDS[kind](other)):
             with pytest.raises(ValueError, match="^field mismatch$"):
                 op()
 
@@ -354,34 +362,35 @@ class TestElementCore:
 
 class TestTeichmueller:
     def test_zero_and_one(self):
-        cfg = PrimeConfig.make(2, L=6)
-        assert teichmueller(cfg.fq(0)).is_zero()
-        assert teichmueller(cfg.fq(1)) == cfg.witt(1)
+        cfg = PrimeConfig.make(2)
+        assert teichmueller(cfg.fq(0), prec=6).is_zero()
+        assert teichmueller(cfg.fq(1), prec=6) == cfg.witt(1, prec=6)
 
     def test_minus_one_mod_9(self):
-        cfg = PrimeConfig.make(3, L=2)
+        cfg = PrimeConfig.make(3)
         # iterate x -> x^3 mod 9 from 2: 8 is the fixpoint (= -1 mod 9)
-        assert teichmueller(cfg.fq(2)) == cfg.witt(8)
+        assert teichmueller(cfg.fq(2), prec=2) == cfg.witt(8, prec=2)
 
     @pytest.mark.parametrize("p,r", [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2)])
     def test_multiplicative_exhaustive(self, p, r):
-        cfg = PrimeConfig.make(p, r, L=5)
+        cfg = PrimeConfig.make(p, r)
+        lift = functools.partial(teichmueller, prec=5)
         elems = list(cfg.fq_elements())
         for a in elems:
             for b in elems:
-                assert teichmueller(a) * teichmueller(b) == teichmueller(a * b)
+                assert lift(a) * lift(b) == lift(a * b)
 
     @pytest.mark.parametrize("p,r", [(3, 1), (2, 2), (5, 1)])
     def test_fixpoint_of_qth_power(self, p, r):
-        cfg = PrimeConfig.make(p, r, L=6)
+        cfg = PrimeConfig.make(p, r)
         for a in cfg.fq_elements():
-            t = teichmueller(a)
+            t = teichmueller(a, prec=6)
             assert t ** cfg.q == t
 
     def test_residue_recovers_input(self):
-        cfg = PrimeConfig.make(5, L=4)
+        cfg = PrimeConfig.make(5)
         for a in cfg.fq_elements():
-            assert teichmueller(a).residue() == a
+            assert teichmueller(a, prec=4).residue() == a
 
 
 class TestLiftTable:
@@ -390,16 +399,6 @@ class TestLiftTable:
         table = {}
         monkeypatch.setattr(exactnum, "_LIFTS", table)
         return table
-
-    def test_default_precision_follows_each_config(self, empty_table):
-        short = PrimeConfig.make(5, L=3)
-        long = PrimeConfig.make(5, L=7)
-        for first, second in ((long, short), (short, long)):
-            for cfg in (first, second):
-                for a in cfg.fq_elements():
-                    t = teichmueller(a)
-                    assert t.prec == cfg.L and t.cfg is cfg
-                    assert t.coeffs == fixpoint_lift(a, cfg.L)
 
     @pytest.mark.parametrize("p,r", [(3, 1), (7, 1), (2, 2), (5, 2)])
     def test_lower_precision_after_higher(self, empty_table, p, r):
@@ -422,14 +421,14 @@ class TestLiftTable:
     @pytest.mark.parametrize("p,r", [(3, 1), (5, 1), (2, 2), (3, 2)])
     def test_digit_decompose_from_an_empty_table(self, empty_table, p, r):
         # digit i is read at precision prec - i, below every earlier entry
-        cfg = PrimeConfig.make(p, r, L=5)
-        pk = p ** cfg.L
+        cfg = PrimeConfig.make(p, r)
+        pk = p ** 5
         rng = random.Random(17)
         for _ in range(40):
-            w = cfg.witt([rng.randrange(pk) for _ in range(r)])
+            w = cfg.witt([rng.randrange(pk) for _ in range(r)], prec=5)
             acc = [0] * r
             for i, d in enumerate(digit_decompose(w)):
-                lift = fixpoint_lift(d, cfg.L)
+                lift = fixpoint_lift(d, 5)
                 acc = [(x + y * p ** i) % pk for x, y in zip(acc, lift)]
             assert tuple(acc) == w.coeffs
 
@@ -444,38 +443,38 @@ class TestLiftTable:
 
 class TestDigitDecompose:
     def test_zero(self):
-        cfg = PrimeConfig.make(3, L=3)
-        assert all(d.is_zero() for d in digit_decompose(cfg.witt(0)))
+        cfg = PrimeConfig.make(3)
+        assert all(d.is_zero() for d in digit_decompose(cfg.witt(0, prec=3)))
 
     def test_two_mod_27(self):
-        cfg = PrimeConfig.make(3, L=3)
-        digits = [d.coeffs[0] for d in digit_decompose(cfg.witt(2))]
+        cfg = PrimeConfig.make(3)
+        digits = [d.coeffs[0] for d in digit_decompose(cfg.witt(2, prec=3))]
         # [2] = -1 exactly in Z_3, so 2 = [2] + [1]*3
         assert digits == [2, 1, 0]
 
     def test_two_mod_8(self):
-        cfg = PrimeConfig.make(2, L=3)
-        digits = [d.coeffs[0] for d in digit_decompose(cfg.witt(2))]
+        cfg = PrimeConfig.make(2)
+        digits = [d.coeffs[0] for d in digit_decompose(cfg.witt(2, prec=3))]
         assert digits == [0, 1, 0]
 
     @pytest.mark.parametrize("p,r,L", [(2, 1, 6), (3, 1, 5), (5, 1, 4), (2, 2, 5), (3, 2, 4)])
     def test_recompose_roundtrip_random(self, p, r, L):
-        cfg = PrimeConfig.make(p, r, L=L)
+        cfg = PrimeConfig.make(p, r)
         rng = random.Random(13)
         pk = p ** L
         for _ in range(250):
-            w = cfg.witt([rng.randrange(pk) for _ in range(r)])
+            w = cfg.witt([rng.randrange(pk) for _ in range(r)], prec=L)
             digits = digit_decompose(w)
-            acc = cfg.witt(0)
+            acc = cfg.witt(0, prec=L)
             for i, d in enumerate(digits):
-                acc = acc + teichmueller(d, prec=L) * cfg.witt(p ** i)
+                acc = acc + teichmueller(d, prec=L) * cfg.witt(p ** i, prec=L)
             assert acc == w
 
     def test_digits_unique_under_recompose(self):
-        cfg = PrimeConfig.make(3, L=4)
+        cfg = PrimeConfig.make(3)
         seen = {}
         for n in range(81):
-            digits = tuple(d.coeffs for d in digit_decompose(cfg.witt(n)))
+            digits = tuple(d.coeffs for d in digit_decompose(cfg.witt(n, prec=4)))
             assert digits not in seen
             seen[digits] = n
 

@@ -345,6 +345,37 @@ class TestAddMul:
         assert s.is_zero_below_cap()
 
 
+RING_FIELDS = [(2, 1), (3, 1), (5, 1), (2, 2), (3, 2), (2, 3)]
+
+
+@st.composite
+def phahn_triples(draw):
+    """Three capped values over one field, up to 4 digits each; a digit with
+    no integer Teichmüller lift has no exact sum, so every cap is finite."""
+    cfg = PrimeConfig.make(*draw(st.sampled_from(RING_FIELDS)))
+    digit = st.sampled_from(list(cfg.fq_elements())[1:])
+
+    def value():
+        cap = draw(st.builds(Fr, st.integers(1, 8), st.sampled_from([1, 2])))
+        terms = draw(st.dictionaries(st.sampled_from(EXP_POOL), digit, max_size=4))
+        return PHahn(cfg, sorted((e, d) for e, d in terms.items() if e < cap), cap)
+
+    return value(), value(), value()
+
+
+class TestRingAxiomProperties:
+    @settings(max_examples=150, derandomize=True, database=None, deadline=None)
+    @given(phahn_triples())
+    def test_ring_axioms(self, abc):
+        a, b, c = abc
+        assert a + b == b + a
+        assert a * b == b * a
+        for lhs, rhs in (((a + b) + c, a + (b + c)),
+                         (a * (b + c), a * b + a * c),
+                         ((a * b) * c, a * (b * c))):
+            assert lhs.agree_below(rhs, min(lhs.cap, rhs.cap))
+
+
 class TestCrossRing:
     def test_agree_below_rejects_the_other_ring(self):
         cfg = PrimeConfig.make(2)
@@ -408,7 +439,7 @@ class TestFromInteger:
         assert [e for e, _ in x.digits] == [Fr(0), Fr(1)]
 
     def test_p3_two_matches_digit_oracle(self):
-        cfg = PrimeConfig.make(3, L=6)
+        cfg = PrimeConfig.make(3)
         x = from_integer(cfg, 2, Fr(6))
         oracle = digit_decompose(cfg.witt(2, prec=6))
         expected = tuple((Fr(i), d) for i, d in enumerate(oracle) if not d.is_zero())
