@@ -22,11 +22,13 @@ digits, form a second representation (FracDecomp).  Multiplication performed
 entirely in those coordinates is the package's primary anti-bug oracle for
 carry handling: see mul_via_decomposition.
 
-Uncapped (exact) normalization is only attempted when every coefficient that
-must be combined has an integer Teichmüller lift (digits 0, 1, p-1, whose
-lifts are 0, 1, -1); other digits have infinite expansions whose termination
-cannot be certified at finite truncation, so PrecisionLoss is raised and the
-caller must supply a cap.
+Uncapped (exact) normalization passes a bucket of single digits at distinct
+integer parts through as it is: that is already a standard expansion.  Any
+other exact bucket is only summed when each of its coefficients has an
+integer Teichmüller lift (digits 0, 1, p-1, whose lifts are 0, 1, -1); other
+digits have infinite expansions whose termination cannot be certified at
+finite truncation, so PrecisionLoss is raised and the caller must supply a
+cap.
 
 All values are immutable; operations are pure.
 """
@@ -164,15 +166,15 @@ def normalize(cfg: PrimeConfig, bag, cap, den: int = 1) -> "PHahn":
     for q, items in buckets.items():
         n_min = min(n for n, _, _ in items)
         if exact:
-            if len(items) == 1:
-                # a single digit term is already in standard form
-                n, k, d = items[0]
-                if k == -1 and cfg.p > 2:
-                    k, d = 1, d * cfg.fq(cfg.p - 1)
-                if k == 1:
-                    if not d.is_zero():
-                        out.append((n * den + q, d))
-                    continue
+            if (len({n for n, _, _ in items}) == len(items)
+                    and all(k == 1 or (k == -1 and cfg.p > 2)
+                            for _, k, _ in items)):
+                # single digits at distinct integer parts are already a
+                # standard expansion ([p-1] is -1 exactly at odd p)
+                minus_one = cfg.fq(cfg.p - 1)
+                out.extend((n * den + q, d if k == 1 else d * minus_one)
+                           for n, k, d in items if not d.is_zero())
+                continue
             digits = _bucket_exact(cfg, items, n_min)
         else:
             need = -((q * cd - cn) // (cd * den)) - n_min

@@ -10,7 +10,9 @@ coefficient rings (equal characteristic and p-adic):
        coefficients) is solved over F_{p^r} by exactnum.fq_poly_roots,
        extending the field by the minimal factor when rootless;
     3. every nonzero residue root appends a term and the polynomial is
-       Taylor-shifted by it (synthetic division).
+       Taylor-shifted by it, in closed form: the shift monomial's powers
+       are monomials, so each shifted coefficient is one bag of terms,
+       canonicalised once (see _taylor_shift).
 
 Exponent accumulation.  Families like X^p - X - u produce increments whose
 consecutive differences shrink by exactly 1/p, so the plain loop would walk
@@ -35,6 +37,7 @@ lexicographic coefficient order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
@@ -46,7 +49,7 @@ from .errors import (
 )
 from .exactnum import PrimeConfig, fq_poly_roots, subfield_embedding
 from .hahn_eqchar import EqHahn
-from .hahn_padic import PHahn
+from .hahn_padic import PHahn, normalize
 from .series import INF, as_frac, eval_poly
 
 GEO_WINDOW = 3   # geometric increments required before acceleration
@@ -158,13 +161,69 @@ def polygon_of(coeffs) -> NewtonPolygon:
 # ---------------------------------------------------------------------------
 
 def _taylor_shift(coeffs, tau):
-    """Coefficients of f(X + tau) by repeated synthetic division."""
-    a = list(coeffs)
-    n = len(a)
-    for k in range(n - 1):
-        for j in range(n - 2, k - 1, -1):
-            a[j] = a[j] + a[j + 1] * tau
-    return a
+    """Coefficients b_k = sum_{j >= k} C(j, k) a_j tau^(j-k) of f(X + tau).
+
+    tau = [c]*base^e is one monomial and Teichmüller lifts are
+    multiplicative, so tau^i = [c^i]*base^(ie) exactly and each b_k is one
+    bag of terms C(j, k)*[d c^(j-k)] at x + (j-k)e over the terms [d]*base^x
+    of a_j, canonicalised once: by normalize in the p-adic ring; in
+    characteristic p, C(j, k) is read mod p and equal exponents merge.
+
+    Caps are those of repeated synthetic division.  The product rule
+    min(cap_a + v(tau), cap_tau + v(a)), applied i >= 1 times, knows
+    a_j tau^i below min(cap(a_j) + ie, cap_tau + v(a_j) + (i-1)e); cap(b_k)
+    is the min of cap(a_k) and of that bound over every j > k with a_j not
+    an exact zero, also where C(j, k) vanishes mod p.  Exponents and caps
+    are ints over one common denominator inside the loops.
+    """
+    (e, c), = tau.terms
+    cfg, n = tau.cfg, len(coeffs)
+    padic = isinstance(tau, PHahn)
+    den = math.lcm(e.denominator,
+                   *(x.denominator for a in coeffs for x, _ in a.terms),
+                   *(x.denominator for x in [tau.cap] + [a.cap for a in coeffs]
+                     if x != INF))
+
+    def scaled(x):
+        return x if x == INF else x.numerator * (den // x.denominator)
+
+    step, tau_cap = scaled(e), scaled(tau.cap)
+    rows = [([(scaled(x), d) for x, d in a.terms], scaled(a.cap),
+             a.is_exact_zero()) for a in coeffs]
+    cpow = [cfg.fq(1)]
+    for _ in range(n - 1):
+        cpow.append(cpow[-1] * c)
+    out = []
+    for k in range(n):
+        cap, moved = rows[k][1], False
+        for j in range(k + 1, n):
+            terms, cap_j, zero = rows[j]
+            if not zero:
+                i, moved = j - k, True
+                v = terms[0][0] if terms else cap_j
+                cap = min(cap, cap_j + i * step, tau_cap + v + (i - 1) * step)
+        if not moved:  # only exact zeros above: b_k = a_k
+            out.append(coeffs[k])
+            continue
+        bag = []
+        for j in range(k, n):
+            i = j - k
+            binom = math.comb(j, k) if padic else math.comb(j, k) % cfg.p
+            if binom:
+                bag.extend(((binom, d * cpow[i] if i else d), x + i * step)
+                           for x, d in rows[j][0] if x + i * step < cap)
+        frac_cap = cap if cap == INF else Fraction(cap, den)
+        if padic:
+            out.append(normalize(cfg, bag, frac_cap, den=den))
+        else:
+            merged = {}
+            for (binom, d), x in bag:
+                d = d * binom if binom != 1 else d
+                merged[x] = merged[x] + d if x in merged else d
+            out.append(EqHahn._trusted(cfg, [(Fraction(x, den), d) for x, d
+                                             in sorted(merged.items())
+                                             if not d.is_zero()], frac_cap))
+    return out
 
 
 @dataclass(frozen=True)

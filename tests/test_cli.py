@@ -105,6 +105,14 @@ class TestExitCodes:
         code, _out, err = invoke(["-p", "2", "val", "O(t^(1))"])
         assert code == 3 and "precision" in err.lower()
 
+    @pytest.mark.parametrize("argv", [
+        ["add", "[2]*p^(1)", "[1]*p^(2)"],
+        ["normalize", "[2]*p^(1)+[1]*p^(2)"],
+    ])
+    def test_exact_sum_without_collision_needs_no_lift(self, argv):
+        # digit 2 has no integer lift at p = 5, but nothing is combined
+        assert invoke(["-p", "5", *argv]) == (0, "[2]*p^(1) + [1]*p^(2)\n", "")
+
     def test_domain_error_exit_1(self):
         code, _out, _err = invoke([
             "-p", "2", "verify-root", "--ring", "eq",

@@ -3,13 +3,16 @@ import random
 from fractions import Fraction as Fr
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from hahnforge import hahn_padic, newton
 from hahnforge.errors import BoundViolation, FieldExtensionExceeded
 from hahnforge.exactnum import PrimeConfig, subfield_embedding
 from hahnforge.hahn_eqchar import EqHahn
 from hahnforge.hahn_padic import PHahn, frak_a, from_integer, normalize
 from hahnforge.newton import (
     ExpandOptions,
+    _taylor_shift,
     expand_root_padic,
     expand_roots_eq,
     polygon_of,
@@ -288,3 +291,113 @@ class TestVerifyRoot:
         with pytest.raises(BoundViolation) as err:
             verify_root(eq_artin_schreier(cfg), prefix, Fr(0))
         assert err.value.valuation == Fr(-1, 2)
+
+
+def _taylor_shift_synthetic(coeffs, tau):
+    """Coefficients of f(X + tau) by repeated synthetic division: the
+    n(n-1)/2 ring updates a_j += a_(j+1) * tau, each one canonicalised."""
+    a = list(coeffs)
+    n = len(a)
+    for k in range(n - 1):
+        for j in range(n - 2, k - 1, -1):
+            a[j] = a[j] + a[j + 1] * tau
+    return a
+
+
+SHIFT_FIELDS = [(p, r) for p in (2, 3, 5, 7) for r in (1, 2)]
+SHIFT_EXPS = sorted({Fr(n, d) for n in range(-4, 5) for d in (1, 2, 3)})
+
+
+@st.composite
+def shift_cases(draw):
+    """A polynomial of degree 1-5 and a monomial tau over one ring and field.
+
+    Coefficients are exact zeros, exact or capped; tau's cap is finite and
+    close above its exponent, so it binds (the p-adic expander never shifts
+    by an exact tau; the equal-characteristic one always does)."""
+    ring = draw(st.sampled_from([EqHahn, PHahn]))
+    cfg = PrimeConfig.make(*draw(st.sampled_from(SHIFT_FIELDS)))
+    digit = st.sampled_from(list(cfg.fq_elements())[1:])
+    caps = st.builds(Fr, st.integers(-3, 8), st.sampled_from([1, 2, 3]))
+
+    def coeff():
+        if draw(st.integers(0, 3)) == 0:
+            return ring.zero(cfg)
+        cap = draw(st.one_of(caps, st.just(INF)))
+        terms = draw(st.dictionaries(st.sampled_from(SHIFT_EXPS), digit,
+                                     max_size=3))
+        return ring(cfg, sorted((e, d) for e, d in terms.items() if e < cap),
+                    cap)
+
+    coeffs = [coeff() for _ in range(draw(st.integers(2, 6)))]
+    e = draw(st.sampled_from(SHIFT_EXPS))
+    slack = st.sampled_from([Fr(1, 3), Fr(1, 2), Fr(1), Fr(2)])
+    tau_cap = e + draw(slack if ring is PHahn
+                       else st.one_of(slack, st.just(INF)))
+    return coeffs, ring.monomial(cfg, draw(digit), e, cap=tau_cap)
+
+
+class TestTaylorShift:
+    """The closed form against repeated synthetic division."""
+
+    @settings(max_examples=400, derandomize=True, database=None,
+              deadline=None)
+    @given(shift_cases())
+    def test_matches_synthetic_division(self, case):
+        coeffs, tau = case
+        shifted = _taylor_shift(coeffs, tau)
+        oracle = _taylor_shift_synthetic(coeffs, tau)
+        assert [b.terms for b in shifted] == [b.terms for b in oracle]
+        assert [b.cap for b in shifted] == [b.cap for b in oracle]
+
+    def test_cap_of_a_term_whose_binomial_vanishes_mod_p(self):
+        # b_1 = a_1 + C(2,1) a_2 tau: C(2,1) = 0 in characteristic 2, but
+        # a_2 = 1 + O(t) still bounds b_1 below O(t^(1 + e)) with e = -1
+        cfg = PrimeConfig.make(2)
+        coeffs = [EqHahn.zero(cfg), EqHahn.monomial(cfg, 1, Fr(1)),
+                  EqHahn.one(cfg, cap=Fr(1))]
+        tau = EqHahn.monomial(cfg, 1, Fr(-1))
+        shifted = _taylor_shift(coeffs, tau)
+        assert shifted == _taylor_shift_synthetic(coeffs, tau)
+        assert shifted[1] == EqHahn.zero(cfg, cap=Fr(0))
+        assert shifted[0] == EqHahn(cfg, [(Fr(-2), 1)], Fr(-1))
+        assert shifted[2] == coeffs[2]
+
+    @pytest.mark.parametrize("degree", [1, 2, 3, 5])
+    def test_padic_shift_normalizes_once_per_coefficient(self, degree,
+                                                          monkeypatch):
+        cfg = PrimeConfig.make(3)
+        coeffs = [normalize(cfg, [(i + 1, Fr(-1, 3)), (2, Fr(i, 2))], Fr(3))
+                  for i in range(degree + 1)]
+        tau = PHahn.monomial(cfg, 2, Fr(-1, 9), cap=Fr(4))
+        oracle = _taylor_shift_synthetic(coeffs, tau)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return normalize(*args, **kwargs)
+
+        # newton's own name for it, and the one PHahn's + and * call
+        monkeypatch.setattr(newton, "normalize", counting)
+        monkeypatch.setattr(hahn_padic, "normalize", counting)
+        assert _taylor_shift(coeffs, tau) == oracle
+        assert len(calls) <= degree + 1
+
+
+class TestDeviationP5R2:
+    def test_every_branch_deviates_at_4_25(self):
+        cfg = PrimeConfig.make(5, 2)
+        cap = Fr(1, 5)
+        coeffs = padic_artin_schreier(cfg, cap + 4)
+        branches = expand_root_padic(coeffs, cap=cap)
+        assert len(branches) == 5
+        deviation = Fr(1, 5) - Fr(1, 25)
+        for b in branches:
+            assert b.term_at(deviation) == cfg.fq(1)
+            # digits such as [3] have no integer lift, so exact powers of the
+            # prefix cannot be summed; known below O(p) it certifies the bound
+            verify_root(coeffs, b.value().truncate(Fr(1)), b.residual_bound)
+        alpha, = [b for b in branches if b.term_at(Fr(0)) is None]
+        neg = tuple((e, c) for e, c in alpha.terms if e < 0)
+        assert neg == frak_a(cfg, Fr(0), terms=len(neg)).digits
+        assert [e for e, _ in alpha.terms if 0 <= e < deviation] == []
