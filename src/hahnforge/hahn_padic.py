@@ -171,8 +171,7 @@ def normalize(cfg: PrimeConfig, bag, cap, den: int = 1) -> "PHahn":
                             for _, k, _ in items)):
                 # single digits at distinct integer parts are already a
                 # standard expansion ([p-1] is -1 exactly at odd p)
-                minus_one = cfg.fq(cfg.p - 1)
-                out.extend((n * den + q, d if k == 1 else d * minus_one)
+                out.extend((n * den + q, d if k == 1 else d * cfg.fq(cfg.p - 1))
                            for n, k, d in items if not d.is_zero())
                 continue
             digits = _bucket_exact(cfg, items, n_min)

@@ -224,6 +224,23 @@ class TestExpandPadic:
         assert pos[0][0] == deviation
         assert pos[0][1] == cfg.fq(1)
 
+    def test_deviation_on_every_branch_at_p5_r2(self):
+        cfg = PrimeConfig.make(5, 2)
+        cap = Fr(1, 5)
+        coeffs = padic_artin_schreier(cfg, cap + 4)
+        branches = expand_root_padic(coeffs, cap=cap)
+        assert len(branches) == 5
+        deviation = Fr(1, 5) - Fr(1, 25)
+        for b in branches:
+            assert b.term_at(deviation) == cfg.fq(1)
+            # digits such as [3] have no integer lift, so exact powers of the
+            # prefix cannot be summed; known below O(p) it certifies the bound
+            verify_root(coeffs, b.value().truncate(Fr(1)), b.residual_bound)
+        alpha, = [b for b in branches if b.term_at(Fr(0)) is None]
+        neg = tuple((e, c) for e, c in alpha.terms if e < 0)
+        assert neg == frak_a(cfg, Fr(0), terms=len(neg)).digits
+        assert [e for e, _ in alpha.terms if 0 <= e < deviation] == []
+
     @pytest.mark.parametrize("p", [2, 3])
     def test_branch_count_matches_artin_schreier(self, p):
         cfg = PrimeConfig.make(p)
@@ -382,22 +399,3 @@ class TestTaylorShift:
         monkeypatch.setattr(hahn_padic, "normalize", counting)
         assert _taylor_shift(coeffs, tau) == oracle
         assert len(calls) <= degree + 1
-
-
-class TestDeviationP5R2:
-    def test_every_branch_deviates_at_4_25(self):
-        cfg = PrimeConfig.make(5, 2)
-        cap = Fr(1, 5)
-        coeffs = padic_artin_schreier(cfg, cap + 4)
-        branches = expand_root_padic(coeffs, cap=cap)
-        assert len(branches) == 5
-        deviation = Fr(1, 5) - Fr(1, 25)
-        for b in branches:
-            assert b.term_at(deviation) == cfg.fq(1)
-            # digits such as [3] have no integer lift, so exact powers of the
-            # prefix cannot be summed; known below O(p) it certifies the bound
-            verify_root(coeffs, b.value().truncate(Fr(1)), b.residual_bound)
-        alpha, = [b for b in branches if b.term_at(Fr(0)) is None]
-        neg = tuple((e, c) for e, c in alpha.terms if e < 0)
-        assert neg == frak_a(cfg, Fr(0), terms=len(neg)).digits
-        assert [e for e, _ in alpha.terms if 0 <= e < deviation] == []
