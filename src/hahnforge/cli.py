@@ -8,9 +8,10 @@ bases or configs inside one expression is a usage error.  Exit codes:
 Each verb is one `_VERBS` entry (argument specs, handler, batch argument);
 the specs are (name, add_argument keywords) pairs, added after the shared
 flags.  A handler maps (parsed args, PrimeConfig) to (text lines, JSON
-payload): --json prints the payload as one `json.dumps(payload,
-sort_keys=True)` line, unless it is None (text-only verbs); otherwise each
-line is printed.  A batch argument given as `-` runs the handler once per
+payload), the payload a zero-argument callable that builds it, or None
+(text-only verbs): --json prints payload() as one `json.dumps(...,
+sort_keys=True)` line, so text mode never builds it; otherwise each line
+is printed.  A batch argument given as `-` runs the handler once per
 non-blank stdin line, set to the stripped line, printing as it goes.
 
 The argparse tree is built once per process, on the first `run`, and shared
@@ -95,7 +96,7 @@ def _series_json(value, base):
 
 
 def _series_out(value, base):
-    return [format_series(value, base)], _series_json(value, base)
+    return [format_series(value, base)], lambda: _series_json(value, base)
 
 
 def _normalize(args, cfg):
@@ -119,7 +120,7 @@ def _pow(args, cfg):
 
 def _val(args, cfg):
     v = format_rational(_series_value(args.expr, cfg)[0].valuation())
-    return [v], {"valuation": v}
+    return [v], lambda: {"valuation": v}
 
 
 def _decompose(args, cfg):
@@ -129,9 +130,10 @@ def _decompose(args, cfg):
     fd = decompose(value)
     lines = [f"q={format_rational(q)} offset={off} unit={unit} prec={unit.prec}"
              for q, off, unit in fd.entries]
-    entries = [[q.numerator, q.denominator, off, str(unit), unit.prec]
-               for q, off, unit in fd.entries]
-    return lines, {"entries": entries, "cap": format_rational(fd.cap)}
+    return lines, lambda: {
+        "entries": [[q.numerator, q.denominator, off, str(unit), unit.prec]
+                    for q, off, unit in fd.entries],
+        "cap": format_rational(fd.cap)}
 
 
 def _newton_solve(args, cfg):
@@ -153,11 +155,11 @@ def _newton_solve(args, cfg):
     lines = [f"branch {i}: {format_series(b.value(), base)} (bound "
              f"{format_rational(b.residual_bound)}, field degree {b.field_degree})"
              for i, b in enumerate(branches, 1)]
-    payload = [{"terms": [[e.numerator, e.denominator, str(c)] for e, c in b.terms],
-                "bound": format_rational(b.residual_bound),
-                "field_degree": b.field_degree}
-               for b in branches]
-    return lines, payload
+    return lines, lambda: [
+        {"terms": [[e.numerator, e.denominator, str(c)] for e, c in b.terms],
+         "bound": format_rational(b.residual_bound),
+         "field_degree": b.field_degree}
+        for b in branches]
 
 
 def _verify_root(args, cfg):
@@ -170,7 +172,7 @@ def _verify_root(args, cfg):
     # a constant prefix, like a constant polynomial, fits either ring
     prefix = to_ring(parse_series(args.prefix, default_base=ring.BASE), cfg)
     v = format_rational(newton.verify_root(coeffs, prefix, bound))
-    return [v], {"valuation": v}
+    return [v], lambda: {"valuation": v}
 
 
 def _reduce_index(args, cfg):
@@ -181,7 +183,8 @@ def _reduce_index(args, cfg):
 def _enumerate_class(args, cfg):
     vec = parse_index_vec(args.vec)
     members = indexcomb.enumerate_class(vec, args.sigma_max, cfg.p)
-    return [format_index_vec(m) for m in members], [list(m) for m in members]
+    return ([format_index_vec(m) for m in members],
+            lambda: [list(m) for m in members])
 
 
 def _certificate_check(args, cfg):
@@ -194,8 +197,9 @@ def _certificate_check(args, cfg):
     lines = [f"residual: {format_series(residual, 'p')}",
              f"nonzero below cap: {'true' if nonzero else 'false'}",
              f"kstar {format_index_vec(k_star)} coefficient: {grouped}"]
-    return lines, {"residual": _series_json(residual, "p"), "nonzero": nonzero,
-                   "kstar": list(k_star), "kstar_coefficient": grouped}
+    return lines, lambda: {"residual": _series_json(residual, "p"),
+                           "nonzero": nonzero, "kstar": list(k_star),
+                           "kstar_coefficient": grouped}
 
 
 def _ordinal(args, cfg):
@@ -343,7 +347,7 @@ def _dispatch(args, cfg, out, stdin):
             setattr(args, batch, text)
         lines, payload = handler(args, cfg)
         if args.json and payload is not None:
-            print(json.dumps(payload, sort_keys=True), file=out)
+            print(json.dumps(payload(), sort_keys=True), file=out)
         else:
             for line in lines:
                 print(line, file=out)
@@ -396,7 +400,16 @@ def run(argv, out=None, err=None, stdin=None):
 
 
 def main(argv=None):
-    sys.exit(run(argv if argv is not None else sys.argv[1:]))
+    try:
+        code = run(argv if argv is not None else sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader of stdout is gone (`hahnforge ... | head -1`): point
+        # stdout at devnull, so that the interpreter's last flush does not
+        # fail again, and exit 1 without a traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

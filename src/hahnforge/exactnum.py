@@ -27,7 +27,9 @@ lift at precision k is that lift reduced mod p^k, so a field of q elements
 never has more than q entries.  A missing or too short entry is computed in
 closed form a^(p^(k-1)) mod p^k when r = 1, and otherwise by fixpoint
 iteration x -> x^(p^r), which gains at least one p-adic digit per step, so
-`prec` iterations always suffice.  Rational numbers are stdlib
+`prec` iterations always suffice.  Teichmüller digits are read from plain
+int coefficients by one routine, digit_coeffs, which digit_decompose and
+p-adic normalization share.  Rational numbers are stdlib
 fractions.Fraction throughout.
 
 Roots in F_q of a polynomial over F_q (fq_poly_roots) are the roots of
@@ -57,6 +59,7 @@ __all__ = [
     "find_modulus",
     "is_prime",
     "teichmueller",
+    "digit_coeffs",
     "digit_decompose",
     "fq_poly_roots",
     "subfield_embedding",
@@ -622,36 +625,48 @@ def teichmueller(a: FqElem, prec: int) -> WittElem:
     return WittElem(cfg, tuple(c % pk for c in _lift(cfg, a.coeffs, prec)), prec)
 
 
-def digit_decompose(c: WittElem) -> tuple:
-    """Teichmüller digits (d_0, ..., d_{prec-1}) with c = sum [d_i] p^i.
+def digit_coeffs(cfg: PrimeConfig, coeffs, prec: int, count: int) -> list:
+    """The first `count` Teichmüller digits of the Witt vector with int
+    coefficients `coeffs` (known mod p^prec), as coefficient tuples.
 
-    Digit i is only determined modulo p^(prec-i); the returned tuple always
-    has length c.prec.
+    Digit i is d = (c mod p) for the current coefficients c, after which
+    c becomes (c - [d]) / p; digit i is only determined mod p^(prec-i), so
+    count is at most prec.  No FqElem or WittElem is built.
     """
     # The coefficients are never reduced: subtracting the lift of digit d
     # leaves them divisible by p, and a lift read at a higher precision than
     # rem moves them by multiples of p^rem, which no later digit sees.
-    cfg = c.cfg
     p = cfg.p
     digits = []
     if cfg.r == 1:
-        # the loop below on the single coefficient as a plain int
-        x = c.coeffs[0]
-        for rem in range(c.prec, 0, -1):
+        # the loop below on the single coefficient as a plain int; the floor
+        # division drops d itself, so the lifts [0] = 0 and [1] = 1 need no read
+        x = coeffs[0]
+        for rem in range(prec, prec - count, -1):
             d = x % p
-            digits.append(FqElem(cfg, (d,)))
-            if d:
+            digits.append((d,))
+            if d > 1:
                 x -= _lift(cfg, (d,), rem)[0]
             x //= p
-        return tuple(digits)
-    cur = c.coeffs
-    for rem in range(c.prec, 0, -1):
+        return digits
+    cur = coeffs
+    for rem in range(prec, prec - count, -1):
         d = tuple([x % p for x in cur])
-        digits.append(FqElem(cfg, d))
+        digits.append(d)
         if any(d):
             cur = [x - y for x, y in zip(cur, _lift(cfg, d, rem))]
         cur = [x // p for x in cur]
-    return tuple(digits)
+    return digits
+
+
+def digit_decompose(c: WittElem) -> tuple:
+    """Teichmüller digits (d_0, ..., d_{prec-1}) with c = sum [d_i] p^i.
+
+    The digits of `digit_coeffs` as FqElems; digit i is only determined
+    modulo p^(prec-i), and the returned tuple always has length c.prec.
+    """
+    cfg = c.cfg
+    return tuple(FqElem(cfg, d) for d in digit_coeffs(cfg, c.coeffs, c.prec, c.prec))
 
 
 def fq_poly_roots(coeffs) -> set:

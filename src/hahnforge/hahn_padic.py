@@ -8,14 +8,18 @@ digit terms generate carries; normalization is where all of them are resolved.
 
 Normalization works in the fractional-part coordinates: raw terms k*[d]*p^e
 (the bag coefficient is an int k, a digit d or a pair (k, d)) are bucketed by
-e mod 1, each bucket is summed inside a truncated Witt ring whose length is
-sized from the cap plus the constant GUARD_DIGITS (carries only propagate
-upward), the bucket sum is digit-decomposed, and the digit streams of the
-buckets are merged.  Distinct fractional parts can never interact, which is
-why the bucketing is sound.  Exponents are handled as ints x standing for
-x/den: a caller that already counts exponents over a common denominator
-(products, certificate residuals) passes den= and normalize builds no
-Fraction until the output digits; Fraction exponents are scaled to ints.
+e mod 1, and each capped bucket is summed as plain int coefficients: every
+term adds k * p^(integer part - offset) times its digit's Teichmüller lift,
+read from the lift table, modulo p^ell, where ell is sized from the cap plus
+the constant GUARD_DIGITS (carries only propagate upward).  exactnum's
+digit_coeffs reads off only the digits below the cap, an FqElem is built for
+each nonzero one, and no WittElem is built.  The digit streams of the
+buckets are then merged.  Distinct fractional parts can never interact,
+which is why the bucketing is sound.  Exponents are handled as ints x
+standing for x/den: a caller that already counts exponents over a common
+denominator (products, certificate residuals) passes den= and normalize
+builds no Fraction until the output digits; Fraction exponents are scaled to
+ints.
 
 The same fractional-part coordinates, kept as honest Witt values instead of
 digits, form a second representation (FracDecomp).  Multiplication performed
@@ -39,7 +43,8 @@ import math
 from fractions import Fraction
 
 from .errors import PrecisionLoss
-from .exactnum import FqElem, PrimeConfig, WittElem, digit_decompose, teichmueller
+from .exactnum import (FqElem, PrimeConfig, WittElem, _lift, digit_coeffs,
+                       digit_decompose, teichmueller)
 from .series import INF, TruncatedSeries, as_frac
 
 GUARD_DIGITS = 2  # carries only propagate upward: these absorb the cap boundary
@@ -64,21 +69,25 @@ def _floor(x: Fraction) -> int:
 # normalization kernel
 # ---------------------------------------------------------------------------
 
-def _int_lift(cfg, d: FqElem):
-    """Exact integer Teichmüller lift, or None when it does not exist."""
-    if d.is_zero():
-        return 0
-    if all(c == 0 for c in d.coeffs[1:]):
-        c0 = d.coeffs[0]
-        if c0 == 1:
-            return 1
-        if c0 == cfg.p - 1 and cfg.p > 2:
+def _int_lift(coeffs, p):
+    """Exact integer Teichmüller lift of the digit `coeffs`, or None when it
+    does not exist."""
+    if not any(coeffs[1:]):
+        c0 = coeffs[0]
+        if c0 == 0 or c0 == 1:
+            return c0
+        if c0 == p - 1 and p > 2:
             return -1
     return None
 
 
+def _no_int_lift(cfg, coeffs):
+    return PrecisionLoss(f"digit {FqElem(cfg, coeffs)} has no integer "
+                         "Teichmüller lift; a cap is required")
+
+
 def _bucket_exact(cfg, items, n_min):
-    """Exact digit extraction for one fractional-part bucket.
+    """Exact digits (coefficient tuples) of one fractional-part bucket.
 
     Every digit must have an integer Teichmüller lift; the bucket sum is
     then a rational integer whose greedy digit expansion either terminates
@@ -87,43 +96,43 @@ def _bucket_exact(cfg, items, n_min):
     p = cfg.p
     cur = 0
     for n, k, d in items:
-        lift = _int_lift(cfg, d)
+        lift = _int_lift(d.coeffs, p)
         if lift is None:
-            raise PrecisionLoss(
-                f"digit {d} has no integer Teichmüller lift; a cap is required")
+            raise _no_int_lift(cfg, d.coeffs)
         cur += k * lift * p ** (n - n_min)
-    digits = []
+    digits, zeros = [], (0,) * (cfg.r - 1)
     while cur:
         if len(digits) >= cfg.l_max:
             raise PrecisionLoss(
                 f"digit expansion did not terminate within l_max={cfg.l_max}")
-        d = cfg.fq(cur % p)
+        d = (cur % p,) + zeros
         digits.append(d)
-        lift = _int_lift(cfg, d)
+        lift = _int_lift(d, p)
         if lift is None:
-            raise PrecisionLoss(
-                f"digit {d} has no integer Teichmüller lift; a cap is required")
+            raise _no_int_lift(cfg, d)
         cur = (cur - lift) // p
     return digits
 
 
 def _bucket_capped(cfg, items, n_min, need):
-    """The first `need` digits of one bucket, summed mod p^(need + GUARD_DIGITS)."""
+    """The first `need` digits (coefficient tuples) of one bucket.
+
+    Each item's Teichmüller lift, read from the lift table, is scaled by its
+    integer multiplier; the sum of those int coefficient lists, reduced mod
+    p^(need + GUARD_DIGITS), is read by `digit_coeffs`.
+    """
     ell = need + GUARD_DIGITS
     if ell > cfg.l_max:
         raise PrecisionLoss(
             f"bucket needs Witt length {ell} > l_max={cfg.l_max}")
     p = cfg.p
-    mult = {}  # digit coeffs -> [digit, integer multiplier of its lift]
-    for n, k, d in items:
-        mult.setdefault(d.coeffs, [d, 0])[1] += k * p ** (n - n_min)
     total = [0] * cfg.r
-    for d, m in mult.values():
-        for i, c in enumerate(teichmueller(d, prec=ell).coeffs):
-            total[i] += m * c
+    for n, k, d in items:
+        m = k * p ** (n - n_min)
+        for i, x in enumerate(_lift(cfg, d.coeffs, ell)):
+            total[i] += m * x
     pk = p ** ell
-    w = WittElem(cfg, tuple(c % pk for c in total), ell)
-    return digit_decompose(w)[:need]
+    return digit_coeffs(cfg, [x % pk for x in total], ell, need)
 
 
 def normalize(cfg: PrimeConfig, bag, cap, den: int = 1) -> "PHahn":
@@ -136,9 +145,10 @@ def normalize(cfg: PrimeConfig, bag, cap, den: int = 1) -> "PHahn":
     they are, and Fraction exponents are scaled by the lcm of their
     denominators (den with them), so bucketing, cap tests and sorting run on
     ints and one Fraction is built per output digit.  Terms are bucketed by the
-    fractional part q of the exponent; a capped bucket is summed in a
-    truncated Witt ring at ceil(cap - q) digits past its offset plus
-    GUARD_DIGITS, digit decomposed, and the buckets merged.
+    fractional part q of the exponent; a capped bucket is summed as int
+    coefficients mod p^(ceil(cap - q) - offset + GUARD_DIGITS) and its digits
+    read up to the cap, and the buckets are merged.  An FqElem is built only
+    for an output digit.
     """
     cap = as_frac(cap)
     one = cfg.fq(1)
@@ -181,8 +191,8 @@ def normalize(cfg: PrimeConfig, bag, cap, den: int = 1) -> "PHahn":
                 continue
             digits = _bucket_capped(cfg, items, n_min, need)
         for i, d in enumerate(digits):
-            if not d.is_zero():
-                out.append(((n_min + i) * den + q, d))
+            if any(d):
+                out.append(((n_min + i) * den + q, FqElem(cfg, d)))
     out.sort(key=lambda t: t[0])
     return PHahn(cfg, tuple((Fraction(x, den), d) for x, d in out), cap)
 

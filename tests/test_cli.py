@@ -388,6 +388,42 @@ class TestStdinBatch:
         assert invoke(["--json", "val", "-"], "\n\n") == (0, "", "")
 
 
+class TestPayloadOnlyUnderJson:
+    def test_text_mode_builds_no_json_payload(self, monkeypatch):
+        def refuse(value, base):
+            raise RuntimeError("a JSON payload was built in text mode")
+
+        monkeypatch.setattr(cli, "_series_json", refuse)
+        argv = ["-p", "2", "certificate-check", "1,0,1", "--cap", "1"]
+        assert invoke(argv) == (
+            0, (GOLDEN_DIR / "certificate_quadratic.txt").read_text(), "")
+        assert invoke(["normalize", "-"], "[1]*p^(0) + [1]*p^(0) + O(p^(3))\n") == (
+            0, "[1]*p^(1) + O(p^(3))\n", "")
+
+
+class TestClosedPipe:
+    def test_closed_stdout_ends_without_a_traceback(self, tmp_path):
+        # 20,000 output lines are far more than a pipe buffer holds, so the
+        # command is still printing when its reader goes away
+        batch = tmp_path / "batch.txt"
+        batch.write_text("".join(f"[1]*p^({i % 7}) + O(p^({i % 7 + 3}))\n"
+                                 for i in range(20000)))
+        src = pathlib.Path(cli.__file__).parents[1]
+        with open(batch, "rb") as stdin:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "hahnforge.cli", "-p", "2", "normalize", "-"],
+                stdin=stdin, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                env={**os.environ, "PYTHONPATH": str(src)})
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            err = proc.stderr.read()
+            proc.stderr.close()
+            code = proc.wait(timeout=60)
+        assert first == b"[1] + O(p^(3))\n"
+        assert b"Traceback" not in err
+        assert code == 1
+
+
 class TestConfigFile:
     def test_env_defaults_apply(self, tmp_path, monkeypatch):
         cfgfile = tmp_path / "cfg.json"

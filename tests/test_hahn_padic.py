@@ -255,6 +255,117 @@ class TestExponentDenominator:
         assert all(type(e) is Fr for e, _ in out.digits)
 
 
+def _oracle_mul(a, b, cfg, pk):
+    """a * b in Z[g]/(pk, modulus) by schoolbook product and reduction."""
+    r = cfg.r
+    out = [0] * (2 * r - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    for i in range(len(out) - 1, r - 1, -1):   # g^r = -(m_0 + ... + m_(r-1) g^(r-1))
+        for j in range(r):
+            out[i - r + j] -= out[i] * cfg.modulus[j]
+    return [x % pk for x in out[:r]]
+
+
+def _oracle_lift(cfg, digit, prec):
+    """The Teichmüller lift of `digit` mod p^prec: the fixpoint of x -> x^q,
+    each power by q schoolbook products."""
+    pk = cfg.p ** prec
+    x = [c % pk for c in digit]
+    while True:
+        y = [1] + [0] * (cfg.r - 1)
+        for _ in range(cfg.q):
+            y = _oracle_mul(y, x, cfg, pk)
+        if y == x:
+            return x
+        x = y
+
+
+def capped_oracle(cfg, bag, cap):
+    """normalize(cfg, bag, cap) for (k, digit) coefficients and a finite cap,
+    without the package's lift table or digit reader: each fractional-part
+    bucket is summed in the WittElem ring from the oracle's own lifts, at
+    exactly as many digits as lie below the cap, and its digits are read off
+    greedily."""
+    p = cfg.p
+    buckets = {}
+    for (k, d), e in bag:
+        n = math.floor(e)
+        buckets.setdefault(e - n, []).append((n, k, d))
+    digits = []
+    for q, items in buckets.items():
+        n_min = min(n for n, _, _ in items)
+        prec = math.ceil(cap - q) - n_min
+        if prec <= 0:
+            continue
+        total = cfg.witt(0, prec=prec)
+        for n, k, d in items:
+            lift = cfg.witt(_oracle_lift(cfg, d.coeffs, prec), prec=prec)
+            total = total + lift * (k * p ** (n - n_min))
+        c = list(total.coeffs)
+        for i in range(prec):
+            pk = p ** (prec - i)
+            d = [x % p for x in c]
+            if any(d):
+                digits.append((q + n_min + i, cfg.fq(d)))
+            c = [(x - y) % pk // p for x, y in zip(c, _oracle_lift(cfg, d, prec - i))]
+    return PHahn(cfg, tuple(sorted(digits, key=lambda t: t[0])), cap)
+
+
+ORACLE_FIELDS = [(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2), (2, 3)]
+
+
+@st.composite
+def capped_bags(draw):
+    """A field, a bag of (k, digit) terms and a finite cap.
+
+    Digits come from a pool of at most three (so they repeat); multipliers
+    are small, negative or large; the terms fall into up to three
+    fractional parts; the cap lies 1/4 to 3 above the exponent of a term,
+    often just above its bucket's offset."""
+    p, r = draw(st.sampled_from(ORACLE_FIELDS))
+    cfg = PrimeConfig.make(p, r)
+    digit = st.lists(st.integers(0, p - 1), min_size=r, max_size=r).map(cfg.fq)
+    pool = draw(st.lists(digit, min_size=1, max_size=3))
+    fracs = draw(st.lists(st.sampled_from([Fr(0), Fr(1, 2), Fr(1, 3), Fr(2, 3),
+                                           Fr(1, p), Fr(p - 1, p)]),
+                          min_size=1, max_size=3))
+    k = st.one_of(st.integers(-5, 5), st.integers(-10 ** 9, 10 ** 9),
+                  st.builds(lambda s, j, c: s * p ** j + c, st.sampled_from([-1, 1]),
+                            st.integers(1, 12), st.integers(-1, 1)))
+    term = st.tuples(st.tuples(k, st.sampled_from(pool)),
+                     st.builds(lambda n, q: n + q, st.integers(-3, 3),
+                               st.sampled_from(fracs)))
+    bag = draw(st.lists(term, min_size=1, max_size=10))
+    low = draw(st.sampled_from(bag))[1]
+    return cfg, bag, low + Fr(draw(st.integers(1, 12)), 4)
+
+
+class TestCappedOracle:
+    """Capped normalize against capped_oracle, which shares no code with
+    the kernel's lift table or digit reader."""
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(capped_bags())
+    def test_matches_witt_ring_sum(self, cfg_bag_cap):
+        cfg, bag, cap = cfg_bag_cap
+        assert normalize(cfg, bag, cap) == capped_oracle(cfg, bag, cap)
+
+    @pytest.mark.parametrize("p,r,digit,k,cap,expected", [
+        # 1 + 1 = 2 = [2] + [1]*3 at p = 3 (see test_p3_one_plus_one)
+        (3, 1, [1], 2, 4, [(0, [2]), (1, [1])]),
+        # [2] in F_9 is one digit: its lift is -1, not 2, and all of it goes
+        (3, 2, [2, 0], 1, 3, [(0, [2, 0])]),
+    ], ids=["carry", "prime-field-digit"])
+    def test_known_buckets(self, p, r, digit, k, cap, expected):
+        cfg = PrimeConfig.make(p, r)
+        bag = [((k, cfg.fq(digit)), Fr(0))]
+        want = tuple((Fr(e), cfg.fq(d)) for e, d in expected)
+        assert capped_oracle(cfg, bag, Fr(cap)).digits == want
+        assert normalize(cfg, bag, Fr(cap)).digits == want
+
+
 class TestAddMul:
     def test_identities(self):
         cfg = PrimeConfig.make(3)
