@@ -9,11 +9,12 @@ digit terms generate carries; normalization is where all of them are resolved.
 Normalization works in the fractional-part coordinates: raw terms k*[d]*p^e
 (the bag coefficient is an int k, a digit d or a pair (k, d)) are bucketed by
 e mod 1, and each capped bucket is summed as plain int coefficients: every
-term adds k * p^(integer part - offset) times its digit's Teichmüller lift,
-read from the lift table, modulo p^ell, where ell is sized from the cap plus
-the constant GUARD_DIGITS (carries only propagate upward).  exactnum's
-digit_coeffs reads off only the digits below the cap, an FqElem is built for
-each nonzero one, and no WittElem is built.  The digit streams of the
+term adds k * p^(integer part - offset) times the coefficients of its
+digit's Teichmüller lift, modulo p^ell, where ell is sized from the cap plus
+the constant GUARD_DIGITS (carries only propagate upward).  `teichmueller`
+is asked once per distinct (digit, ell) in a normalize call, not per bucket.
+exactnum's digit_coeffs reads off only the digits below the cap, and an
+FqElem is built for each nonzero one.  The digit streams of the
 buckets are then merged.  Distinct fractional parts can never interact,
 which is why the bucketing is sound.  Exponents are handled as ints x
 standing for x/den: a caller that already counts exponents over a common
@@ -43,7 +44,7 @@ import math
 from fractions import Fraction
 
 from .errors import PrecisionLoss
-from .exactnum import (FqElem, PrimeConfig, WittElem, _lift, digit_coeffs,
+from .exactnum import (FqElem, PrimeConfig, WittElem, digit_coeffs,
                        digit_decompose, teichmueller)
 from .series import INF, TruncatedSeries, as_frac
 
@@ -114,12 +115,13 @@ def _bucket_exact(cfg, items, n_min):
     return digits
 
 
-def _bucket_capped(cfg, items, n_min, need):
+def _bucket_capped(cfg, items, n_min, need, lifts):
     """The first `need` digits (coefficient tuples) of one bucket.
 
-    Each item's Teichmüller lift, read from the lift table, is scaled by its
-    integer multiplier; the sum of those int coefficient lists, reduced mod
-    p^(need + GUARD_DIGITS), is read by `digit_coeffs`.
+    Each item's Teichmüller lift is scaled by its integer multiplier; the sum
+    of those int coefficient lists, reduced mod p^(need + GUARD_DIGITS), is
+    read by `digit_coeffs`.  `lifts` maps (digit coeffs, Witt length) to the
+    coefficients of `teichmueller`, shared by the buckets of one normalize.
     """
     ell = need + GUARD_DIGITS
     if ell > cfg.l_max:
@@ -128,8 +130,11 @@ def _bucket_capped(cfg, items, n_min, need):
     p = cfg.p
     total = [0] * cfg.r
     for n, k, d in items:
+        lift = lifts.get((d.coeffs, ell))
+        if lift is None:
+            lift = lifts[d.coeffs, ell] = teichmueller(d, ell).coeffs
         m = k * p ** (n - n_min)
-        for i, x in enumerate(_lift(cfg, d.coeffs, ell)):
+        for i, x in enumerate(lift):
             total[i] += m * x
     pk = p ** ell
     return digit_coeffs(cfg, [x % pk for x in total], ell, need)
@@ -173,6 +178,7 @@ def normalize(cfg: PrimeConfig, bag, cap, den: int = 1) -> "PHahn":
     if not exact:  # ceil(cap - q/den) = -((q * cd - cn) // (cd * den))
         cn, cd = cap.numerator * den, cap.denominator
     out = []  # (exponent * den, digit)
+    lifts = {}
     for q, items in buckets.items():
         n_min = min(n for n, _, _ in items)
         if exact:
@@ -189,7 +195,7 @@ def normalize(cfg: PrimeConfig, bag, cap, den: int = 1) -> "PHahn":
             need = -((q * cd - cn) // (cd * den)) - n_min
             if need <= 0:
                 continue
-            digits = _bucket_capped(cfg, items, n_min, need)
+            digits = _bucket_capped(cfg, items, n_min, need, lifts)
         for i, d in enumerate(digits):
             if any(d):
                 out.append(((n_min + i) * den + q, FqElem(cfg, d)))

@@ -416,9 +416,14 @@ class TestClosedPipe:
                 env={**os.environ, "PYTHONPATH": str(src)})
             first = proc.stdout.readline()
             proc.stdout.close()
+            # wait before reading stderr: a child that never exits then fails
+            # the test at the timeout instead of hanging it
+            try:
+                code = proc.wait(timeout=60)
+            finally:
+                proc.kill()
             err = proc.stderr.read()
             proc.stderr.close()
-            code = proc.wait(timeout=60)
         assert first == b"[1] + O(p^(3))\n"
         assert b"Traceback" not in err
         assert code == 1
