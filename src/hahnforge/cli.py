@@ -45,6 +45,7 @@ from .parsing import (
     parse_rational,
     parse_series,
     poly_to_coeffs,
+    printed_terms,
     series_to_eq,
     series_to_phahn,
 )
@@ -91,7 +92,7 @@ def _series_value(text, cfg):
 
 def _series_json(value, base):
     cap = None if value.is_exact() else list(value.cap.as_integer_ratio())
-    terms = [[e.numerator, e.denominator, str(c)] for e, c in value.terms]
+    terms = [list(t) for t in printed_terms(value)]
     return {"terms" if base == "t" else "digits": terms, "cap": cap}
 
 

@@ -13,9 +13,11 @@ exact.  Values are immutable and safe to share between tasks.
 
 from __future__ import annotations
 
+import math
+
 from .errors import DivisionByZero, PrecisionLoss
 from .exactnum import PrimeConfig
-from .series import INF, TruncatedSeries, as_frac, eval_poly
+from .series import INF, TruncatedSeries, as_frac, eval_poly, int_cap, ints_of
 
 __all__ = ["EqHahn", "eval_poly", "INF"]
 
@@ -32,18 +34,8 @@ class EqHahn(TruncatedSeries):
 
     def __init__(self, cfg: PrimeConfig, terms, cap=INF):
         cap = as_frac(cap)
-        merged = {}
-        for exp, coeff in terms:
-            exp = as_frac(exp)
-            if exp >= cap:
-                continue
-            if exp in merged:
-                merged[exp] = merged[exp] + coeff
-            else:
-                merged[exp] = cfg.fq(coeff)
-        items = sorted(((e, c) for e, c in merged.items() if not c.is_zero()),
-                       key=lambda t: t[0])
-        super().__init__(cfg, items, cap)
+        den, ints = ints_of([(as_frac(e), cfg.fq(c)) for e, c in terms])
+        self._init_ints(cfg, den, merged_terms(den, ints, cap), cap)
 
     @staticmethod
     def from_int(cfg, n: int) -> "EqHahn":
@@ -54,10 +46,13 @@ class EqHahn(TruncatedSeries):
     def __add__(self, other):
         self._check(other)
         cap = min(self.cap, other.cap)
-        return EqHahn(self.cfg, list(self.terms) + list(other.terms), cap)
+        den = math.lcm(self.den, other.den)
+        return EqHahn._trusted(self.cfg, den, merged_terms(
+            den, self.ints_over(den) + other.ints_over(den), cap), cap)
 
     def __neg__(self):
-        return EqHahn(self.cfg, [(e, -c) for e, c in self.terms], self.cap)
+        return EqHahn._trusted(self.cfg, self.den,
+                               ((n, -c) for n, c in self.ints), self.cap)
 
     def __sub__(self, other):
         return self + (-other)
@@ -68,15 +63,18 @@ class EqHahn(TruncatedSeries):
             return EqHahn.zero(self.cfg)
         cap = min(self.cap + other.val_lower_bound(),
                   other.cap + self.val_lower_bound())
+        den = math.lcm(self.den, other.den)
+        lim, b = int_cap(cap, den), other.ints_over(den)
         out = {}
-        for ea, ca in self.terms:
-            for eb, cb in other.terms:
-                e = ea + eb
-                if e >= cap:
+        for xa, ca in self.ints_over(den):
+            for xb, cb in b:
+                x = xa + xb
+                if x >= lim:
                     continue
                 prod = ca * cb
-                out[e] = out[e] + prod if e in out else prod
-        return EqHahn(self.cfg, out.items(), cap)
+                out[x] = out[x] + prod if x in out else prod
+        return EqHahn._trusted(self.cfg, den, merged_terms(den, out.items(), cap),
+                               cap)
 
     def inverse(self, target_cap) -> "EqHahn":
         """Inverse up to O(t^target_cap): leading-term peel-off + geometric series.
@@ -85,36 +83,42 @@ class EqHahn(TruncatedSeries):
         Monomials invert exactly.
         """
         target_cap = as_frac(target_cap)
-        if not self.terms:
+        if not self.ints:
             if self.is_exact():
                 raise DivisionByZero("inverse of the exact zero series")
             raise PrecisionLoss("cannot invert a series with no resolved term")
-        v, lead = self.terms[0]
-        if len(self.terms) == 1 and self.is_exact():
-            return EqHahn.monomial(self.cfg, lead.inv(), -v)
+        v, lead = self.leading()
+        scale = EqHahn.monomial(self.cfg, lead.inv(), -v)
+        if len(self.ints) == 1 and self.is_exact():
+            return scale
         if not self.is_exact() and target_cap > self.cap - 2 * v:
             raise PrecisionLoss(
                 f"cap O(t^{self.cap}) too small to invert to O(t^{target_cap})")
-        lead_inv = lead.inv()
         # u = self / (lead t^v) - 1 has positive valuation
-        u = EqHahn(self.cfg,
-                   [(e - v, c * lead_inv) for e, c in self.terms[1:]],
-                   (self.cap - v) if not self.is_exact() else INF)
+        u = self.strip_leading() * scale
         vu = u.val_lower_bound()
         inner_cap = target_cap + v
         acc = EqHahn.one(self.cfg, inner_cap)
         power = EqHahn.one(self.cfg)
         k = 1
-        while k * vu < inner_cap and power.terms:
+        while k * vu < inner_cap and power.ints:
             power = (power * (-u)).truncate(inner_cap)
             acc = acc + power
             k += 1
-        return EqHahn(self.cfg,
-                      [(e - v, c * lead_inv) for e, c in acc.terms],
-                      target_cap)
+        return acc * scale  # cap inner_cap - v = target_cap
 
     def frobenius(self) -> "EqHahn":
         """x -> x^p: exponents scale by p, coefficients by the p-power map."""
         p = self.cfg.p
         cap = self.cap if self.is_exact() else self.cap * p
-        return EqHahn(self.cfg, [(e * p, c ** p) for e, c in self.terms], cap)
+        return EqHahn._trusted(self.cfg, self.den,
+                               ((n * p, c ** p) for n, c in self.ints), cap)
+
+
+def merged_terms(den, ints, cap):
+    """Int terms over den merged by exponent: below cap, nonzero, sorted."""
+    lim, merged = int_cap(cap, den), {}
+    for n, c in ints:
+        if n < lim:
+            merged[n] = merged[n] + c if n in merged else c
+    return sorted((n, c) for n, c in merged.items() if not c.is_zero())

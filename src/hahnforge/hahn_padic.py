@@ -13,14 +13,12 @@ term adds k * p^(integer part - offset) times the coefficients of its
 digit's Teichmüller lift, modulo p^ell, where ell is sized from the cap plus
 the constant GUARD_DIGITS (carries only propagate upward).  `teichmueller`
 is asked once per distinct (digit, ell) in a normalize call, not per bucket.
-exactnum's digit_coeffs reads off only the digits below the cap, and an
-FqElem is built for each nonzero one.  The digit streams of the
+exactnum's digit_coeffs reads off only the digits below the cap, and one
+FqElem is built per distinct digit in a call.  The digit streams of the
 buckets are then merged.  Distinct fractional parts can never interact,
-which is why the bucketing is sound.  Exponents are handled as ints x
-standing for x/den: a caller that already counts exponents over a common
-denominator (products, certificate residuals) passes den= and normalize
-builds no Fraction until the output digits; Fraction exponents are scaled to
-ints.
+which is why the bucketing is sound.  Exponents are ints x standing for
+x/den, in the bag (sums, products and certificate residuals pass den=) and
+in the output value (see series), so normalize builds no Fraction.
 
 The same fractional-part coordinates, kept as honest Witt values instead of
 digits, form a second representation (FracDecomp).  Multiplication performed
@@ -60,10 +58,6 @@ __all__ = [
     "recompose",
     "mul_via_decomposition",
 ]
-
-
-def _floor(x: Fraction) -> int:
-    return x.numerator // x.denominator
 
 
 # ---------------------------------------------------------------------------
@@ -148,21 +142,28 @@ def normalize(cfg: PrimeConfig, bag, cap, den: int = 1) -> "PHahn":
     (k, d), and is read as the pair (n, [1]), (1, d) or (k, d).  Every
     exponent x stands for x/den (den a positive int): int exponents go in as
     they are, and Fraction exponents are scaled by the lcm of their
-    denominators (den with them), so bucketing, cap tests and sorting run on
-    ints and one Fraction is built per output digit.  Terms are bucketed by the
+    denominators (den with them); all exponent work, the output included,
+    is on ints, and no Fraction is built.  Terms are bucketed by the
     fractional part q of the exponent; a capped bucket is summed as int
     coefficients mod p^(ceil(cap - q) - offset + GUARD_DIGITS) and its digits
-    read up to the cap, and the buckets are merged.  An FqElem is built only
-    for an output digit.
+    read up to the cap, and the buckets are merged.  One FqElem is built per
+    distinct digit not already in the bag.
     """
     cap = as_frac(cap)
-    one = cfg.fq(1)
+    p, elems = cfg.p, {}
+
+    def digit(coeffs):
+        d = elems.get(coeffs)
+        if d is None:
+            d = elems[coeffs] = FqElem(cfg, coeffs)
+        return d
+
     raw = []
     for coeff, exp in bag:
         if isinstance(coeff, FqElem):
             k, d = 1, coeff
         elif isinstance(coeff, int):
-            k, d = coeff, one
+            k, d = coeff, digit((1,) + (0,) * (cfg.r - 1))
         elif isinstance(coeff, tuple) and len(coeff) == 2:
             k, d = coeff
         else:
@@ -183,11 +184,11 @@ def normalize(cfg: PrimeConfig, bag, cap, den: int = 1) -> "PHahn":
         n_min = min(n for n, _, _ in items)
         if exact:
             if (len({n for n, _, _ in items}) == len(items)
-                    and all(k == 1 or (k == -1 and cfg.p > 2)
-                            for _, k, _ in items)):
+                    and all(k == 1 or (k == -1 and p > 2) for _, k, _ in items)):
                 # single digits at distinct integer parts are already a
                 # standard expansion ([p-1] is -1 exactly at odd p)
-                out.extend((n * den + q, d if k == 1 else d * cfg.fq(cfg.p - 1))
+                out.extend((n * den + q, d if k == 1 else
+                            digit(tuple(-x % p for x in d.coeffs)))
                            for n, k, d in items if not d.is_zero())
                 continue
             digits = _bucket_exact(cfg, items, n_min)
@@ -196,22 +197,10 @@ def normalize(cfg: PrimeConfig, bag, cap, den: int = 1) -> "PHahn":
             if need <= 0:
                 continue
             digits = _bucket_capped(cfg, items, n_min, need, lifts)
-        for i, d in enumerate(digits):
-            if any(d):
-                out.append(((n_min + i) * den + q, FqElem(cfg, d)))
+        out.extend(((n_min + i) * den + q, elems[d] if d in elems else digit(d))
+                   for i, d in enumerate(digits) if any(d))
     out.sort(key=lambda t: t[0])
-    return PHahn(cfg, tuple((Fraction(x, den), d) for x, d in out), cap)
-
-
-def _indexed(terms, den):
-    """Terms as (exponent * den, digit index) pairs, and the distinct digits."""
-    index, digits, out = {}, [], []
-    for e, d in terms:
-        i = index.setdefault(d.coeffs, len(digits))
-        if i == len(digits):
-            digits.append(d)
-        out.append((e.numerator * (den // e.denominator), i))
-    return out, digits
+    return PHahn._trusted(cfg, den, out, cap)
 
 
 class PHahn(TruncatedSeries):
@@ -225,11 +214,7 @@ class PHahn(TruncatedSeries):
     __slots__ = ()
     BASE = "p"
 
-    @property
-    def digits(self):
-        """The (exponent, digit) pairs of the standard expansion."""
-        return self.terms
-
+    digits = TruncatedSeries.terms  # the (exponent, digit) pairs
     digit_at = TruncatedSeries.coeff_at
 
     def digit_bag(self):
@@ -237,24 +222,23 @@ class PHahn(TruncatedSeries):
 
     # arithmetic --------------------------------------------------------------
 
-    def __add__(self, other):
+    def __add__(self, other, k=1):
+        """self + k*other for k = 1 or -1."""
         self._check(other)
-        cap = min(self.cap, other.cap)
-        return normalize(self.cfg, self.digit_bag() + other.digit_bag(), cap)
+        den = math.lcm(self.den, other.den)
+        bag = [(d, x) for x, d in self.ints_over(den)]
+        bag += [((k, d), x) for x, d in other.ints_over(den)]
+        return normalize(self.cfg, bag, min(self.cap, other.cap), den=den)
 
     def __neg__(self):
-        p = self.cfg.p
-        if p > 2:
-            minus_one = self.cfg.fq(p - 1)  # [p-1] = -1 exactly for odd p
-            return PHahn(self.cfg, tuple((e, d * minus_one) for e, d in self.terms),
-                         self.cap)
-        return normalize(self.cfg, [((-1, d), e) for e, d in self.terms], self.cap)
+        if self.cfg.p > 2:  # [p-1] = -1 exactly for odd p
+            return PHahn._trusted(self.cfg, self.den,
+                                  ((n, -d) for n, d in self.ints), self.cap)
+        return normalize(self.cfg, [((-1, d), x) for x, d in self.ints], self.cap,
+                         den=self.den)
 
     def __sub__(self, other):
-        self._check(other)
-        cap = min(self.cap, other.cap)
-        bag = self.digit_bag() + [((-1, d), e) for e, d in other.terms]
-        return normalize(self.cfg, bag, cap)
+        return self.__add__(other, -1)
 
     def __mul__(self, other):
         self._check(other)
@@ -264,22 +248,21 @@ class PHahn(TruncatedSeries):
                   other.cap + self.val_lower_bound())
         # Equal products enter the bag once as (count, digit): a dense square
         # has far fewer distinct (exponent, digit pair) products than pairs.
-        # Exponents are counted as integers over a common denominator and
-        # digits by index, so the pair loop does no Fraction or field work.
-        den = math.lcm(*(e.denominator for e, _ in self.terms + other.terms))
-        a, da = _indexed(self.terms, den)
-        b, db = _indexed(other.terms, den)
+        # The pair loop adds ints and keys digits by their coefficients.
+        den = math.lcm(self.den, other.den)
+        b = [(x, d.coeffs) for x, d in other.ints_over(den)]
         counts = {}
-        for xa, ia in a:
-            for xb, ib in b:
-                key = (xa + xb, ia, ib)
+        for xa, da in self.ints_over(den):
+            ca = da.coeffs
+            for xb, cb in b:
+                key = (xa + xb, ca, cb)
                 counts[key] = counts.get(key, 0) + 1
-        digit = {}
-        bag = []
-        for (x, ia, ib), k in counts.items():
-            d = digit.get((ia, ib))
+        elems = {d.coeffs: d for _, d in self.ints + other.ints}
+        prods, bag = {}, []
+        for (x, ca, cb), k in counts.items():
+            d = prods.get((ca, cb))
             if d is None:
-                d = digit[ia, ib] = da[ia] * db[ib]
+                d = prods[ca, cb] = elems[ca] * elems[cb]
             bag.append((d if k == 1 else (k, d), x))
         return normalize(self.cfg, bag, cap, den=den)
 
@@ -364,7 +347,7 @@ def decompose(x: PHahn, cover=None) -> FracDecomp:
         raise PrecisionLoss("cannot cover beyond the cap of a truncated value")
     buckets = {}
     for e, d in x.terms:
-        n = _floor(e)
+        n = math.floor(e)
         buckets.setdefault(e - n, []).append((n, d))
     entries = []
     for q in sorted(buckets):

@@ -48,7 +48,7 @@ from .errors import (
     PrecisionLoss,
 )
 from .exactnum import PrimeConfig, fq_poly_roots, subfield_embedding
-from .hahn_eqchar import EqHahn
+from .hahn_eqchar import EqHahn, merged_terms
 from .hahn_padic import PHahn, normalize
 from .series import INF, as_frac, eval_poly
 
@@ -179,8 +179,7 @@ def _taylor_shift(coeffs, tau):
     (e, c), = tau.terms
     cfg, n = tau.cfg, len(coeffs)
     padic = isinstance(tau, PHahn)
-    den = math.lcm(e.denominator,
-                   *(x.denominator for a in coeffs for x, _ in a.terms),
+    den = math.lcm(tau.den, *(a.den for a in coeffs),
                    *(x.denominator for x in [tau.cap] + [a.cap for a in coeffs]
                      if x != INF))
 
@@ -188,8 +187,7 @@ def _taylor_shift(coeffs, tau):
         return x if x == INF else x.numerator * (den // x.denominator)
 
     step, tau_cap = scaled(e), scaled(tau.cap)
-    rows = [([(scaled(x), d) for x, d in a.terms], scaled(a.cap),
-             a.is_exact_zero()) for a in coeffs]
+    rows = [(a.ints_over(den), scaled(a.cap), a.is_exact_zero()) for a in coeffs]
     cpow = [cfg.fq(1)]
     for _ in range(n - 1):
         cpow.append(cpow[-1] * c)
@@ -216,13 +214,9 @@ def _taylor_shift(coeffs, tau):
         if padic:
             out.append(normalize(cfg, bag, frac_cap, den=den))
         else:
-            merged = {}
-            for (binom, d), x in bag:
-                d = d * binom if binom != 1 else d
-                merged[x] = merged[x] + d if x in merged else d
-            out.append(EqHahn._trusted(cfg, [(Fraction(x, den), d) for x, d
-                                             in sorted(merged.items())
-                                             if not d.is_zero()], frac_cap))
+            ints = [(x, d * binom if binom != 1 else d) for (binom, d), x in bag]
+            out.append(EqHahn._trusted(cfg, den, merged_terms(den, ints, frac_cap),
+                                       frac_cap))
     return out
 
 

@@ -21,6 +21,7 @@ on canonical forms and parse-then-print is the identity on ASTs.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import ParseError
@@ -38,6 +39,7 @@ __all__ = [
     "parse_index_vec",
     "parse_rational",
     "format_series",
+    "printed_terms",
     "format_ast",
     "format_rational",
     "series_to_eq",
@@ -62,9 +64,9 @@ def tokenize(text: str):
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             out.append(("int", int(text[i:j]), i))
             i = j
@@ -185,12 +187,12 @@ def _parse_fqpoly(cur):
 
 
 def _fq_from_ast(cfg, terms):
-    vec = [0] * cfg.r
+    """The bracket's terms summed by g-power, reduced once (reduction is
+    linear)."""
+    poly = [0] * (max(gpow for _, gpow in terms) + 1)
     for coeff, gpow in terms:
-        poly = [0] * gpow + [coeff]
-        elem = cfg.fq(poly)
-        vec = [(a + b) % cfg.p for a, b in zip(vec, elem.coeffs)]
-    return cfg.fq(vec)
+        poly[gpow] += coeff
+    return cfg.fq(poly)
 
 
 # ---------------------------------------------------------------------------
@@ -318,14 +320,24 @@ def series_to_phahn(ast, cfg) -> PHahn:
     return normalize(cfg, bag, INF if cap is None else cap)
 
 
+def printed_terms(value):
+    """(numerator, denominator, coefficient text) of each term of a series
+    in lowest terms: one gcd per term, one str per distinct coefficient."""
+    den, text = value.den, {}
+    for n, c in value.ints:
+        s = text.get(c.coeffs)
+        if s is None:
+            s = text[c.coeffs] = str(c)
+        g = math.gcd(n, den)
+        yield n // g, den // g, s
+
+
 def format_series(value, base: str) -> str:
     """Canonical text for an EqHahn or PHahn value."""
     parts = []
-    for e, c in value.terms:
-        if not e:
-            parts.append(f"[{c}]")
-        else:
-            parts.append(f"[{c}]*{base}^({format_rational(e)})")
+    for num, den, c in printed_terms(value):
+        exp = num if den == 1 else f"{num}/{den}"
+        parts.append(f"[{c}]*{base}^({exp})" if num else f"[{c}]")
     if not value.is_exact():
         parts.append(f"O({base}^({format_rational(value.cap)}))")
     return " + ".join(parts) if parts else "0"

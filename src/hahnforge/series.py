@@ -1,8 +1,10 @@
 """Truncated-series core shared by the two Hahn-series rings.
 
-A value is (cfg, terms, cap): `terms` is a tuple of (exponent, coefficient)
-pairs with rational exponents (fractions.Fraction), strictly increasing, all
-strictly below `cap`, and nonzero coefficients in F_{p^r}.  Everything below
+A value is (cfg, den, ints, cap): the terms c * base^(n/den) for the pairs
+(n, c) of `ints`, n strictly increasing, all strictly below the Fraction
+`cap`, c nonzero in F_{p^r}.  `den` is the lcm of the reduced exponent
+denominators (1 for no terms), so equal values have equal (den, ints, cap);
+`terms`, the (Fraction, c) view, is built on first read.  Everything below
 the cap is exact; everything at or above it is unknown.  cap = INF marks an
 exact finite series.  Zero with a finite cap means "zero up to O(base^cap)"
 and has no valuation: an unresolved residual is never treated as exactly
@@ -36,36 +38,76 @@ def as_frac(x):
     return Fraction(x)
 
 
+def ints_of(terms):
+    """(den, int terms over den) of (Fraction exponent, coefficient) pairs."""
+    den = math.lcm(*(e.denominator for e, _ in terms))
+    return den, [(e.numerator * (den // e.denominator), c) for e, c in terms]
+
+
+def int_cap(cap, den):
+    """n/den < cap exactly when n < int_cap(cap, den); INF for an exact cap."""
+    if cap is INF or cap == INF:
+        return INF
+    return -(-cap.numerator * den // cap.denominator)
+
+
 class TruncatedSeries:
     """Base of EqHahn and PHahn; BASE is the printed variable ("t" or "p").
 
-    This constructor trusts its input to be canonical already (see the module
-    docstring); ring classes that canonicalize override it, so operations here
-    build results through _trusted and filter at the cap themselves.
+    This constructor takes canonical (exponent, coefficient) pairs on trust
+    (see the module docstring); ring classes that canonicalize override it,
+    so operations here build results from int terms through _trusted.
     """
 
-    __slots__ = ("cfg", "terms", "cap")
+    __slots__ = ("cfg", "den", "ints", "cap", "_terms")
     BASE = None
 
     def __init__(self, cfg: PrimeConfig, terms, cap=INF):
-        object.__setattr__(self, "cfg", cfg)
-        object.__setattr__(self, "terms", tuple(terms))
-        object.__setattr__(self, "cap", as_frac(cap))
+        terms = tuple((as_frac(e), c) for e, c in terms)
+        self._init_ints(cfg, *ints_of(terms), as_frac(cap))
+        object.__setattr__(self, "_terms", terms)
+
+    def _init_ints(self, cfg, den, ints, cap):
+        """Set the slots: int terms over den, reduced by one gcd, and cap."""
+        ints = tuple(ints)
+        g = math.gcd(den, *[n for n, _ in ints]) if den > 1 else 1
+        if g > 1:
+            den //= g
+            ints = tuple([(n // g, c) for n, c in ints])
+        set_slot = object.__setattr__
+        set_slot(self, "cfg", cfg)
+        set_slot(self, "den", den)
+        set_slot(self, "ints", ints)
+        set_slot(self, "cap", cap)
+        set_slot(self, "_terms", None)
 
     @classmethod
-    def _trusted(cls, cfg, terms, cap):
+    def _trusted(cls, cfg, den, ints, cap):
         self = object.__new__(cls)
-        TruncatedSeries.__init__(self, cfg, terms, cap)
+        self._init_ints(cfg, den, ints, cap)
         return self
 
     def __setattr__(self, *a):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
+    @property
+    def terms(self):
+        """The (Fraction exponent, coefficient) pairs, built on first read."""
+        if self._terms is None:
+            object.__setattr__(self, "_terms", tuple(
+                (Fraction(n, self.den), c) for n, c in self.ints))
+        return self._terms
+
+    def ints_over(self, den):
+        """The int terms over den, a multiple of self.den, as a list."""
+        s = den // self.den
+        return [(n * s, c) for n, c in self.ints]
+
     # constructors ------------------------------------------------------------
 
     @classmethod
     def zero(cls, cfg, cap=INF):
-        return cls._trusted(cfg, (), cap)
+        return cls._trusted(cfg, 1, (), as_frac(cap))
 
     @classmethod
     def one(cls, cfg, cap=INF):
@@ -75,8 +117,8 @@ class TruncatedSeries:
     def monomial(cls, cfg, coeff, exp, cap=INF):
         """coeff * base^exp below cap (no term when exp >= cap or coeff = 0)."""
         c, exp, cap = cfg.fq(coeff), as_frac(exp), as_frac(cap)
-        terms = ((exp, c),) if exp < cap and not c.is_zero() else ()
-        return cls._trusted(cfg, terms, cap)
+        ints = ((exp.numerator, c),) if exp < cap and not c.is_zero() else ()
+        return cls._trusted(cfg, exp.denominator, ints, cap)
 
     # predicates and views ----------------------------------------------------
 
@@ -84,18 +126,18 @@ class TruncatedSeries:
         return self.cap is INF or self.cap == INF
 
     def is_exact_zero(self) -> bool:
-        return not self.terms and self.is_exact()
+        return not self.ints and self.is_exact()
 
     def is_zero_below_cap(self) -> bool:
-        return not self.terms
+        return not self.ints
 
     def leading(self):
         """(exponent, coefficient) of the lowest term, or None."""
-        return self.terms[0] if self.terms else None
+        return self.terms[0] if self.ints else None
 
     def valuation(self):
         """min Supp; +inf only for the exact zero series."""
-        if self.terms:
+        if self.ints:
             return self.terms[0][0]
         if self.is_exact():
             return INF
@@ -103,16 +145,13 @@ class TruncatedSeries:
             f"series vanishes below O({self.BASE}^{self.cap}); valuation unresolved")
 
     def val_lower_bound(self):
-        if self.terms:
-            return self.terms[0][0]
-        return self.cap
+        return self.terms[0][0] if self.ints else self.cap
 
     def coeff_at(self, exp) -> FqElem:
         exp = as_frac(exp)
-        for e, c in self.terms:
-            if e == exp:
-                return c
-        return self.cfg.fq(0)
+        x, rem = divmod(exp.numerator * self.den, exp.denominator)
+        found = None if rem else dict(self.ints).get(x)
+        return self.cfg.fq(0) if found is None else found
 
     def _check(self, other):
         if type(other) is not type(self):
@@ -133,34 +172,41 @@ class TruncatedSeries:
     def shift(self, exp):
         """Multiply by the monomial base^exp (exact: exponent translation)."""
         exp = as_frac(exp)
+        den = math.lcm(self.den, exp.denominator)
+        x = exp.numerator * (den // exp.denominator)
         cap = self.cap if self.is_exact() else self.cap + exp
-        return self._trusted(self.cfg, ((e + exp, c) for e, c in self.terms), cap)
+        return self._trusted(self.cfg, den,
+                             ((n + x, c) for n, c in self.ints_over(den)), cap)
 
     def strip_leading(self):
         """Remove the lowest term (exact)."""
-        if not self.terms:
+        if not self.ints:
             return self
-        return self._trusted(self.cfg, self.terms[1:], self.cap)
+        return self._trusted(self.cfg, self.den, self.ints[1:], self.cap)
 
     def truncate(self, cap):
         cap = min(self.cap, as_frac(cap))
-        return self._trusted(self.cfg, (t for t in self.terms if t[0] < cap), cap)
+        lim = int_cap(cap, self.den)
+        return self._trusted(self.cfg, self.den,
+                             (t for t in self.ints if t[0] < lim), cap)
 
     def embed(self, big: PrimeConfig):
         """The same series over an extension field (small r divides big r)."""
         return self._trusted(
-            big, ((e, subfield_embedding(c, big)) for e, c in self.terms), self.cap)
+            big, self.den, ((n, subfield_embedding(c, big)) for n, c in self.ints),
+            self.cap)
 
     # comparisons -------------------------------------------------------------
 
     def __eq__(self, other):
         return (type(other) is type(self)
                 and self.cfg.same_field(other.cfg)
-                and self.terms == other.terms
+                and self.den == other.den
+                and self.ints == other.ints
                 and self.cap == other.cap)
 
     def __hash__(self):
-        return hash((self.cfg.p, self.cfg.modulus, self.terms, self.cap))
+        return hash((self.cfg.p, self.cfg.modulus, self.den, self.ints, self.cap))
 
     def agree_below(self, other, bound) -> bool:
         """Term-for-term equality at exponents < bound (bound within both caps)."""
@@ -168,9 +214,8 @@ class TruncatedSeries:
         bound = as_frac(bound)
         if bound > self.cap or bound > other.cap:
             raise PrecisionLoss("agreement bound exceeds a cap")
-        mine = [t for t in self.terms if t[0] < bound]
-        theirs = [t for t in other.terms if t[0] < bound]
-        return mine == theirs
+        # both truncations have cap = bound and a canonical den
+        return self.truncate(bound) == other.truncate(bound)
 
     def __repr__(self):
         body = " + ".join(f"[{c}]*{self.BASE}^({e})" for e, c in self.terms) or "0"

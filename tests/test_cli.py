@@ -100,6 +100,16 @@ class TestExitCodes:
         code, _out, err = invoke(["-p", "2", "val", "t^("])
         assert code == 2 and "syntax" in err
 
+    @pytest.mark.parametrize("argv,col", [
+        (["-p", "2", "normalize", "[1]*p^(\u00b2)"], 7),
+        (["-p", "2", "reduce-index", "(1,\u00b2)"], 3),
+        (["ordinal", "add", "w^(\u00b2)", "1"], 3),
+    ], ids=["series", "index", "ordinal"])
+    def test_superscript_digit_is_syntax_error(self, argv, col):
+        # a superscript two passes str.isdigit but int() rejects it
+        assert invoke(argv) == (
+            2, "", f"syntax error: unexpected character '\u00b2' (col {col})\n")
+
     def test_precision_loss_exit_3(self):
         # valuation of a series that vanishes below a finite cap
         code, _out, err = invoke(["-p", "2", "val", "O(t^(1))"])

@@ -365,6 +365,18 @@ class TestCappedOracle:
         assert capped_oracle(cfg, bag, Fr(cap)).digits == want
         assert normalize(cfg, bag, Fr(cap)).digits == want
 
+    @pytest.mark.parametrize("p,r,digit", [(5, 1, [2]), (3, 1, [2]), (3, 2, [1, 1])])
+    def test_one_digit_at_two_witt_lengths(self, p, r, digit):
+        # the first bucket needs 1 digit (Witt length 3), the second 4
+        # (length 6): a lift read at the first length is too short for the
+        # second, so lifts are kept per (digit, length)
+        cfg = PrimeConfig.make(p, r)
+        d = cfg.fq(digit)
+        bag = [((1, d), Fr(0)), ((1, d), Fr(-5, 2))]
+        want = ((Fr(-5, 2), d), (Fr(0), d))
+        assert capped_oracle(cfg, bag, Fr(1)).digits == want
+        assert normalize(cfg, bag, Fr(1)).digits == want
+
 
 class TestAddMul:
     def test_identities(self):

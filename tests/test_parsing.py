@@ -17,6 +17,7 @@ from hahnforge.exactnum import PrimeConfig
 from hahnforge.hahn_eqchar import EqHahn
 from hahnforge.hahn_padic import PHahn
 from hahnforge.parsing import (
+    _fq_from_ast,
     parse_index_vec,
     parse_ordinal,
     parse_poly,
@@ -63,6 +64,7 @@ ENTRIES = {
 # (entry point, input, message, col)
 ERRORS = [
     ("tokenize", "t $", "unexpected character '$'", 2),
+    ("tokenize", "t^(\u00b2)", "unexpected character '\u00b2'", 3),
     ("rational", "1/", "expected int, found None", 2),
     ("rational", "1 2", "trailing input at 2", 2),
     ("series", "t^(1/0)", "zero denominator", 3),
@@ -160,3 +162,22 @@ def test_constant_prefix_fits_either_ring(ring, valuation):
 def test_verb_series_without_base_stays_in_t(text, out):
     # at p = 2, 1 + 1 is 0 in t and [1]*p^(1) in p
     assert invoke(["-p", "2", "normalize", text]) == (0, f"{out}\n", "")
+
+
+@pytest.mark.parametrize("p,r,body", [(2, 3, "g^5+g^3+1"), (3, 2, "g^5+g^3+1"),
+                                      (3, 2, "2*g^4-g^2+g-g^4+2")])
+def test_bracket_digit_is_one_field_reduction(monkeypatch, p, r, body):
+    # g-powers >= r: summing by g-power and reducing once gives the sum of
+    # the terms reduced one by one
+    cfg = PrimeConfig.make(p, r)
+    g = cfg.fq_gen()
+    terms = parse_series(f"[{body}]")[2][0][1][1]
+    want = cfg.fq(0)
+    for coeff, gpow in terms:
+        want = want + g ** gpow * coeff
+    calls = []
+    fq = PrimeConfig.fq
+    monkeypatch.setattr(PrimeConfig, "fq",
+                        lambda self, v: calls.append(v) or fq(self, v))
+    assert _fq_from_ast(cfg, terms) == want
+    assert len(calls) == 1
