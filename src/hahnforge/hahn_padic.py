@@ -7,7 +7,8 @@ finite exact digit map).  Because digits add p-adically, sums and products of
 digit terms generate carries; normalization is where all of them are resolved.
 
 Normalization works in the fractional-part coordinates: raw terms k*[d]*p^e
-(the bag coefficient is an int k, a digit d or a pair (k, d)) are bucketed by
+(the bag coefficient is an int k, a digit d or a pair (k, d), d an FqElem or
+its coefficient tuple; inside, every digit is a tuple) are bucketed by
 e mod 1, and each capped bucket is summed as plain int coefficients: every
 term adds k * p^(integer part - offset) times the coefficients of its
 digit's Teichmüller lift, modulo p^ell, where ell is sized from the cap plus
@@ -82,7 +83,7 @@ def _no_int_lift(cfg, coeffs):
 
 
 def _bucket_exact(cfg, items, n_min):
-    """Exact digits (coefficient tuples) of one fractional-part bucket.
+    """Exact digits (coefficient tuples) of one bucket's (n, k, coeffs) items.
 
     Every digit must have an integer Teichmüller lift; the bucket sum is
     then a rational integer whose greedy digit expansion either terminates
@@ -91,9 +92,9 @@ def _bucket_exact(cfg, items, n_min):
     p = cfg.p
     cur = 0
     for n, k, d in items:
-        lift = _int_lift(d.coeffs, p)
+        lift = _int_lift(d, p)
         if lift is None:
-            raise _no_int_lift(cfg, d.coeffs)
+            raise _no_int_lift(cfg, d)
         cur += k * lift * p ** (n - n_min)
     digits, zeros = [], (0,) * (cfg.r - 1)
     while cur:
@@ -109,13 +110,13 @@ def _bucket_exact(cfg, items, n_min):
     return digits
 
 
-def _bucket_capped(cfg, items, n_min, need, lifts):
-    """The first `need` digits (coefficient tuples) of one bucket.
+def _bucket_capped(cfg, items, n_min, need, lifts, digit):
+    """The first `need` digits (coefficient tuples) of one bucket's items.
 
     Each item's Teichmüller lift is scaled by its integer multiplier; the sum
     of those int coefficient lists, reduced mod p^(need + GUARD_DIGITS), is
     read by `digit_coeffs`.  `lifts` maps (digit coeffs, Witt length) to the
-    coefficients of `teichmueller`, shared by the buckets of one normalize.
+    coefficients of `teichmueller` of `digit`(coeffs), shared by one normalize.
     """
     ell = need + GUARD_DIGITS
     if ell > cfg.l_max:
@@ -124,9 +125,9 @@ def _bucket_capped(cfg, items, n_min, need, lifts):
     p = cfg.p
     total = [0] * cfg.r
     for n, k, d in items:
-        lift = lifts.get((d.coeffs, ell))
+        lift = lifts.get((d, ell))
         if lift is None:
-            lift = lifts[d.coeffs, ell] = teichmueller(d, ell).coeffs
+            lift = lifts[d, ell] = teichmueller(digit(d), ell).coeffs
         m = k * p ** (n - n_min)
         for i, x in enumerate(lift):
             total[i] += m * x
@@ -138,16 +139,17 @@ def normalize(cfg: PrimeConfig, bag, cap, den: int = 1) -> "PHahn":
     """Standard expansion of a raw term bag, exact below cap.
 
     Bag items are (coefficient, exponent) pairs; a coefficient is an int n,
-    an FqElem d (meaning its Teichmüller lift) or an (int, FqElem) product
-    (k, d), and is read as the pair (n, [1]), (1, d) or (k, d).  Every
+    an FqElem d (meaning its Teichmüller lift) or a product (k, d) of an int
+    and a digit, given as an FqElem or as its coefficient tuple, and is read
+    as the pair (n, [1]), (1, d) or (k, d).  Every
     exponent x stands for x/den (den a positive int): int exponents go in as
     they are, and Fraction exponents are scaled by the lcm of their
     denominators (den with them); all exponent work, the output included,
     is on ints, and no Fraction is built.  Terms are bucketed by the
     fractional part q of the exponent; a capped bucket is summed as int
     coefficients mod p^(ceil(cap - q) - offset + GUARD_DIGITS) and its digits
-    read up to the cap, and the buckets are merged.  One FqElem is built per
-    distinct digit not already in the bag.
+    read up to the cap, and the buckets are merged.  Digits are coefficient
+    tuples throughout; one FqElem is built per distinct output digit.
     """
     cap = as_frac(cap)
     p, elems = cfg.p, {}
@@ -158,14 +160,17 @@ def normalize(cfg: PrimeConfig, bag, cap, den: int = 1) -> "PHahn":
             d = elems[coeffs] = FqElem(cfg, coeffs)
         return d
 
+    one = (1,) + (0,) * (cfg.r - 1)
     raw = []
     for coeff, exp in bag:
         if isinstance(coeff, FqElem):
-            k, d = 1, coeff
+            k, d = 1, coeff.coeffs
         elif isinstance(coeff, int):
-            k, d = coeff, digit((1,) + (0,) * (cfg.r - 1))
+            k, d = coeff, one
         elif isinstance(coeff, tuple) and len(coeff) == 2:
             k, d = coeff
+            if isinstance(d, FqElem):
+                d = d.coeffs
         else:
             raise TypeError(f"unsupported bag coefficient {coeff!r}")
         raw.append((exp if type(exp) is int else as_frac(exp), k, d))
@@ -187,16 +192,16 @@ def normalize(cfg: PrimeConfig, bag, cap, den: int = 1) -> "PHahn":
                     and all(k == 1 or (k == -1 and p > 2) for _, k, _ in items)):
                 # single digits at distinct integer parts are already a
                 # standard expansion ([p-1] is -1 exactly at odd p)
-                out.extend((n * den + q, d if k == 1 else
-                            digit(tuple(-x % p for x in d.coeffs)))
-                           for n, k, d in items if not d.is_zero())
+                out.extend((n * den + q, digit(d if k == 1 else
+                                               tuple(-x % p for x in d)))
+                           for n, k, d in items if any(d))
                 continue
             digits = _bucket_exact(cfg, items, n_min)
         else:
             need = -((q * cd - cn) // (cd * den)) - n_min
             if need <= 0:
                 continue
-            digits = _bucket_capped(cfg, items, n_min, need, lifts)
+            digits = _bucket_capped(cfg, items, n_min, need, lifts, digit)
         out.extend(((n_min + i) * den + q, elems[d] if d in elems else digit(d))
                    for i, d in enumerate(digits) if any(d))
     out.sort(key=lambda t: t[0])

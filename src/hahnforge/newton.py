@@ -31,6 +31,13 @@ prefix actually achieves (the stripped head), never at what the untruncated
 limit would achieve; verify_root against the returned prefix therefore
 always passes at the declared bound.
 
+Representation.  The step path runs on ints and coefficient tuples: the
+polygon's valuations are int numerators over one common denominator, the
+state's exponents are reduced (numerator, denominator) pairs, and the shift
+multiplies digits as raw coefficient values.  Fractions are built only for
+RootBranch terms and bounds and for NewtonPolygon's public view; FqElems
+only as residue roots and as the shifted series' output terms.
+
 Branch order is deterministic: slopes increasing, residue roots in
 lexicographic coefficient order.
 """
@@ -40,6 +47,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from itertools import zip_longest
 
 from .errors import (
     BoundViolation,
@@ -47,8 +55,9 @@ from .errors import (
     NoProgress,
     PrecisionLoss,
 )
-from .exactnum import PrimeConfig, fq_poly_roots, subfield_embedding
-from .hahn_eqchar import EqHahn, merged_terms
+from .exactnum import (FqElem, PrimeConfig, _poly_mulmod, fq_poly_roots,
+                       subfield_embedding)
+from .hahn_eqchar import EqHahn
 from .hahn_padic import PHahn, normalize
 from .series import INF, as_frac, eval_poly
 
@@ -77,16 +86,22 @@ class ExpandOptions:
 # ---------------------------------------------------------------------------
 
 class NewtonPolygon:
-    """Lower convex hull of (index, valuation) points, slopes increasing."""
+    """Lower convex hull of (index, valuation) points, slopes increasing:
+    int `points` (i, y) for the valuation y/den, with a Fraction view."""
 
-    __slots__ = ("vertices", "zero_multiplicity")
+    __slots__ = ("points", "zero_multiplicity", "den")
 
-    def __init__(self, vertices, zero_multiplicity=0):
-        object.__setattr__(self, "vertices", tuple(vertices))
+    def __init__(self, points, zero_multiplicity=0, den=1):
+        object.__setattr__(self, "points", tuple(points))
         object.__setattr__(self, "zero_multiplicity", zero_multiplicity)
+        object.__setattr__(self, "den", den)
 
     def __setattr__(self, *a):
         raise AttributeError("NewtonPolygon is immutable")
+
+    @property
+    def vertices(self):
+        return tuple((i, Fraction(y, self.den)) for i, y in self.points)
 
     def segments(self):
         """(i_left, v_left, i_right, v_right, slope) per hull edge."""
@@ -122,13 +137,14 @@ def _lower_hull(points):
     return hull
 
 
-def _hull_value_at(hull, x):
+def _on_or_below_hull(hull, x, y):
+    """(x, y) lies on or below the hull, which is flat beyond its ends."""
     if x <= hull[0][0]:
-        return hull[0][1]
+        return y <= hull[0][1]
     for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
         if x1 <= x <= x2:
-            return y1 + Fraction(y2 - y1, x2 - x1) * (x - x1)
-    return hull[-1][1]
+            return y * (x2 - x1) <= y1 * (x2 - x1) + (y2 - y1) * (x - x1)
+    return y <= hull[-1][1]
 
 
 def polygon_of(coeffs) -> NewtonPolygon:
@@ -136,24 +152,26 @@ def polygon_of(coeffs) -> NewtonPolygon:
 
     Exact-zero coefficients are skipped.  A coefficient that merely vanishes
     below a finite cap raises PrecisionLoss when its unresolved region could
-    cut the hull; otherwise it is irrelevant and ignored.
+    cut the hull; otherwise it is irrelevant and ignored.  Valuations and
+    caps are ints over the lcm of their denominators, the polygon's den.
     """
     resolved = []
     unresolved = []
     for i, c in enumerate(coeffs):
-        lead = c.leading()
-        if lead is not None:
-            resolved.append((i, lead[0]))
+        if c.ints:
+            resolved.append((i, c))
         elif not c.is_exact_zero():
             unresolved.append((i, c.cap))
     if not resolved:
         raise PrecisionLoss("no coefficient valuation is resolved")
-    hull = _lower_hull(resolved)
+    den = math.lcm(*(c.den for _, c in resolved),
+                   *(cap.denominator for _, cap in unresolved))
+    hull = _lower_hull([(i, c.ints[0][0] * (den // c.den)) for i, c in resolved])
     for i, cap in unresolved:
-        if cap <= _hull_value_at(hull, i):
+        if _on_or_below_hull(hull, i, cap.numerator * (den // cap.denominator)):
             raise PrecisionLoss(
                 f"coefficient {i} unresolved below O({cap}); hull uncertain")
-    return NewtonPolygon(hull, zero_multiplicity=resolved[0][0])
+    return NewtonPolygon(hull, zero_multiplicity=hull[0][0], den=den)
 
 
 # ---------------------------------------------------------------------------
@@ -174,11 +192,12 @@ def _taylor_shift(coeffs, tau):
     a_j tau^i below min(cap(a_j) + ie, cap_tau + v(a_j) + (i-1)e); cap(b_k)
     is the min of cap(a_k) and of that bound over every j > k with a_j not
     an exact zero, also where C(j, k) vanishes mod p.  Exponents and caps
-    are ints over one common denominator inside the loops.
+    are ints over one common denominator and digits coefficient tuples, so
+    d c^i is one raw product (ints mod p at r = 1); no FqElem until output.
     """
-    (e, c), = tau.terms
+    (x_tau, c), = tau.ints
     cfg, n = tau.cfg, len(coeffs)
-    padic = isinstance(tau, PHahn)
+    p, padic = cfg.p, isinstance(tau, PHahn)
     den = math.lcm(tau.den, *(a.den for a in coeffs),
                    *(x.denominator for x in [tau.cap] + [a.cap for a in coeffs]
                      if x != INF))
@@ -186,11 +205,14 @@ def _taylor_shift(coeffs, tau):
     def scaled(x):
         return x if x == INF else x.numerator * (den // x.denominator)
 
-    step, tau_cap = scaled(e), scaled(tau.cap)
-    rows = [(a.ints_over(den), scaled(a.cap), a.is_exact_zero()) for a in coeffs]
-    cpow = [cfg.fq(1)]
+    mul = ((lambda a, b: (a[0] * b[0] % p,)) if cfg.r == 1 else
+           (lambda a, b: tuple(_poly_mulmod(a, b, cfg.modulus, p))))
+    step, tau_cap = x_tau * (den // tau.den), scaled(tau.cap)
+    rows = [([(x, d.coeffs) for x, d in a.ints_over(den)], scaled(a.cap),
+             a.is_exact_zero()) for a in coeffs]
+    cpow = [cfg.fq(1).coeffs]
     for _ in range(n - 1):
-        cpow.append(cpow[-1] * c)
+        cpow.append(mul(cpow[-1], c.coeffs))
     out = []
     for k in range(n):
         cap, moved = rows[k][1], False
@@ -206,17 +228,20 @@ def _taylor_shift(coeffs, tau):
         bag = []
         for j in range(k, n):
             i = j - k
-            binom = math.comb(j, k) if padic else math.comb(j, k) % cfg.p
+            binom = math.comb(j, k) if padic else math.comb(j, k) % p
             if binom:
-                bag.extend(((binom, d * cpow[i] if i else d), x + i * step)
+                bag.extend(((binom, mul(d, cpow[i]) if i else d), x + i * step)
                            for x, d in rows[j][0] if x + i * step < cap)
         frac_cap = cap if cap == INF else Fraction(cap, den)
         if padic:
             out.append(normalize(cfg, bag, frac_cap, den=den))
-        else:
-            ints = [(x, d * binom if binom != 1 else d) for (binom, d), x in bag]
-            out.append(EqHahn._trusted(cfg, den, merged_terms(den, ints, frac_cap),
-                                       frac_cap))
+            continue
+        sums = {}  # exponent -> the digit sum's coefficients, unreduced
+        for (binom, d), x in bag:
+            sums[x] = [u + binom * v for u, v in zip(sums.get(x, (0,) * cfg.r), d)]
+        ints = ((x, tuple(v % p for v in sums[x])) for x in sorted(sums))
+        out.append(EqHahn._trusted(cfg, den, [(x, FqElem(cfg, d)) for x, d in ints
+                                              if any(d)], frac_cap))
     return out
 
 
@@ -256,11 +281,11 @@ class RootBranch:
 class _State:
     cfg: PrimeConfig
     coeffs: list                     # shifted polynomial, low degree first
-    terms: list = field(default_factory=list)   # committed (exponent, digit)
+    terms: list = field(default_factory=list)   # committed ((n, d), digit)
     prev_strip: object = None        # stripped residual one step ago
     jump_bound: object = None        # head valuation at the jump, once jumped
     stall_count: int = 0
-    last_val: object = None
+    last_val: object = None          # head valuation one step ago, (n, d)
 
 
 def _geo_chain(terms, p):
@@ -268,78 +293,74 @@ def _geo_chain(terms, p):
     if len(terms) < GEO_WINDOW:
         return False
     window = [e for e, _ in terms[-GEO_WINDOW:]]
-    diffs = [b - a for a, b in zip(window, window[1:])]
-    if any(d == 0 for d in diffs):
+    den = math.lcm(*(d for _, d in window))
+    xs = [n * (den // d) for n, d in window]
+    diffs = [b - a for a, b in zip(xs, xs[1:])]
+    if 0 in diffs:
         return False
     return all(d2 * p == d1 for d1, d2 in zip(diffs, diffs[1:]))
 
 
 def _agreement_bound(a, b):
     """First exponent where the term lists differ, else the smaller cap."""
-    ia, ib = a.terms, b.terms
-    for (e1, c1), (e2, c2) in zip(ia, ib):
-        if e1 != e2 or c1 != c2:
-            return min(e1, e2)
-    if len(ia) != len(ib):
-        longer = ia if len(ia) > len(ib) else ib
-        return longer[min(len(ia), len(ib))][0]
+    den = math.lcm(a.den, b.den)
+    for s, t in zip_longest(a.ints_over(den), b.ints_over(den)):
+        if s != t:  # a missing term is None
+            return Fraction(min(u[0] for u in (s, t) if u), den)
     return min(a.cap, b.cap)
 
 
 def _stable_pair(stripped, prev):
     """Consecutive stripped residuals agree below a usable exponent."""
-    if prev is None:
+    if prev is None or bool(stripped.ints) != bool(prev.ints):
         return False, None
-    if stripped.leading() is None and prev.leading() is None:
+    if not stripped.ints:
         return True, min(stripped.cap, prev.cap)
-    if stripped.leading() is None or prev.leading() is None:
-        return False, None
     bound = _agreement_bound(stripped, prev)
-    if bound > stripped.leading()[0]:
+    if bound > stripped.valuation():
         return True, bound
     return False, None
 
 
-def _segment_members(coeffs, e, m):
-    out = []
-    for i, c in enumerate(coeffs):
-        lead = c.leading()
-        if lead is not None and lead[0] + i * e == m:
-            out.append(i)
-    return out
-
-
-def _candidates(state, upper):
-    """Valid (exponent, level) pairs offered by the polygon."""
+def _candidates(st, upper):
+    """(exponent, members) of each hull segment that may give the next term,
+    by increasing exponent: -slope as a reduced (n, d) pair, and the indices
+    of the coefficients whose leading point lies on the segment."""
     try:
-        poly = polygon_of(state.coeffs)
+        poly = polygon_of(st.coeffs)
     except PrecisionLoss:
         return []
-    a0 = state.coeffs[0]
-    cap0 = None
-    if a0.leading() is None and not a0.is_exact_zero():
-        cap0 = a0.cap
+    den, coeffs = poly.den, st.coeffs
+    a0 = coeffs[0]
+    cap0 = None  # an unresolved constant term's cap, over den
+    if not a0.ints and not a0.is_exact_zero():
+        cap0 = a0.cap.numerator * (den // a0.cap.denominator)
+    last = st.terms[-1][0] if st.terms else None
     cands = []
-    for i1, v1, _i2, _v2, slope in poly.segments():
-        e = -slope
-        if state.terms and e <= state.terms[-1][0]:
+    for (i1, y1), (i2, y2) in zip(poly.points, poly.points[1:]):
+        w, en = i2 - i1, y1 - y2        # the exponent is en / (w * den)
+        ed = w * den
+        if last is not None and en * last[1] <= last[0] * ed:
             continue
-        if upper is not None and e >= upper:
+        if upper is not None and en * upper.denominator >= upper.numerator * ed:
             continue
-        m = v1 + i1 * e
-        if cap0 is not None and m >= cap0:
+        level = y1 * w + i1 * en        # the segment's level, over ed
+        if cap0 is not None and level >= cap0 * w:
             # the unresolved part of the constant term could disturb this
             continue
-        cands.append((e, m))
-    cands.sort(key=lambda t: t[0])
+        members = [i for i in range(i1, i2 + 1) if coeffs[i].ints and
+                   coeffs[i].ints[0][0] * (den // coeffs[i].den) * w + i * en
+                   == level]
+        g = math.gcd(en, ed)
+        cands.append(((en // g, ed // g), members))
+    cands.reverse()  # slopes increase along the hull, so exponents decrease
     return cands
 
 
-def _children_for_segment(ring, st, e, m, opts, upper):
-    members = _segment_members(st.coeffs, e, m)
-    phi = [st.cfg.fq(0)] * (max(members) + 1)
+def _children_for_segment(ring, st, e, members, opts, upper):
+    phi = [st.cfg.fq(0)] * (members[-1] + 1)
     for i in members:
-        phi[i] = st.coeffs[i].leading()[1]
+        phi[i] = st.coeffs[i].ints[0][1]
     roots = [c for c in fq_poly_roots(phi) if not c.is_zero()]
     if not roots:
         st, roots = _extend_field(st, phi, opts)
@@ -348,10 +369,10 @@ def _children_for_segment(ring, st, e, m, opts, upper):
     # shift monomial carries enough cap to cover all digits below `upper`
     tau_cap = INF
     if upper is not None:
-        tau_cap = upper + (len(st.coeffs) - 1) * max(0, -e) + 4
+        tau_cap = upper + Fraction((len(st.coeffs) - 1) * max(0, -e[0]), e[1]) + 4
     out = []
     for c in sorted(roots, key=lambda c: c.sort_key()):
-        tau = ring.monomial(st.cfg, c, e, cap=tau_cap)
+        tau = ring._trusted(st.cfg, e[1], ((e[0], c),), tau_cap)
         out.append(replace(st, coeffs=_taylor_shift(st.coeffs, tau),
                            terms=st.terms + [(e, c)]))
     return out
@@ -378,7 +399,7 @@ def _finish(ring, st, branches, bound):
     if st.jump_bound is not None:
         bound = min(bound, st.jump_bound)
     branches.append(RootBranch(
-        cfg=st.cfg, ring=ring, terms=tuple(st.terms),
+        cfg=st.cfg, ring=ring, terms=tuple((Fraction(*e), c) for e, c in st.terms),
         residual_bound=bound, field_degree=st.cfg.r))
 
 
@@ -391,25 +412,25 @@ def _advance(ring, st, stack, branches, upper, max_terms, opts):
                                  f"budget max_steps={opts.max_steps}")
             raise NoProgress(f"no convergence within {opts.max_steps} steps")
         a0 = st.coeffs[0]
-        lead0 = a0.leading()
         emitted = False
         jumped = st.jump_bound is not None
 
-        if lead0 is None:
+        if not a0.ints:
             _finish(ring, st, branches,
                     INF if a0.is_exact_zero() else a0.cap)
             emitted = True
         else:
             # stall detection: the residual valuation must keep increasing
-            if st.last_val is not None and lead0[0] <= st.last_val:
+            val, last = (a0.ints[0][0], a0.den), st.last_val
+            if last is not None and val[0] * last[1] <= last[0] * val[1]:
                 st.stall_count += 1
                 if st.stall_count >= opts.stall_limit:
                     raise NoProgress(
-                        f"residual valuation stalled at {lead0[0]} after "
+                        f"residual valuation stalled at {a0.valuation()} after "
                         f"{st.stall_count} steps")
             else:
                 st.stall_count = 0
-            st.last_val = lead0[0]
+            st.last_val = val
 
             # acceleration past an exponent accumulation point
             if (not jumped and _geo_chain(st.terms, st.cfg.p)
@@ -420,7 +441,7 @@ def _advance(ring, st, stack, branches, upper, max_terms, opts):
                 else:
                     accept, bound = _stable_pair(stripped, st.prev_strip)
                 if accept:
-                    st.jump_bound = lead0[0]
+                    st.jump_bound = a0.valuation()
                     st.coeffs = list(st.coeffs)
                     st.coeffs[0] = stripped if bound is INF or bound == INF \
                         else stripped.truncate(bound)
@@ -438,20 +459,21 @@ def _advance(ring, st, stack, branches, upper, max_terms, opts):
                 and len(st.terms) >= (max_terms if not jumped
                                       else 2 * max_terms + 2)):
             if not emitted:
-                _finish(ring, st, branches, lead0[0])
+                _finish(ring, st, branches, a0.valuation())
             return
 
         cands = _candidates(st, upper)
         if not cands:
             if not emitted:
-                _finish(ring, st, branches, lead0[0])
+                _finish(ring, st, branches, a0.valuation())
             return
 
         # every segment has a root, over an extension if need be
         # (_extend_field raises otherwise), so there is at least one child
         children = []
-        for e, m in cands:
-            children.extend(_children_for_segment(ring, st, e, m, opts, upper))
+        for e, members in cands:
+            children.extend(_children_for_segment(ring, st, e, members, opts,
+                                                  upper))
         for child in reversed(children):
             stack.append(child)
         return
@@ -495,9 +517,9 @@ def expand_roots_eq(coeffs, max_terms: int,
 
 def expand_root_padic(coeffs, cap, opts: ExpandOptions | None = None):
     """Root branches over PHahn coefficients with digit exponents below cap."""
-    coeffs = list(coeffs)
-    cfg = coeffs[0].cfg
-    return _expand(PHahn, cfg, coeffs, upper=as_frac(cap), opts=opts)
+    coeffs, cap = list(coeffs), as_frac(cap)
+    return _expand(PHahn, coeffs[0].cfg, coeffs,
+                   upper=None if cap == INF else cap, opts=opts)
 
 
 def verify_root(coeffs, prefix, expected_bound):

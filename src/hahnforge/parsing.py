@@ -25,6 +25,7 @@ import math
 from fractions import Fraction
 
 from .errors import ParseError
+from .exactnum import _poly_powmod
 from .hahn_eqchar import EqHahn
 from .hahn_padic import PHahn, normalize
 from .indexcomb import index_vec
@@ -187,11 +188,15 @@ def _parse_fqpoly(cur):
 
 
 def _fq_from_ast(cfg, terms):
-    """The bracket's terms summed by g-power, reduced once (reduction is
-    linear)."""
-    poly = [0] * (max(gpow for _, gpow in terms) + 1)
+    """The bracket's terms summed by g-power; a power g^k with k >= r is
+    reduced mod m(g) by square-and-multiply, in O(log k) products."""
+    poly = [0] * cfg.r
     for coeff, gpow in terms:
-        poly[gpow] += coeff
+        if gpow < cfg.r:
+            poly[gpow] += coeff
+        else:
+            for i, x in enumerate(_poly_powmod([0, 1], gpow, cfg.modulus, cfg.p)):
+                poly[i] += coeff * x
     return cfg.fq(poly)
 
 

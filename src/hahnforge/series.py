@@ -133,19 +133,19 @@ class TruncatedSeries:
 
     def leading(self):
         """(exponent, coefficient) of the lowest term, or None."""
-        return self.terms[0] if self.ints else None
+        return (self.valuation(), self.ints[0][1]) if self.ints else None
 
     def valuation(self):
         """min Supp; +inf only for the exact zero series."""
         if self.ints:
-            return self.terms[0][0]
+            return Fraction(self.ints[0][0], self.den)
         if self.is_exact():
             return INF
         raise PrecisionLoss(
             f"series vanishes below O({self.BASE}^{self.cap}); valuation unresolved")
 
     def val_lower_bound(self):
-        return self.terms[0][0] if self.ints else self.cap
+        return self.valuation() if self.ints else self.cap
 
     def coeff_at(self, exp) -> FqElem:
         exp = as_frac(exp)

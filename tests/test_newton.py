@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hahnforge import hahn_padic, newton
-from hahnforge.errors import BoundViolation, FieldExtensionExceeded
-from hahnforge.exactnum import PrimeConfig, subfield_embedding
+from hahnforge.errors import (BoundViolation, FieldExtensionExceeded,
+                               PrecisionLoss)
+from hahnforge.exactnum import FqElem, PrimeConfig, subfield_embedding
 from hahnforge.hahn_eqchar import EqHahn
 from hahnforge.hahn_padic import PHahn, frak_a, from_integer, normalize
 from hahnforge.newton import (
@@ -18,7 +19,7 @@ from hahnforge.newton import (
     polygon_of,
     verify_root,
 )
-from hahnforge.series import eval_poly
+from hahnforge.series import TruncatedSeries, eval_poly
 
 INF = math.inf
 
@@ -99,6 +100,130 @@ class TestPolygon:
             nonzero = [i for i, c in enumerate(coeffs) if c.leading() is not None]
             assert sum(i2 - i1 for i1, _, i2, _, _ in poly.segments()) == \
                 nonzero[-1] - nonzero[0]
+
+
+def _fraction_hull(coeffs):
+    """(vertices, zero multiplicity) of the lower hull of the points
+    (i, v(a_i)), or PrecisionLoss when no valuation is resolved or an
+    unresolved coefficient's cap is at or below the hull.
+
+    Brute force on Fraction points, independent of polygon_of: a point is a
+    vertex when every chord over two points on either side of it passes
+    strictly below it, and the hull's value at x is the least chord value
+    there (flat beyond the end points).
+    """
+    pts = [(i, c.terms[0][0]) for i, c in enumerate(coeffs) if c.terms]
+    if not pts:
+        return PrecisionLoss
+
+    def chord(a, b, x):
+        (xa, ya), (xb, yb) = a, b
+        return ya if xa == xb else ya + (yb - ya) * Fr(x - xa, xb - xa)
+
+    def hull_at(x):
+        x = min(max(x, pts[0][0]), pts[-1][0])
+        return min(chord(a, b, x) for a in pts for b in pts if a[0] <= x <= b[0])
+
+    for i, c in enumerate(coeffs):
+        if not c.terms and not c.is_exact_zero() and c.cap <= hull_at(i):
+            return PrecisionLoss
+    vertices = tuple(pt for k, pt in enumerate(pts)
+                     if all(chord(a, b, pt[0]) > pt[1]
+                            for a in pts[:k] for b in pts[k + 1:]))
+    return vertices, pts[0][0]
+
+
+class TestPolygonOracle:
+    """polygon_of's int hull against the Fraction brute force."""
+
+    @pytest.mark.parametrize("ring", [EqHahn, PHahn])
+    def test_matches_fraction_hull(self, ring):
+        cfg = PrimeConfig.make(3)
+        rng = random.Random(16)
+        pool = sorted({Fr(n, d) for n in range(-12, 13) for d in range(1, 7)})
+        slack = [e for e in pool if e > 0]
+        outcomes = []
+        for _ in range(400):
+            coeffs = []
+            for _i in range(rng.randrange(1, 8)):
+                kind = rng.random()
+                if kind < 0.15:
+                    coeffs.append(ring.zero(cfg))
+                elif kind < 0.35:  # unresolved below a finite cap
+                    coeffs.append(ring.zero(cfg, cap=rng.choice(pool)))
+                else:
+                    exps = sorted(rng.sample(pool, rng.randrange(1, 4)))
+                    cap = rng.choice([INF, exps[-1] + rng.choice(slack)])
+                    coeffs.append(ring(cfg, [(e, cfg.fq(rng.randrange(1, 3)))
+                                             for e in exps], cap))
+            want = _fraction_hull(coeffs)
+            if want is PrecisionLoss:
+                with pytest.raises(PrecisionLoss):
+                    polygon_of(coeffs)
+            else:
+                poly = polygon_of(coeffs)
+                assert (poly.vertices, poly.zero_multiplicity) == want
+            outcomes.append(want is PrecisionLoss)
+        # both outcomes are well represented
+        assert 50 < sum(outcomes) < 350
+
+    @pytest.mark.parametrize("cap,raises", [(Fr(-2, 5), True), (Fr(-1, 3), True),
+                                            (Fr(-1, 4), False)])
+    def test_unresolved_cap_at_the_hull_raises(self, cap, raises):
+        # the hull from (0, -1) to (2, 1/3) is at -1/3 over index 1
+        cfg = PrimeConfig.make(2)
+        coeffs = [EqHahn.monomial(cfg, 1, Fr(-1)), EqHahn.zero(cfg, cap=cap),
+                  EqHahn.monomial(cfg, 1, Fr(1, 3))]
+        assert (_fraction_hull(coeffs) is PrecisionLoss) == raises
+        if raises:
+            with pytest.raises(PrecisionLoss):
+                polygon_of(coeffs)
+        else:
+            assert polygon_of(coeffs).vertices == ((0, Fr(-1)), (2, Fr(1, 3)))
+
+
+class TestStepPath:
+    """Newton's steps read int exponents and multiply coefficient tuples."""
+
+    @staticmethod
+    def padic_deviation():
+        cfg = PrimeConfig.make(3)
+        coeffs = padic_artin_schreier(cfg, Fr(1))
+        return coeffs, lambda: expand_root_padic(coeffs, cap=Fr(1, 3))
+
+    @staticmethod
+    def eq_over_f4():
+        # X^2 + X + g t^(-1): the shift digits are powers of g^2 = sqrt(g)
+        cfg = PrimeConfig.make(2, 2)
+        coeffs = [EqHahn.monomial(cfg, cfg.fq_gen(), Fr(-1)), EqHahn.one(cfg),
+                  EqHahn.one(cfg)]
+        return coeffs, lambda: expand_roots_eq(coeffs, max_terms=4)
+
+    @pytest.mark.parametrize("case", ["padic_deviation", "eq_over_f4"])
+    def test_no_terms_view_and_no_field_product(self, case, monkeypatch):
+        coeffs, expand = getattr(self, case)()
+        views, products = [], []
+        terms, mul = TruncatedSeries.terms, FqElem.__mul__
+
+        def counting_terms(self):
+            views.append(self)
+            return terms.fget(self)
+
+        def counting_mul(self, other):
+            products.append((self, other))
+            return mul(self, other)
+
+        for cls, name in [(TruncatedSeries, "terms"), (PHahn, "digits")]:
+            monkeypatch.setattr(cls, name, property(counting_terms))
+        for name in ("__mul__", "__rmul__"):
+            monkeypatch.setattr(FqElem, name, counting_mul)
+        branches = expand()
+        monkeypatch.undo()
+        assert (views, products) == ([], [])
+        assert len(branches) == coeffs[0].cfg.p
+        for b in branches:
+            big = [c.embed(b.cfg) for c in coeffs]
+            verify_root(big, b.value().truncate(Fr(1)), b.residual_bound)
 
 
 class TestExpandEq:
@@ -321,7 +446,8 @@ def _taylor_shift_synthetic(coeffs, tau):
     return a
 
 
-SHIFT_FIELDS = [(p, r) for p in (2, 3, 5, 7) for r in (1, 2)]
+# the cubic fields reduce tuple products by a degree-3 modulus
+SHIFT_FIELDS = [(p, r) for p in (2, 3, 5, 7) for r in (1, 2)] + [(2, 3), (3, 3)]
 SHIFT_EXPS = sorted({Fr(n, d) for n in range(-4, 5) for d in (1, 2, 3)})
 
 

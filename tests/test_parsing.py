@@ -181,3 +181,23 @@ def test_bracket_digit_is_one_field_reduction(monkeypatch, p, r, body):
                         lambda self, v: calls.append(v) or fq(self, v))
     assert _fq_from_ast(cfg, terms) == want
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("p,r", [(2, 2), (3, 3), (5, 1)])
+@pytest.mark.parametrize("k", [0, 1, "r", 10 ** 6, 10 ** 12])
+def test_bracket_digit_power_is_reduced_by_squaring(p, r, k):
+    # g^k needs O(log k) products mod m(g), not a list of k + 1 entries; at
+    # r = 1 the generator is 0, so g^0 = 1 and every higher power is 0
+    cfg = PrimeConfig.make(p, r)
+    k = r if k == "r" else k
+    terms = parse_series(f"[g^{k}]")[2][0][1][1]
+    assert _fq_from_ast(cfg, terms) == cfg.fq_gen() ** k
+
+
+@pytest.mark.parametrize("p,r", [(2, 2), (3, 3), (5, 1)])
+def test_bracket_digit_power_through_the_cli(p, r):
+    want = PrimeConfig.make(p, r).fq_gen() ** 10 ** 12
+    field = ["-p", str(p), "-r", str(r), "normalize"]
+    got = invoke(field + ["[g^1000000000000]*p^(1)"])
+    assert got == invoke(field + [f"[{want}]*p^(1)"])
+    assert got[0] == 0 and (got[1] == "0\n") == (r == 1)
