@@ -40,6 +40,7 @@ from .parsing import (
     format_rational,
     format_series,
     parse_index_vec,
+    parse_int_list,
     parse_ordinal,
     parse_poly,
     parse_rational,
@@ -189,8 +190,8 @@ def _enumerate_class(args, cfg):
 
 
 def _certificate_check(args, cfg):
-    s = tuple(int(x) for x in args.coeffs.split(","))
-    cert = indexcomb.Certificate(s, cap=parse_rational(args.cap))
+    cert = indexcomb.Certificate(parse_int_list(args.coeffs),
+                                 cap=parse_rational(args.cap))
     residual = indexcomb.certificate_residual(cfg, cert, terms=args.terms)
     k_star = (1,) * cert.degree
     grouped = format_rational(indexcomb.grouped_sum(k_star, cert, cfg.p))

@@ -28,9 +28,10 @@ never has more than q entries.  A missing or too short entry is computed in
 closed form a^(p^(k-1)) mod p^k when r = 1, and otherwise by fixpoint
 iteration x -> x^(p^r), which gains at least one p-adic digit per step, so
 `prec` iterations always suffice.  Teichmüller digits are read from plain
-int coefficients by one routine, digit_coeffs, which digit_decompose and
-p-adic normalization share.  Rational numbers are stdlib
-fractions.Fraction throughout.
+int coefficients by digit_coeffs, which digit_decompose and p-adic
+normalization at r > 1 share, and at r = 1 from single ints by digit_runs,
+which p-adic normalization calls once for all its buckets.  Rational
+numbers are stdlib fractions.Fraction throughout.
 
 Roots in F_q of a polynomial over F_q (fq_poly_roots) are the roots of
 h = gcd(f, x^q - x), with x^q mod f by square-and-multiply; Berlekamp's
@@ -60,6 +61,7 @@ __all__ = [
     "is_prime",
     "teichmueller",
     "digit_coeffs",
+    "digit_runs",
     "digit_decompose",
     "fq_poly_roots",
     "subfield_embedding",
@@ -636,20 +638,7 @@ def digit_coeffs(cfg: PrimeConfig, coeffs, prec: int, count: int) -> list:
     # The coefficients are never reduced: subtracting the lift of digit d
     # leaves them divisible by p, and a lift read at a higher precision than
     # rem moves them by multiples of p^rem, which no later digit sees.
-    p = cfg.p
-    digits = []
-    if cfg.r == 1:
-        # the loop below on the single coefficient as a plain int; the floor
-        # division drops d itself, so the lifts [0] = 0 and [1] = 1 need no read
-        x = coeffs[0]
-        for rem in range(prec, prec - count, -1):
-            d = x % p
-            digits.append((d,))
-            if d > 1:
-                x -= _lift(cfg, (d,), rem)[0]
-            x //= p
-        return digits
-    cur = coeffs
+    p, digits, cur = cfg.p, [], coeffs
     for rem in range(prec, prec - count, -1):
         d = tuple([x % p for x in cur])
         digits.append(d)
@@ -657,6 +646,40 @@ def digit_coeffs(cfg: PrimeConfig, coeffs, prec: int, count: int) -> list:
             cur = [x - y for x, y in zip(cur, _lift(cfg, d, rem))]
         cur = [x // p for x in cur]
     return digits
+
+
+def digit_runs(cfg: PrimeConfig, runs, step: int) -> list:
+    """The nonzero Teichmüller digits of plain ints at r = 1, as (exponent,
+    FqElem) pairs, one FqElem per distinct digit.
+
+    A run (e, x, prec, count) is an int x known mod p^prec whose digit i
+    sits at exponent e + i*step; x is reduced mod p^prec, its first `count`
+    digits are read as in digit_coeffs, and the run ends early once x is 0,
+    since every further digit is then 0.  [0] = 0 and [1] = 1
+    need no lift (the floor division drops them); any other lift is read
+    from the table once per digit and higher precision, which serves every
+    lower one.
+    """
+    p, elems, lifts, out = cfg.p, {}, {}, []
+    for e, x, prec, count in runs:
+        x %= p ** prec
+        for rem in range(prec, prec - count, -1):
+            if not x:
+                break
+            d = x % p
+            if d:
+                elem = elems.get(d)
+                if elem is None:
+                    elem = elems[d] = FqElem(cfg, (d,))
+                out.append((e, elem))
+                if d > 1:
+                    lift = lifts.get(d)
+                    if lift is None or lift[0] < rem:
+                        lift = lifts[d] = (rem, _lift(cfg, (d,), rem)[0])
+                    x -= lift[1]
+            x //= p
+            e += step
+    return out
 
 
 def digit_decompose(c: WittElem) -> tuple:

@@ -13,13 +13,15 @@ e mod 1, and each capped bucket is summed as plain int coefficients: every
 term adds k * p^(integer part - offset) times the coefficients of its
 digit's Teichmüller lift, modulo p^ell, where ell is sized from the cap plus
 the constant GUARD_DIGITS (carries only propagate upward).  `teichmueller`
-is asked once per distinct (digit, ell) in a normalize call, not per bucket.
-exactnum's digit_coeffs reads off only the digits below the cap, and one
-FqElem is built per distinct digit in a call.  The digit streams of the
-buckets are then merged.  Distinct fractional parts can never interact,
-which is why the bucketing is sound.  Exponents are ints x standing for
-x/den, in the bag (sums, products and certificate residuals pass den=) and
-in the output value (see series), so normalize builds no Fraction.
+is asked once per distinct (digit, ell) in a normalize call, not per bucket;
+the digits [0] and [1] are their own lifts.  At r = 1 a bucket is one int,
+summed in the loop over buckets, and exactnum's digit_runs reads the digits
+below the cap of every bucket in one call; at r > 1 digit_coeffs reads each
+bucket's coefficient list.  One FqElem is built per distinct digit in a
+call.  Distinct fractional parts can never interact, which is why the
+bucketing is sound.  Exponents are ints x standing for x/den, in the bag
+(sums, products and certificate residuals pass den=) and in the output
+value (see series); a bag of int exponents builds no Fraction at all.
 
 The same fractional-part coordinates, kept as honest Witt values instead of
 digits, form a second representation (FracDecomp).  Multiplication performed
@@ -43,7 +45,7 @@ import math
 from fractions import Fraction
 
 from .errors import PrecisionLoss
-from .exactnum import (FqElem, PrimeConfig, WittElem, digit_coeffs,
+from .exactnum import (FqElem, PrimeConfig, WittElem, digit_coeffs, digit_runs,
                        digit_decompose, teichmueller)
 from .series import INF, TruncatedSeries, as_frac
 
@@ -110,31 +112,6 @@ def _bucket_exact(cfg, items, n_min):
     return digits
 
 
-def _bucket_capped(cfg, items, n_min, need, lifts, digit):
-    """The first `need` digits (coefficient tuples) of one bucket's items.
-
-    Each item's Teichmüller lift is scaled by its integer multiplier; the sum
-    of those int coefficient lists, reduced mod p^(need + GUARD_DIGITS), is
-    read by `digit_coeffs`.  `lifts` maps (digit coeffs, Witt length) to the
-    coefficients of `teichmueller` of `digit`(coeffs), shared by one normalize.
-    """
-    ell = need + GUARD_DIGITS
-    if ell > cfg.l_max:
-        raise PrecisionLoss(
-            f"bucket needs Witt length {ell} > l_max={cfg.l_max}")
-    p = cfg.p
-    total = [0] * cfg.r
-    for n, k, d in items:
-        lift = lifts.get((d, ell))
-        if lift is None:
-            lift = lifts[d, ell] = teichmueller(digit(d), ell).coeffs
-        m = k * p ** (n - n_min)
-        for i, x in enumerate(lift):
-            total[i] += m * x
-    pk = p ** ell
-    return digit_coeffs(cfg, [x % pk for x in total], ell, need)
-
-
 def normalize(cfg: PrimeConfig, bag, cap, den: int = 1) -> "PHahn":
     """Standard expansion of a raw term bag, exact below cap.
 
@@ -146,13 +123,16 @@ def normalize(cfg: PrimeConfig, bag, cap, den: int = 1) -> "PHahn":
     they are, and Fraction exponents are scaled by the lcm of their
     denominators (den with them); all exponent work, the output included,
     is on ints, and no Fraction is built.  Terms are bucketed by the
-    fractional part q of the exponent; a capped bucket is summed as int
-    coefficients mod p^(ceil(cap - q) - offset + GUARD_DIGITS) and its digits
-    read up to the cap, and the buckets are merged.  Digits are coefficient
+    fractional part q of the exponent.  A capped bucket needs the digits
+    below the cap, need = ceil(cap - q) - offset of them, and is summed mod
+    p^ell, ell = need + GUARD_DIGITS, from the `teichmueller` lifts of its
+    digits, asked once per (digit, ell) in a call: at r = 1 as one int,
+    whose digits `digit_runs` reads for all buckets at once, and otherwise
+    as int coefficients read by `digit_coeffs`.  Digits are coefficient
     tuples throughout; one FqElem is built per distinct output digit.
     """
     cap = as_frac(cap)
-    p, elems = cfg.p, {}
+    p, r, elems = cfg.p, cfg.r, {}
 
     def digit(coeffs):
         d = elems.get(coeffs)
@@ -160,33 +140,38 @@ def normalize(cfg: PrimeConfig, bag, cap, den: int = 1) -> "PHahn":
             d = elems[coeffs] = FqElem(cfg, coeffs)
         return d
 
-    one = (1,) + (0,) * (cfg.r - 1)
-    raw = []
+    one = (1,) + (0,) * (r - 1)
+    buckets, fracs = {}, []  # x mod den -> [(x div den, k, d)]
     for coeff, exp in bag:
-        if isinstance(coeff, FqElem):
+        t = type(coeff)
+        if t is tuple and len(coeff) == 2:
+            k, d = coeff
+            if type(d) is not tuple:
+                d = d.coeffs
+        elif t is FqElem:
             k, d = 1, coeff.coeffs
         elif isinstance(coeff, int):
             k, d = coeff, one
-        elif isinstance(coeff, tuple) and len(coeff) == 2:
-            k, d = coeff
-            if isinstance(d, FqElem):
-                d = d.coeffs
         else:
             raise TypeError(f"unsupported bag coefficient {coeff!r}")
-        raw.append((exp if type(exp) is int else as_frac(exp), k, d))
-    scale = math.lcm(*(x.denominator for x, _, _ in raw))
-    den *= scale
-    buckets = {}  # x mod den -> [(x div den, k, d)]
-    for x, k, d in raw:
-        n, q = divmod(x.numerator * (scale // x.denominator), den)
-        buckets.setdefault(q, []).append((n, k, d))
+        if type(exp) is int:
+            n, q = divmod(exp, den)
+            buckets.setdefault(q, []).append((n, k, d))
+        else:
+            fracs.append((as_frac(exp), k, d))
+    if fracs:  # x/den = (x * scale)/(den * scale): int buckets move to q * scale
+        scale = math.lcm(*(x.denominator for x, _, _ in fracs))
+        den *= scale
+        buckets = {q * scale: items for q, items in buckets.items()}
+        for x, k, d in fracs:
+            n, q = divmod(x.numerator * (scale // x.denominator), den)
+            buckets.setdefault(q, []).append((n, k, d))
     exact = cap is INF or cap == INF
     if not exact:  # ceil(cap - q/den) = -((q * cd - cn) // (cd * den))
         cn, cd = cap.numerator * den, cap.denominator
-    out = []  # (exponent * den, digit)
-    lifts = {}
+    out, runs, lifts = [], [], {}  # out: (exponent * den, digit)
     for q, items in buckets.items():
-        n_min = min(n for n, _, _ in items)
+        n_min = min(items)[0]
         if exact:
             if (len({n for n, _, _ in items}) == len(items)
                     and all(k == 1 or (k == -1 and p > 2) for _, k, _ in items)):
@@ -201,9 +186,37 @@ def normalize(cfg: PrimeConfig, bag, cap, den: int = 1) -> "PHahn":
             need = -((q * cd - cn) // (cd * den)) - n_min
             if need <= 0:
                 continue
-            digits = _bucket_capped(cfg, items, n_min, need, lifts, digit)
+            ell = need + GUARD_DIGITS
+            if ell > cfg.l_max:
+                raise PrecisionLoss(
+                    f"bucket needs Witt length {ell} > l_max={cfg.l_max}")
+            if r == 1:  # one int; [0] and [1] need no lift
+                x = 0
+                for n, k, (c,) in items:
+                    if c > 1:
+                        lift = lifts.get((c, ell))
+                        if lift is None:
+                            lift = lifts[c, ell] = teichmueller(
+                                digit((c,)), ell).coeffs[0]
+                        k *= lift
+                    elif not c:
+                        continue
+                    x += k * p ** (n - n_min)
+                runs.append((n_min * den + q, x, ell, need))
+                continue
+            total = [0] * r
+            for n, k, d in items:
+                lift = lifts.get((d, ell))
+                if lift is None:
+                    lift = lifts[d, ell] = teichmueller(digit(d), ell).coeffs
+                m = k * p ** (n - n_min)
+                for i, x in enumerate(lift):
+                    total[i] += m * x
+            pk = p ** ell
+            digits = digit_coeffs(cfg, [x % pk for x in total], ell, need)
         out.extend(((n_min + i) * den + q, elems[d] if d in elems else digit(d))
                    for i, d in enumerate(digits) if any(d))
+    out += digit_runs(cfg, runs, den)
     out.sort(key=lambda t: t[0])
     return PHahn._trusted(cfg, den, out, cap)
 

@@ -38,6 +38,7 @@ __all__ = [
     "parse_poly",
     "parse_ordinal",
     "parse_index_vec",
+    "parse_int_list",
     "parse_rational",
     "format_series",
     "printed_terms",
@@ -535,6 +536,20 @@ def parse_index_vec(text: str) -> tuple:
             break
     cur.done()
     return index_vec(entries)
+
+
+def parse_int_list(text: str) -> tuple:
+    """Comma separated ints, each an optional '-' and digits: `1,-2,0`."""
+    cur = _Cursor(tokenize(text))
+    entries = []
+    while True:
+        sign = -1 if cur.accept("punct", "-") else 1
+        _, n, _ = cur.expect("int")
+        entries.append(sign * n)
+        if not cur.accept("punct", ","):
+            break
+    cur.done()
+    return tuple(entries)
 
 
 def format_index_vec(vec) -> str:

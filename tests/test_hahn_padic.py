@@ -5,6 +5,7 @@ from fractions import Fraction as Fr
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hahnforge import hahn_padic
 from hahnforge.errors import PrecisionLoss
 from hahnforge.exactnum import PrimeConfig, digit_decompose, teichmueller
 from hahnforge.hahn_eqchar import EqHahn
@@ -96,6 +97,18 @@ class TestNormalize:
         one = cfg.fq(1)
         with pytest.raises(PrecisionLoss):
             normalize(cfg, [(one, Fr(0)), (one, Fr(0))], Fr(40))
+
+    @pytest.mark.parametrize("p,r,digit", [(3, 1, [2]), (3, 2, [1, 1])])
+    def test_l_max_boundary_on_the_capped_path(self, p, r, digit):
+        # a bucket at offset 0 below cap c needs Witt length c + GUARD_DIGITS
+        # = c + 2: with l_max = 6, cap 4 is the longest that fits
+        cfg = PrimeConfig.make(p, r, l_max=6)
+        d = cfg.fq(digit)
+        bag = [((1, d), Fr(0)), ((2, d), Fr(1)), (1, Fr(0))]
+        assert normalize(cfg, bag, Fr(4)) == capped_oracle(cfg, bag_of_pairs(cfg, bag), Fr(4))
+        with pytest.raises(PrecisionLoss,
+                           match=r"^bucket needs Witt length 7 > l_max=6$"):
+            normalize(cfg, bag, Fr(5))
 
     def test_fractional_buckets_do_not_interact(self):
         cfg = PrimeConfig.make(2)
@@ -342,6 +355,33 @@ def capped_bags(draw):
     return cfg, bag, low + Fr(draw(st.integers(1, 12)), 4)
 
 
+def bag_of_pairs(cfg, bag):
+    """A bag with every coefficient as a (k, digit) pair, for capped_oracle."""
+    one = cfg.fq(1)
+    return [((c, one) if isinstance(c, int) else
+             (1, c) if not isinstance(c, tuple) else c, e) for c, e in bag]
+
+
+@st.composite
+def certificate_bags(draw):
+    """A field, a bag of plain int coefficients at int exponents over
+    den = p^K, den and a finite cap: the shape certificate_residual passes.
+
+    The exponents are distinct and spread over a few integer parts, so most
+    buckets hold one item; multipliers are small, up to +-10^9, or
+    +-p^j +- 1."""
+    p, r = draw(st.sampled_from([(2, 1), (3, 1), (5, 1), (7, 1), (2, 2), (3, 2)]))
+    cfg, den = PrimeConfig.make(p, r), p ** draw(st.integers(1, 4))
+    k = st.one_of(st.integers(-5, 5), st.integers(-10 ** 9, 10 ** 9),
+                  st.builds(lambda s, j, c: s * p ** j + c, st.sampled_from([-1, 1]),
+                            st.integers(1, 12), st.sampled_from([-1, 1])))
+    xs = draw(st.lists(st.integers(-3 * den, 3 * den), min_size=1, max_size=12,
+                       unique=True))
+    bag = [(draw(k), x) for x in xs]
+    cap = Fr(draw(st.sampled_from(xs)), den) + Fr(draw(st.integers(1, 12)), 4)
+    return cfg, bag, den, cap
+
+
 class TestCappedOracle:
     """Capped normalize against capped_oracle, which shares no code with
     the kernel's lift table or digit reader."""
@@ -351,6 +391,33 @@ class TestCappedOracle:
     def test_matches_witt_ring_sum(self, cfg_bag_cap):
         cfg, bag, cap = cfg_bag_cap
         assert normalize(cfg, bag, cap) == capped_oracle(cfg, bag, cap)
+
+    @settings(max_examples=200, derandomize=True, database=None, deadline=None)
+    @given(certificate_bags())
+    def test_int_coefficients_over_den(self, cfg_bag_den_cap):
+        cfg, bag, den, cap = cfg_bag_den_cap
+        got = normalize(cfg, bag, cap, den=den)
+        pairs = [((k, cfg.fq(1)), Fr(x, den)) for k, x in bag]
+        assert got == capped_oracle(cfg, pairs, cap)
+        # the sum of int multiples of [1] is a p-adic integer: at r = 2 its
+        # digits lie in the prime subfield
+        assert all(not any(d.coeffs[1:]) for _, d in got.digits)
+
+    @pytest.mark.parametrize("p,r,digit", [(5, 1, [2]), (3, 2, [1, 1])],
+                             ids=["p5-digit-2", "F9-digit-g+1"])
+    @pytest.mark.parametrize("exps", [[0], [0, 1]], ids=["one-item", "distinct-parts"])
+    def test_lifts_come_from_teichmueller(self, monkeypatch, p, r, digit, exps):
+        # a bucket of single digits with multiplier 1 at distinct integer
+        # parts is already a standard expansion, yet its lifts must come
+        # from hahn_padic.teichmueller: a naive lift patched in there changes
+        # the output (benchmark checkers rely on this to see a wrong lift)
+        cfg = PrimeConfig.make(p, r)
+        bag = [(cfg.fq(digit), Fr(e)) for e in exps]
+        right = normalize(cfg, bag, Fr(3))
+        assert right == capped_oracle(cfg, bag_of_pairs(cfg, bag), Fr(3))
+        monkeypatch.setattr(hahn_padic, "teichmueller",
+                            lambda a, prec: a.cfg.witt(list(a.coeffs), prec=prec))
+        assert normalize(cfg, bag, Fr(3)) != right
 
     @pytest.mark.parametrize("p,r,digit,k,cap,expected", [
         # 1 + 1 = 2 = [2] + [1]*3 at p = 3 (see test_p3_one_plus_one)

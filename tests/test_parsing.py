@@ -19,6 +19,7 @@ from hahnforge.hahn_padic import PHahn
 from hahnforge.parsing import (
     _fq_from_ast,
     parse_index_vec,
+    parse_int_list,
     parse_ordinal,
     parse_poly,
     parse_rational,
@@ -51,6 +52,8 @@ ENTRIES = {
     "poly": (parse_poly, lambda s: _newton_solve("eq", s)),
     "ordinal": (parse_ordinal, lambda s: ["ordinal", "add", s, "1"]),
     "index": (parse_index_vec, lambda s: ["-p", "2", "reduce-index", s]),
+    "int list": (parse_int_list,
+                 lambda s: ["-p", "2", "certificate-check", "--cap", "1", "--", s]),
     "eq series": (lambda s: series_to_eq(parse_series(s), CFG),
                   lambda s: _verify_root("eq", prefix=s)),
     "padic series": (lambda s: series_to_phahn(parse_series(s), CFG),
@@ -91,6 +94,12 @@ ERRORS = [
     ("index", "1,2", "expected (, found 1", 0),
     ("index", "(1,2", "expected ), found None", 4),
     ("index", "(1) 2", "trailing input at 2", 4),
+    ("int list", "", "expected int, found None", 0),
+    ("int list", "1,,1", "expected int, found ','", 2),
+    ("int list", "1_0,1", "unexpected character '_'", 1),
+    ("int list", "1,\u00b2", "unexpected character '\u00b2'", 2),
+    ("int list", "+1,1", "expected int, found '+'", 0),
+    ("int list", "1,1,", "expected int, found None", 4),
 ]
 
 # errors only the CLI raises, all at col 0: (argv, message)
@@ -142,6 +151,19 @@ def test_verify_root_polynomial_base_must_match_ring(ring, poly, prefix, message
     # rows of ERRORS; here the prefix has the ring's base
     assert invoke(_verify_root(ring, poly, prefix)) == (
         2, "", f"syntax error: {message} (col 0)\n")
+
+
+@pytest.mark.parametrize("text,entries", [
+    ("1,0,1", (1, 0, 1)), ("-1,1,-2", (-1, 1, -2)), ("1, 1", (1, 1)), ("7", (7,))])
+def test_int_list_entries(text, entries):
+    assert parse_int_list(text) == entries
+
+
+def test_certificate_check_reads_negative_entries_after_dashes():
+    by_list = invoke(["-p", "3", "certificate-check", "--cap", "2", "--", "-1,1,-1"])
+    assert by_list[0] == 0 and by_list[2] == ""
+    assert by_list == invoke(["-p", "3", "certificate-check", "--cap", "2", "--",
+                              "-1, 1, -1"])
 
 
 @pytest.mark.parametrize("ring", [EqHahn, PHahn])
