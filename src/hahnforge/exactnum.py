@@ -5,7 +5,8 @@ Representations
 The residue field F_{p^r} is presented as F_p[g]/(m(g)) for a fixed monic
 irreducible m of degree r, chosen deterministically (see find_modulus).
 An FqElem stores the r coefficients of the basis 1, g, ..., g^{r-1}, each
-reduced into [0, p).
+reduced into [0, p).  The series rings store a coefficient as that tuple
+alone; fq_mul and neg_mod are the product and negation of such tuples.
 
 The length-L truncated Witt ring W_L(F_{p^r}) is realized as
 Z[g]/(p^L, m(g)): a WittElem stores r integer coefficients reduced into
@@ -25,11 +26,12 @@ Teichmüller lifts come from one module-level table that holds, for each
 digit of each field, its lift at the largest precision asked for so far; the
 lift at precision k is that lift reduced mod p^k, so a field of q elements
 never has more than q entries.  A missing or too short entry is computed in
-closed form a^(p^(k-1)) mod p^k when r = 1, and otherwise by fixpoint
-iteration x -> x^(p^r), which gains at least one p-adic digit per step, so
-`prec` iterations always suffice.  Teichmüller digits are read from plain
-int coefficients by digit_coeffs, which digit_decompose and p-adic
-normalization at r > 1 share, and at r = 1 from single ints by digit_runs,
+closed form, 0, 1 or -1 mod p^k for [0], [1] or [p-1] and a^(p^(k-1)) mod
+p^k for another digit when r = 1, and otherwise by fixpoint iteration
+x -> x^(p^r), which gains at least one p-adic digit per step, so `prec`
+iterations always suffice.  Teichmüller digits are read as coefficient
+tuples from plain int coefficients by digit_coeffs, which digit_decompose
+and p-adic normalization at r > 1 share, and at r = 1 from single ints by digit_runs,
 which p-adic normalization calls once for all its buckets.  Rational
 numbers are stdlib fractions.Fraction throughout.
 
@@ -135,6 +137,18 @@ def _poly_powmod(a, e, modulus, q):
         return _poly_reduce([1], modulus, q)
     return _square_multiply(_poly_reduce(list(a), modulus, q), e,
                             lambda x, y: _poly_mulmod(x, y, modulus, q))
+
+
+def fq_mul(cfg, a, b) -> tuple:
+    """The product of two F_q elements given as coefficient tuples."""
+    if cfg.r == 1:
+        return (a[0] * b[0] % cfg.p,)
+    return tuple(_poly_mulmod(a, b, cfg.modulus, cfg.p))
+
+
+def neg_mod(c, n) -> tuple:
+    """The negative of the coefficient tuple c, each entry reduced mod n."""
+    return tuple([-x % n for x in c])
 
 
 class _FpPolys:
@@ -253,7 +267,7 @@ class _FqPolys(_FpPolys):
     field modulus."""
 
     def __init__(self, cfg):
-        self.p, self.q, self.r, self.m = cfg.p, cfg.q, cfg.r, cfg.modulus
+        self.cfg, self.p, self.q, self.r = cfg, cfg.p, cfg.q, cfg.r
         self.zero = (0,) * cfg.r
         self.one = (1,) + self.zero[1:]
         self.basis = tuple(self.zero[:i] + (1,) + self.zero[i + 1:]
@@ -266,10 +280,10 @@ class _FqPolys(_FpPolys):
         return tuple((x - y) % self.p for x, y in zip(a, b))
 
     def mul(self, a, b):
-        return tuple(_poly_mulmod(a, b, self.m, self.p))
+        return fq_mul(self.cfg, a, b)
 
     def inv(self, a):
-        return tuple(_poly_powmod(a, self.q - 2, self.m, self.p))
+        return tuple(_poly_powmod(a, self.q - 2, self.cfg.modulus, self.p))
 
     def reduce(self, c, f):
         c, d = list(c), len(f) - 1
@@ -448,8 +462,7 @@ class _ResidueElem:
         return a._new(tuple((x - y) % n for x, y in zip(a.coeffs, b.coeffs)))
 
     def __neg__(self):
-        n = self._n
-        return self._new(tuple(-x % n for x in self.coeffs))
+        return self._new(neg_mod(self.coeffs, self._n))
 
     def __mul__(self, other):
         a, b, n = self._binary(other)
@@ -591,6 +604,18 @@ class WittElem(_ResidueElem):
 _LIFTS = {}
 
 
+def _int_lift(coeffs, p):
+    """Exact integer Teichmüller lift of the digit `coeffs`, or None when it
+    does not exist."""
+    if not any(coeffs[1:]):
+        c0 = coeffs[0]
+        if c0 == 0 or c0 == 1:
+            return c0
+        if c0 == p - 1 and p > 2:
+            return -1
+    return None
+
+
 def _lift(cfg: PrimeConfig, coeffs: tuple, prec: int) -> tuple:
     """Teichmüller lift coefficients of the digit `coeffs`, correct mod p^prec.
 
@@ -602,7 +627,10 @@ def _lift(cfg: PrimeConfig, coeffs: tuple, prec: int) -> tuple:
     if entry is not None and entry[0] >= prec:
         return entry[1]
     pk = cfg.p ** prec
-    if cfg.r == 1:
+    lift = _int_lift(coeffs, cfg.p)
+    if lift is not None:
+        lift = (lift % pk,) + coeffs[1:]
+    elif cfg.r == 1:
         lift = (pow(coeffs[0], pk // cfg.p, pk),)
     else:
         x = [c % pk for c in coeffs]
@@ -650,7 +678,7 @@ def digit_coeffs(cfg: PrimeConfig, coeffs, prec: int, count: int) -> list:
 
 def digit_runs(cfg: PrimeConfig, runs, step: int) -> list:
     """The nonzero Teichmüller digits of plain ints at r = 1, as (exponent,
-    FqElem) pairs, one FqElem per distinct digit.
+    coefficient tuple) pairs.
 
     A run (e, x, prec, count) is an int x known mod p^prec whose digit i
     sits at exponent e + i*step; x is reduced mod p^prec, its first `count`
@@ -660,7 +688,7 @@ def digit_runs(cfg: PrimeConfig, runs, step: int) -> list:
     from the table once per digit and higher precision, which serves every
     lower one.
     """
-    p, elems, lifts, out = cfg.p, {}, {}, []
+    p, lifts, out = cfg.p, {}, []
     for e, x, prec, count in runs:
         x %= p ** prec
         for rem in range(prec, prec - count, -1):
@@ -668,10 +696,7 @@ def digit_runs(cfg: PrimeConfig, runs, step: int) -> list:
                 break
             d = x % p
             if d:
-                elem = elems.get(d)
-                if elem is None:
-                    elem = elems[d] = FqElem(cfg, (d,))
-                out.append((e, elem))
+                out.append((e, (d,)))
                 if d > 1:
                     lift = lifts.get(d)
                     if lift is None or lift[0] < rem:

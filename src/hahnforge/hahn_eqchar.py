@@ -1,7 +1,7 @@
 """Equal-characteristic Hahn series k((t^Q)) at finite truncation.
 
-Values are truncated series in the sense of `series`: coefficients in
-F_{p^r}, rational exponents, exact below the cap.
+Values are truncated series in the sense of `series`: coefficient tuples
+of F_{p^r}, rational exponents, exact below the cap.
 
 Cap propagation:
     add:  cap = min(cap_a, cap_b)
@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 
 from .errors import DivisionByZero, PrecisionLoss
-from .exactnum import PrimeConfig
+from .exactnum import PrimeConfig, _poly_powmod, fq_mul, neg_mod
 from .series import INF, TruncatedSeries, as_frac, eval_poly, int_cap, ints_of
 
 __all__ = ["EqHahn", "eval_poly", "INF"]
@@ -35,7 +35,7 @@ class EqHahn(TruncatedSeries):
     def __init__(self, cfg: PrimeConfig, terms, cap=INF):
         cap = as_frac(cap)
         den, ints = ints_of([(as_frac(e), cfg.fq(c)) for e, c in terms])
-        self._init_ints(cfg, den, merged_terms(den, ints, cap), cap)
+        self._init_ints(cfg, den, merged_terms(cfg.p, den, ints, cap), cap)
 
     @staticmethod
     def from_int(cfg, n: int) -> "EqHahn":
@@ -48,11 +48,11 @@ class EqHahn(TruncatedSeries):
         cap = min(self.cap, other.cap)
         den = math.lcm(self.den, other.den)
         return EqHahn._trusted(self.cfg, den, merged_terms(
-            den, self.ints_over(den) + other.ints_over(den), cap), cap)
+            self.cfg.p, den, self.ints_over(den) + other.ints_over(den), cap), cap)
 
     def __neg__(self):
-        return EqHahn._trusted(self.cfg, self.den,
-                               ((n, -c) for n, c in self.ints), self.cap)
+        return EqHahn._trusted(self.cfg, self.den, (
+            (n, neg_mod(c, self.cfg.p)) for n, c in self.ints), self.cap)
 
     def __sub__(self, other):
         return self + (-other)
@@ -63,18 +63,11 @@ class EqHahn(TruncatedSeries):
             return EqHahn.zero(self.cfg)
         cap = min(self.cap + other.val_lower_bound(),
                   other.cap + self.val_lower_bound())
-        den = math.lcm(self.den, other.den)
+        cfg, den = self.cfg, math.lcm(self.den, other.den)
         lim, b = int_cap(cap, den), other.ints_over(den)
-        out = {}
-        for xa, ca in self.ints_over(den):
-            for xb, cb in b:
-                x = xa + xb
-                if x >= lim:
-                    continue
-                prod = ca * cb
-                out[x] = out[x] + prod if x in out else prod
-        return EqHahn._trusted(self.cfg, den, merged_terms(den, out.items(), cap),
-                               cap)
+        prods = ((xa + xb, fq_mul(cfg, ca, cb)) for xa, ca in self.ints_over(den)
+                 for xb, cb in b if xa + xb < lim)
+        return EqHahn._trusted(cfg, den, merged_terms(cfg.p, den, prods, cap), cap)
 
     def inverse(self, target_cap) -> "EqHahn":
         """Inverse up to O(t^target_cap): leading-term peel-off + geometric series.
@@ -109,16 +102,18 @@ class EqHahn(TruncatedSeries):
 
     def frobenius(self) -> "EqHahn":
         """x -> x^p: exponents scale by p, coefficients by the p-power map."""
-        p = self.cfg.p
+        p, m = self.cfg.p, self.cfg.modulus
         cap = self.cap if self.is_exact() else self.cap * p
-        return EqHahn._trusted(self.cfg, self.den,
-                               ((n * p, c ** p) for n, c in self.ints), cap)
+        return EqHahn._trusted(self.cfg, self.den, (
+            (n * p, tuple(_poly_powmod(c, p, m, p))) for n, c in self.ints), cap)
 
 
-def merged_terms(den, ints, cap):
-    """Int terms over den merged by exponent: below cap, nonzero, sorted."""
+def merged_terms(p, den, ints, cap):
+    """Int terms over den merged by exponent: below cap, coefficient tuples
+    summed and reduced mod p, nonzero, sorted."""
     lim, merged = int_cap(cap, den), {}
     for n, c in ints:
         if n < lim:
-            merged[n] = merged[n] + c if n in merged else c
-    return sorted((n, c) for n, c in merged.items() if not c.is_zero())
+            merged[n] = [x + y for x, y in zip(merged[n], c)] if n in merged else c
+    out = ((n, tuple([x % p for x in merged[n]])) for n in sorted(merged))
+    return [t for t in out if any(t[1])]

@@ -7,18 +7,19 @@ finite exact digit map).  Because digits add p-adically, sums and products of
 digit terms generate carries; normalization is where all of them are resolved.
 
 Normalization works in the fractional-part coordinates: raw terms k*[d]*p^e
-(the bag coefficient is an int k, a digit d or a pair (k, d), d an FqElem or
-its coefficient tuple; inside, every digit is a tuple) are bucketed by
-e mod 1, and each capped bucket is summed as plain int coefficients: every
-term adds k * p^(integer part - offset) times the coefficients of its
+(the bag coefficient is an int k, an FqElem d or a pair (k, d), d an FqElem
+or its coefficient tuple; any 2-tuple is read as such a pair) are bucketed
+by e mod 1, and each capped bucket is summed as plain int coefficients:
+every term adds k * p^(integer part - offset) times the coefficients of its
 digit's Teichmüller lift, modulo p^ell, where ell is sized from the cap plus
 the constant GUARD_DIGITS (carries only propagate upward).  `teichmueller`
-is asked once per distinct (digit, ell) in a normalize call, not per bucket;
-the digits [0] and [1] are their own lifts.  At r = 1 a bucket is one int,
-summed in the loop over buckets, and exactnum's digit_runs reads the digits
-below the cap of every bucket in one call; at r > 1 digit_coeffs reads each
-bucket's coefficient list.  One FqElem is built per distinct digit in a
-call.  Distinct fractional parts can never interact, which is why the
+is asked once per distinct (digit, ell) in a normalize call, not per
+bucket, and only there is an FqElem built; the digits [0] and [1] are their
+own lifts.  At r = 1 a bucket is one int, summed in the loop over buckets,
+and exactnum's digit_runs reads the digits below the cap of every bucket in
+one call; at r > 1 digit_coeffs reads each bucket's coefficient list.
+Digits are coefficient tuples throughout, as a value stores them (see
+series).  Distinct fractional parts can never interact, which is why the
 bucketing is sound.  Exponents are ints x standing for x/den, in the bag
 (sums, products and certificate residuals pass den=) and in the output
 value (see series); a bag of int exponents builds no Fraction at all.
@@ -45,8 +46,8 @@ import math
 from fractions import Fraction
 
 from .errors import PrecisionLoss
-from .exactnum import (FqElem, PrimeConfig, WittElem, digit_coeffs, digit_runs,
-                       digit_decompose, teichmueller)
+from .exactnum import (FqElem, PrimeConfig, WittElem, _int_lift, digit_coeffs,
+                       digit_runs, digit_decompose, fq_mul, neg_mod, teichmueller)
 from .series import INF, TruncatedSeries, as_frac
 
 GUARD_DIGITS = 2  # carries only propagate upward: these absorb the cap boundary
@@ -66,18 +67,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # normalization kernel
 # ---------------------------------------------------------------------------
-
-def _int_lift(coeffs, p):
-    """Exact integer Teichmüller lift of the digit `coeffs`, or None when it
-    does not exist."""
-    if not any(coeffs[1:]):
-        c0 = coeffs[0]
-        if c0 == 0 or c0 == 1:
-            return c0
-        if c0 == p - 1 and p > 2:
-            return -1
-    return None
-
 
 def _no_int_lift(cfg, coeffs):
     return PrecisionLoss(f"digit {FqElem(cfg, coeffs)} has no integer "
@@ -129,17 +118,11 @@ def normalize(cfg: PrimeConfig, bag, cap, den: int = 1) -> "PHahn":
     digits, asked once per (digit, ell) in a call: at r = 1 as one int,
     whose digits `digit_runs` reads for all buckets at once, and otherwise
     as int coefficients read by `digit_coeffs`.  Digits are coefficient
-    tuples throughout; one FqElem is built per distinct output digit.
+    tuples throughout, the output's included; an FqElem is built only as a
+    `teichmueller` argument.  Any other coefficient raises TypeError.
     """
     cap = as_frac(cap)
-    p, r, elems = cfg.p, cfg.r, {}
-
-    def digit(coeffs):
-        d = elems.get(coeffs)
-        if d is None:
-            d = elems[coeffs] = FqElem(cfg, coeffs)
-        return d
-
+    p, r = cfg.p, cfg.r
     one = (1,) + (0,) * (r - 1)
     buckets, fracs = {}, []  # x mod den -> [(x div den, k, d)]
     for coeff, exp in bag:
@@ -147,6 +130,8 @@ def normalize(cfg: PrimeConfig, bag, cap, den: int = 1) -> "PHahn":
         if t is tuple and len(coeff) == 2:
             k, d = coeff
             if type(d) is not tuple:
+                if type(d) is not FqElem:
+                    raise TypeError(f"unsupported bag coefficient {coeff!r}")
                 d = d.coeffs
         elif t is FqElem:
             k, d = 1, coeff.coeffs
@@ -177,8 +162,7 @@ def normalize(cfg: PrimeConfig, bag, cap, den: int = 1) -> "PHahn":
                     and all(k == 1 or (k == -1 and p > 2) for _, k, _ in items)):
                 # single digits at distinct integer parts are already a
                 # standard expansion ([p-1] is -1 exactly at odd p)
-                out.extend((n * den + q, digit(d if k == 1 else
-                                               tuple(-x % p for x in d)))
+                out.extend((n * den + q, d if k == 1 else neg_mod(d, p))
                            for n, k, d in items if any(d))
                 continue
             digits = _bucket_exact(cfg, items, n_min)
@@ -197,7 +181,7 @@ def normalize(cfg: PrimeConfig, bag, cap, den: int = 1) -> "PHahn":
                         lift = lifts.get((c, ell))
                         if lift is None:
                             lift = lifts[c, ell] = teichmueller(
-                                digit((c,)), ell).coeffs[0]
+                                FqElem(cfg, (c,)), ell).coeffs[0]
                         k *= lift
                     elif not c:
                         continue
@@ -208,14 +192,13 @@ def normalize(cfg: PrimeConfig, bag, cap, den: int = 1) -> "PHahn":
             for n, k, d in items:
                 lift = lifts.get((d, ell))
                 if lift is None:
-                    lift = lifts[d, ell] = teichmueller(digit(d), ell).coeffs
+                    lift = lifts[d, ell] = teichmueller(FqElem(cfg, d), ell).coeffs
                 m = k * p ** (n - n_min)
                 for i, x in enumerate(lift):
                     total[i] += m * x
             pk = p ** ell
             digits = digit_coeffs(cfg, [x % pk for x in total], ell, need)
-        out.extend(((n_min + i) * den + q, elems[d] if d in elems else digit(d))
-                   for i, d in enumerate(digits) if any(d))
+        out.extend(((n_min + i) * den + q, d) for i, d in enumerate(digits) if any(d))
     out += digit_runs(cfg, runs, den)
     out.sort(key=lambda t: t[0])
     return PHahn._trusted(cfg, den, out, cap)
@@ -244,14 +227,14 @@ class PHahn(TruncatedSeries):
         """self + k*other for k = 1 or -1."""
         self._check(other)
         den = math.lcm(self.den, other.den)
-        bag = [(d, x) for x, d in self.ints_over(den)]
+        bag = [((1, d), x) for x, d in self.ints_over(den)]
         bag += [((k, d), x) for x, d in other.ints_over(den)]
         return normalize(self.cfg, bag, min(self.cap, other.cap), den=den)
 
     def __neg__(self):
         if self.cfg.p > 2:  # [p-1] = -1 exactly for odd p
-            return PHahn._trusted(self.cfg, self.den,
-                                  ((n, -d) for n, d in self.ints), self.cap)
+            return PHahn._trusted(self.cfg, self.den, (
+                (n, neg_mod(d, self.cfg.p)) for n, d in self.ints), self.cap)
         return normalize(self.cfg, [((-1, d), x) for x, d in self.ints], self.cap,
                          den=self.den)
 
@@ -266,22 +249,19 @@ class PHahn(TruncatedSeries):
                   other.cap + self.val_lower_bound())
         # Equal products enter the bag once as (count, digit): a dense square
         # has far fewer distinct (exponent, digit pair) products than pairs.
-        # The pair loop adds ints and keys digits by their coefficients.
         den = math.lcm(self.den, other.den)
-        b = [(x, d.coeffs) for x, d in other.ints_over(den)]
+        b = other.ints_over(den)
         counts = {}
-        for xa, da in self.ints_over(den):
-            ca = da.coeffs
+        for xa, ca in self.ints_over(den):
             for xb, cb in b:
                 key = (xa + xb, ca, cb)
                 counts[key] = counts.get(key, 0) + 1
-        elems = {d.coeffs: d for _, d in self.ints + other.ints}
         prods, bag = {}, []
         for (x, ca, cb), k in counts.items():
             d = prods.get((ca, cb))
             if d is None:
-                d = prods[ca, cb] = elems[ca] * elems[cb]
-            bag.append((d if k == 1 else (k, d), x))
+                d = prods[ca, cb] = fq_mul(self.cfg, ca, cb)
+            bag.append(((k, d), x))
         return normalize(self.cfg, bag, cap, den=den)
 
 

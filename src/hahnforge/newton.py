@@ -36,7 +36,7 @@ polygon's valuations are int numerators over one common denominator, the
 state's exponents are reduced (numerator, denominator) pairs, and the shift
 multiplies digits as raw coefficient values.  Fractions are built only for
 RootBranch terms and bounds and for NewtonPolygon's public view; FqElems
-only as residue roots and as the shifted series' output terms.
+only as residue roots and their polynomial's coefficients.
 
 Branch order is deterministic: slopes increasing, residue roots in
 lexicographic coefficient order.
@@ -55,9 +55,9 @@ from .errors import (
     NoProgress,
     PrecisionLoss,
 )
-from .exactnum import (FqElem, PrimeConfig, _poly_mulmod, fq_poly_roots,
+from .exactnum import (FqElem, PrimeConfig, fq_mul, fq_poly_roots,
                        subfield_embedding)
-from .hahn_eqchar import EqHahn
+from .hahn_eqchar import EqHahn, merged_terms
 from .hahn_padic import PHahn, normalize
 from .series import INF, as_frac, eval_poly
 
@@ -193,7 +193,7 @@ def _taylor_shift(coeffs, tau):
     is the min of cap(a_k) and of that bound over every j > k with a_j not
     an exact zero, also where C(j, k) vanishes mod p.  Exponents and caps
     are ints over one common denominator and digits coefficient tuples, so
-    d c^i is one raw product (ints mod p at r = 1); no FqElem until output.
+    d c^i is one `fq_mul`, and no FqElem is built.
     """
     (x_tau, c), = tau.ints
     cfg, n = tau.cfg, len(coeffs)
@@ -205,14 +205,11 @@ def _taylor_shift(coeffs, tau):
     def scaled(x):
         return x if x == INF else x.numerator * (den // x.denominator)
 
-    mul = ((lambda a, b: (a[0] * b[0] % p,)) if cfg.r == 1 else
-           (lambda a, b: tuple(_poly_mulmod(a, b, cfg.modulus, p))))
     step, tau_cap = x_tau * (den // tau.den), scaled(tau.cap)
-    rows = [([(x, d.coeffs) for x, d in a.ints_over(den)], scaled(a.cap),
-             a.is_exact_zero()) for a in coeffs]
-    cpow = [cfg.fq(1).coeffs]
-    for _ in range(n - 1):
-        cpow.append(mul(cpow[-1], c.coeffs))
+    rows = [(a.ints_over(den), scaled(a.cap), a.is_exact_zero()) for a in coeffs]
+    cpow = [None, c]  # cpow[i] = c^i for i >= 1
+    for _ in range(n - 2):
+        cpow.append(fq_mul(cfg, cpow[-1], c))
     out = []
     for k in range(n):
         cap, moved = rows[k][1], False
@@ -230,18 +227,16 @@ def _taylor_shift(coeffs, tau):
             i = j - k
             binom = math.comb(j, k) if padic else math.comb(j, k) % p
             if binom:
-                bag.extend(((binom, mul(d, cpow[i]) if i else d), x + i * step)
+                bag.extend(((binom, fq_mul(cfg, d, cpow[i]) if i else d),
+                            x + i * step)
                            for x, d in rows[j][0] if x + i * step < cap)
         frac_cap = cap if cap == INF else Fraction(cap, den)
         if padic:
             out.append(normalize(cfg, bag, frac_cap, den=den))
             continue
-        sums = {}  # exponent -> the digit sum's coefficients, unreduced
-        for (binom, d), x in bag:
-            sums[x] = [u + binom * v for u, v in zip(sums.get(x, (0,) * cfg.r), d)]
-        ints = ((x, tuple(v % p for v in sums[x])) for x in sorted(sums))
-        out.append(EqHahn._trusted(cfg, den, [(x, FqElem(cfg, d)) for x, d in ints
-                                              if any(d)], frac_cap))
+        ints = merged_terms(p, den, ((x, [binom * v for v in d])
+                                     for (binom, d), x in bag), frac_cap)
+        out.append(EqHahn._trusted(cfg, den, ints, frac_cap))
     return out
 
 
@@ -360,7 +355,7 @@ def _candidates(st, upper):
 def _children_for_segment(ring, st, e, members, opts, upper):
     phi = [st.cfg.fq(0)] * (members[-1] + 1)
     for i in members:
-        phi[i] = st.coeffs[i].ints[0][1]
+        phi[i] = FqElem(st.cfg, st.coeffs[i].ints[0][1])
     roots = [c for c in fq_poly_roots(phi) if not c.is_zero()]
     if not roots:
         st, roots = _extend_field(st, phi, opts)
@@ -372,7 +367,7 @@ def _children_for_segment(ring, st, e, members, opts, upper):
         tau_cap = upper + Fraction((len(st.coeffs) - 1) * max(0, -e[0]), e[1]) + 4
     out = []
     for c in sorted(roots, key=lambda c: c.sort_key()):
-        tau = ring._trusted(st.cfg, e[1], ((e[0], c),), tau_cap)
+        tau = ring._trusted(st.cfg, e[1], ((e[0], c.coeffs),), tau_cap)
         out.append(replace(st, coeffs=_taylor_shift(st.coeffs, tau),
                            terms=st.terms + [(e, c)]))
     return out

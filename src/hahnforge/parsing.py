@@ -25,7 +25,7 @@ import math
 from fractions import Fraction
 
 from .errors import ParseError
-from .exactnum import _poly_powmod
+from .exactnum import FqElem, _poly_powmod
 from .hahn_eqchar import EqHahn
 from .hahn_padic import PHahn, normalize
 from .indexcomb import index_vec
@@ -331,9 +331,9 @@ def printed_terms(value):
     in lowest terms: one gcd per term, one str per distinct coefficient."""
     den, text = value.den, {}
     for n, c in value.ints:
-        s = text.get(c.coeffs)
+        s = text.get(c)
         if s is None:
-            s = text[c.coeffs] = str(c)
+            s = text[c] = str(FqElem(value.cfg, c))
         g = math.gcd(n, den)
         yield n // g, den // g, s
 

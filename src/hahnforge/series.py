@@ -2,9 +2,11 @@
 
 A value is (cfg, den, ints, cap): the terms c * base^(n/den) for the pairs
 (n, c) of `ints`, n strictly increasing, all strictly below the Fraction
-`cap`, c nonzero in F_{p^r}.  `den` is the lcm of the reduced exponent
-denominators (1 for no terms), so equal values have equal (den, ints, cap);
-`terms`, the (Fraction, c) view, is built on first read.  Everything below
+`cap`, c a nonzero element of F_{p^r} stored as its r-tuple of ints in
+[0, p), the `coeffs` of an FqElem.  `den` is the lcm of the reduced exponent
+denominators (1 for no terms), so equal values have equal (den, ints, cap).
+FqElems are built only by the public views: `terms`, the (Fraction, FqElem)
+view built on first read, `leading` and `coeff_at`.  Everything below
 the cap is exact; everything at or above it is unknown.  cap = INF marks an
 exact finite series.  Zero with a finite cap means "zero up to O(base^cap)"
 and has no valuation: an unresolved residual is never treated as exactly
@@ -39,9 +41,10 @@ def as_frac(x):
 
 
 def ints_of(terms):
-    """(den, int terms over den) of (Fraction exponent, coefficient) pairs."""
+    """(den, int terms over den) of (Fraction exponent, FqElem) pairs, each
+    coefficient as its tuple."""
     den = math.lcm(*(e.denominator for e, _ in terms))
-    return den, [(e.numerator * (den // e.denominator), c) for e, c in terms]
+    return den, [(e.numerator * (den // e.denominator), c.coeffs) for e, c in terms]
 
 
 def int_cap(cap, den):
@@ -63,7 +66,7 @@ class TruncatedSeries:
     BASE = None
 
     def __init__(self, cfg: PrimeConfig, terms, cap=INF):
-        terms = tuple((as_frac(e), c) for e, c in terms)
+        terms = tuple((as_frac(e), cfg.fq(c)) for e, c in terms)
         self._init_ints(cfg, *ints_of(terms), as_frac(cap))
         object.__setattr__(self, "_terms", terms)
 
@@ -92,10 +95,10 @@ class TruncatedSeries:
 
     @property
     def terms(self):
-        """The (Fraction exponent, coefficient) pairs, built on first read."""
+        """The (Fraction exponent, FqElem) pairs, built on first read."""
         if self._terms is None:
             object.__setattr__(self, "_terms", tuple(
-                (Fraction(n, self.den), c) for n, c in self.ints))
+                (Fraction(n, self.den), FqElem(self.cfg, c)) for n, c in self.ints))
         return self._terms
 
     def ints_over(self, den):
@@ -117,7 +120,7 @@ class TruncatedSeries:
     def monomial(cls, cfg, coeff, exp, cap=INF):
         """coeff * base^exp below cap (no term when exp >= cap or coeff = 0)."""
         c, exp, cap = cfg.fq(coeff), as_frac(exp), as_frac(cap)
-        ints = ((exp.numerator, c),) if exp < cap and not c.is_zero() else ()
+        ints = ((exp.numerator, c.coeffs),) if exp < cap and not c.is_zero() else ()
         return cls._trusted(cfg, exp.denominator, ints, cap)
 
     # predicates and views ----------------------------------------------------
@@ -133,7 +136,8 @@ class TruncatedSeries:
 
     def leading(self):
         """(exponent, coefficient) of the lowest term, or None."""
-        return (self.valuation(), self.ints[0][1]) if self.ints else None
+        if self.ints:
+            return self.valuation(), FqElem(self.cfg, self.ints[0][1])
 
     def valuation(self):
         """min Supp; +inf only for the exact zero series."""
@@ -151,7 +155,7 @@ class TruncatedSeries:
         exp = as_frac(exp)
         x, rem = divmod(exp.numerator * self.den, exp.denominator)
         found = None if rem else dict(self.ints).get(x)
-        return self.cfg.fq(0) if found is None else found
+        return self.cfg.fq(0) if found is None else FqElem(self.cfg, found)
 
     def _check(self, other):
         if type(other) is not type(self):
@@ -192,9 +196,9 @@ class TruncatedSeries:
 
     def embed(self, big: PrimeConfig):
         """The same series over an extension field (small r divides big r)."""
-        return self._trusted(
-            big, self.den, ((n, subfield_embedding(c, big)) for n, c in self.ints),
-            self.cap)
+        return self._trusted(big, self.den, (
+            (n, subfield_embedding(FqElem(self.cfg, c), big).coeffs)
+            for n, c in self.ints), self.cap)
 
     # comparisons -------------------------------------------------------------
 

@@ -432,6 +432,19 @@ class TestLiftTable:
                 acc = [(x + y * p ** i) % pk for x, y in zip(acc, lift)]
             assert tuple(acc) == w.coeffs
 
+    @pytest.mark.parametrize("p,r", [(3, 1), (5, 1), (3, 2), (5, 2)])
+    def test_integer_lifts_take_no_power(self, empty_table, monkeypatch, p, r):
+        # [0], [1] and [p-1] lift to 0, 1 and -1 in closed form, so even a
+        # long lift takes no power and no fixpoint iteration
+        def no_power(*args):
+            raise AssertionError("power computed for an integer lift")
+
+        cfg, pk, zeros = PrimeConfig.make(p, r), p ** 5002, (0,) * (r - 1)
+        monkeypatch.setattr(exactnum, "pow", no_power, raising=False)
+        monkeypatch.setattr(exactnum, "_poly_powmod", no_power)
+        for c, lift in [(0, 0), (1, 1), (p - 1, pk - 1)]:
+            assert teichmueller(cfg.fq(c), prec=5002).coeffs == (lift,) + zeros
+
     def test_at_most_one_entry_per_digit(self):
         cfg = PrimeConfig.make(3, r=2)
         for prec in (2, 6, 4, 9, 1):

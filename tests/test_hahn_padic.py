@@ -157,6 +157,12 @@ class TestCoefficientForms:
         with pytest.raises(TypeError, match="unsupported bag coefficient"):
             normalize(cfg, [(cfg.witt(1, prec=4), Fr(0))], Fr(3))
 
+    @pytest.mark.parametrize("pair", [(1, 2), (1, "x")], ids=["int", "str"])
+    def test_pair_with_a_malformed_digit_is_rejected(self, pair):
+        cfg = PrimeConfig.make(3, 2)
+        with pytest.raises(TypeError, match="unsupported bag coefficient"):
+            normalize(cfg, [(pair, 0)], Fr(3))
+
     def test_l_max_bounds_the_exact_path(self):
         # 1023 = 1 + 2 + ... + 2^9 terminates after ten digits
         assert len(normalize(PrimeConfig.make(2), [(1023, Fr(0))], INF).digits) == 10

@@ -12,9 +12,11 @@ from fractions import Fraction as Fr
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hahnforge import hahn_padic
 from hahnforge.exactnum import FqElem, PrimeConfig
 from hahnforge.hahn_eqchar import EqHahn
 from hahnforge.hahn_padic import PHahn, normalize
+from hahnforge.newton import _taylor_shift
 from hahnforge.parsing import format_series
 
 INF = math.inf
@@ -45,7 +47,7 @@ def values_over_two_dens(draw):
     merged = {}
     for d, x in terms:
         merged[x] = merged[x] + d if x in merged else d
-    ints = sorted((x * scale, d) for x, d in merged.items()
+    ints = sorted((x * scale, d.coeffs) for x, d in merged.items()
                   if not d.is_zero() and Fr(x, den) < cap)
     a = EqHahn(cfg, [(Fr(x, den), d) for d, x in terms], cap)
     return a, EqHahn._trusted(cfg, den * scale, ints, cap)
@@ -63,7 +65,7 @@ class TestCanonicalDen:
         assert a == b and hash(a) == hash(b)
         assert a.den == b.den == _minimal_den(a)
         assert a.terms == b.terms
-        assert a.terms == tuple((Fr(n, a.den), c) for n, c in a.ints)
+        assert a.terms == tuple((Fr(n, a.den), FqElem(a.cfg, c)) for n, c in a.ints)
         assert format_series(a, type(a).BASE) == format_series(b, type(b).BASE)
         again = type(a)(a.cfg, a.terms, a.cap)
         assert again == a and hash(again) == hash(a) and again.den == a.den
@@ -77,7 +79,7 @@ class TestCanonicalDen:
         cfg = PrimeConfig.make(3)
         one = cfg.fq(1)
         halves = EqHahn(cfg, [(Fr(1, 2), one)])
-        quarters = EqHahn._trusted(cfg, 4, [(2, one)], INF)
+        quarters = EqHahn._trusted(cfg, 4, [(2, one.coeffs)], INF)
         assert quarters == halves and hash(quarters) == hash(halves)
         assert quarters.den == 2
         fractions = normalize(cfg, [(1, Fr(1, 2)), (2, Fr(3, 2))], Fr(4))
@@ -102,26 +104,68 @@ class TestCanonicalDen:
 
 
 def test_normalize_builds_no_fraction_and_one_fq_per_digit(monkeypatch):
-    """A capped certificate-like bag over den = 27 with repeated digits."""
+    """A capped certificate-like bag over den = 27 with repeated digits: no
+    Fraction is built, and an FqElem only as a `teichmueller` argument, once
+    per (digit, Witt length)."""
     cfg = PrimeConfig.make(3, 2)
     digits = [cfg.fq([1, 1]), cfg.fq([2, 0]), cfg.fq([0, 1])]
     bag = [((k, digits[k % 3]), 5 * k - 40) for k in range(1, 40)]
     bag += [(k, 9 * k - 27) for k in range(-4, 5)]
-    cap, fractions, built = Fr(3), [], []
-    new, init = Fr.__new__, FqElem.__init__
+    cap, fractions, built, asked = Fr(3), [], [], []
+    new, init, lift = Fr.__new__, FqElem.__init__, hahn_padic.teichmueller
 
     def counting_new(cls, *args, **kwargs):
         fractions.append(args)
         return new(cls, *args, **kwargs)
 
     def counting_init(self, cfg, coeffs):
-        built.append(coeffs)
+        built.append(self)
         init(self, cfg, coeffs)
+
+    def counting_lift(a, prec):
+        asked.append((a, prec))
+        return lift(a, prec)
 
     monkeypatch.setattr(Fr, "__new__", counting_new)
     monkeypatch.setattr(FqElem, "__init__", counting_init)
+    monkeypatch.setattr(hahn_padic, "teichmueller", counting_lift)
     x = normalize(cfg, bag, cap, den=27)
     monkeypatch.undo()
     assert fractions == []
-    assert len(built) == len(set(built))
-    assert len(x.ints) > len(built)
+    assert asked and len(built) == len(asked)
+    assert all(d is a for d, (a, _) in zip(built, asked))
+    keys = [(a.coeffs, prec) for a, prec in asked]
+    assert len(keys) == len(set(keys))
+    assert x.ints and all(type(c) is tuple for _, c in x.ints)
+
+
+def _assert_tuple_coeffs(value):
+    """Every stored coefficient is an r-tuple of ints in [0, p), and the
+    `.terms` view holds the matching FqElems."""
+    cfg = value.cfg
+    for _, c in value.ints:
+        assert type(c) is tuple and len(c) == cfg.r
+        assert all(type(x) is int and 0 <= x < cfg.p for x in c)
+    assert [c for _, c in value.terms] == [FqElem(cfg, c) for _, c in value.ints]
+
+
+@pytest.mark.parametrize("p,r", [(2, 1), (3, 1), (2, 2), (3, 2)],
+                         ids=["F2", "F3", "F4", "F9"])
+def test_every_operation_stores_coefficient_tuples(p, r):
+    cfg, big = PrimeConfig.make(p, r), PrimeConfig.make(p, 2 * r)
+    g, one, cap = cfg.fq([0, 1] if r > 1 else p - 1), cfg.fq(1), Fr(3)
+    e = EqHahn(cfg, [(Fr(-1, 2), g), (0, one), (Fr(1, 3), g + one)], Fr(4))
+    f = EqHahn.monomial(cfg, g, Fr(-1, 3)) + EqHahn.monomial(cfg, one, 1)
+    a = normalize(cfg, [(g, Fr(-1, 2)), ((2, g), 0), (3, Fr(1, 3))], cap)
+    b = PHahn(cfg, [(Fr(-1, 3), g), (Fr(1), one)], cap)
+    values = [e, f, e + f, e - f, e * f, -e, e.shift(Fr(1, 5)), e.truncate(1),
+              e.embed(big), e.frobenius(), e.inverse(Fr(2)),
+              a, b, PHahn.monomial(cfg, g, Fr(1, 2), cap), a + b, a - b, a * b,
+              -a, a.shift(Fr(1, 5)), a.truncate(1), a.embed(big),
+              *_taylor_shift([e, f, EqHahn.one(cfg)],
+                             EqHahn.monomial(cfg, g, Fr(-1, 6))),
+              *_taylor_shift([a, b, PHahn.one(cfg, cap)],
+                             PHahn.monomial(cfg, g, Fr(-1, 6), cap))]
+    assert all(v.ints for v in values)
+    for v in values:
+        _assert_tuple_coeffs(v)
