@@ -686,9 +686,9 @@ def digit_runs(cfg: PrimeConfig, runs, step: int) -> list:
     since every further digit is then 0.  [0] = 0 and [1] = 1
     need no lift (the floor division drops them); any other lift is read
     from the table once per digit and higher precision, which serves every
-    lower one.
+    lower one.  Equal digits of one call share one tuple.
     """
-    p, lifts, out = cfg.p, {}, []
+    p, lifts, digits, out = cfg.p, {}, {}, []
     for e, x, prec, count in runs:
         x %= p ** prec
         for rem in range(prec, prec - count, -1):
@@ -696,7 +696,7 @@ def digit_runs(cfg: PrimeConfig, runs, step: int) -> list:
                 break
             d = x % p
             if d:
-                out.append((e, (d,)))
+                out.append((e, digits.setdefault(d, (d,))))
                 if d > 1:
                     lift = lifts.get(d)
                     if lift is None or lift[0] < rem:

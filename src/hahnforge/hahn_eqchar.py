@@ -1,22 +1,24 @@
 """Equal-characteristic Hahn series k((t^Q)) at finite truncation.
 
 Values are truncated series in the sense of `series`: coefficient tuples
-of F_{p^r}, rational exponents, exact below the cap.
+of F_{p^r}, rational exponents, exact below the cap.  Sum, difference,
+product and negation are the series core's; this ring defines only their
+canonicalization (`merged_terms`: in characteristic p there are no carries,
+so equal exponents merge by summing coefficients mod p), plus `inverse` and
+`frobenius`.
 
 Cap propagation:
     add:  cap = min(cap_a, cap_b)
     mul:  cap = min(cap_a + v(b), cap_b + v(a))   (v = valuation lower bound)
 
-In characteristic p there are no carries, so arithmetic on exact inputs is
-exact.  Values are immutable and safe to share between tasks.
+Arithmetic on exact inputs is exact.  Values are immutable and safe to
+share between tasks.
 """
 
 from __future__ import annotations
 
-import math
-
 from .errors import DivisionByZero, PrecisionLoss
-from .exactnum import PrimeConfig, _poly_powmod, fq_mul, neg_mod
+from .exactnum import PrimeConfig, _poly_powmod
 from .series import INF, TruncatedSeries, as_frac, eval_poly, int_cap, ints_of
 
 __all__ = ["EqHahn", "eval_poly", "INF"]
@@ -35,39 +37,20 @@ class EqHahn(TruncatedSeries):
     def __init__(self, cfg: PrimeConfig, terms, cap=INF):
         cap = as_frac(cap)
         den, ints = ints_of([(as_frac(e), cfg.fq(c)) for e, c in terms])
-        self._init_ints(cfg, den, merged_terms(cfg.p, den, ints, cap), cap)
+        bag = (((1, c), n) for n, c in ints)
+        self._init_ints(cfg, den, merged_terms(cfg.p, den, bag, cap), cap)
 
     @staticmethod
     def from_int(cfg, n: int) -> "EqHahn":
         return EqHahn.monomial(cfg, n, 0)
 
-    # ring operations --------------------------------------------------------
+    # ring operations ---------------------------------------------------------
 
-    def __add__(self, other):
-        self._check(other)
-        cap = min(self.cap, other.cap)
-        den = math.lcm(self.den, other.den)
-        return EqHahn._trusted(self.cfg, den, merged_terms(
-            self.cfg.p, den, self.ints_over(den) + other.ints_over(den), cap), cap)
+    @classmethod
+    def _canonical(cls, cfg, bag, cap, den):
+        return cls._trusted(cfg, den, merged_terms(cfg.p, den, bag, cap), cap)
 
-    def __neg__(self):
-        return EqHahn._trusted(self.cfg, self.den, (
-            (n, neg_mod(c, self.cfg.p)) for n, c in self.ints), self.cap)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        self._check(other)
-        if self.is_exact_zero() or other.is_exact_zero():
-            return EqHahn.zero(self.cfg)
-        cap = min(self.cap + other.val_lower_bound(),
-                  other.cap + self.val_lower_bound())
-        cfg, den = self.cfg, math.lcm(self.den, other.den)
-        lim, b = int_cap(cap, den), other.ints_over(den)
-        prods = ((xa + xb, fq_mul(cfg, ca, cb)) for xa, ca in self.ints_over(den)
-                 for xb, cb in b if xa + xb < lim)
-        return EqHahn._trusted(cfg, den, merged_terms(cfg.p, den, prods, cap), cap)
+    __mul__ = TruncatedSeries.__mul__  # own entry: perfbench/tracing.py wraps it
 
     def inverse(self, target_cap) -> "EqHahn":
         """Inverse up to O(t^target_cap): leading-term peel-off + geometric series.
@@ -108,12 +91,15 @@ class EqHahn(TruncatedSeries):
             (n * p, tuple(_poly_powmod(c, p, m, p))) for n, c in self.ints), cap)
 
 
-def merged_terms(p, den, ints, cap):
-    """Int terms over den merged by exponent: below cap, coefficient tuples
-    summed and reduced mod p, nonzero, sorted."""
+def merged_terms(p, den, bag, cap):
+    """The (n, coefficient tuple) terms over den of a bag of ((k, tuple), n)
+    items: below cap, k times each tuple summed by exponent and reduced mod
+    p, nonzero, sorted."""
     lim, merged = int_cap(cap, den), {}
-    for n, c in ints:
+    for (k, c), n in bag:
         if n < lim:
+            if k != 1:
+                c = [k * x for x in c]
             merged[n] = [x + y for x, y in zip(merged[n], c)] if n in merged else c
     out = ((n, tuple([x % p for x in merged[n]])) for n in sorted(merged))
     return [t for t in out if any(t[1])]

@@ -5,6 +5,9 @@ from rational exponents to nonzero Teichmüller digits in F_{p^r}, plus a cap
 below which the digits are exact (the error is O(p^cap); cap = +inf marks a
 finite exact digit map).  Because digits add p-adically, sums and products of
 digit terms generate carries; normalization is where all of them are resolved.
+Sum, difference, product and negation are the series core's (see series);
+this ring defines only their canonicalization, `normalize`, and negates by
+it at p = 2, where -[1] is no single digit.
 
 Normalization works in the fractional-part coordinates: raw terms k*[d]*p^e
 (the bag coefficient is an int k, an FqElem d or a pair (k, d), d an FqElem
@@ -47,7 +50,7 @@ from fractions import Fraction
 
 from .errors import PrecisionLoss
 from .exactnum import (FqElem, PrimeConfig, WittElem, _int_lift, digit_coeffs,
-                       digit_runs, digit_decompose, fq_mul, neg_mod, teichmueller)
+                       digit_runs, digit_decompose, neg_mod, teichmueller)
 from .series import INF, TruncatedSeries, as_frac
 
 GUARD_DIGITS = 2  # carries only propagate upward: these absorb the cap boundary
@@ -221,48 +224,19 @@ class PHahn(TruncatedSeries):
     def digit_bag(self):
         return [(d, e) for e, d in self.terms]
 
-    # arithmetic --------------------------------------------------------------
+    # arithmetic: the series core's, canonicalized by normalize -------------
 
-    def __add__(self, other, k=1):
-        """self + k*other for k = 1 or -1."""
-        self._check(other)
-        den = math.lcm(self.den, other.den)
-        bag = [((1, d), x) for x, d in self.ints_over(den)]
-        bag += [((k, d), x) for x, d in other.ints_over(den)]
-        return normalize(self.cfg, bag, min(self.cap, other.cap), den=den)
+    @staticmethod
+    def _canonical(cfg, bag, cap, den):
+        return normalize(cfg, bag, cap, den=den)
+
+    __mul__ = TruncatedSeries.__mul__  # own entry: perfbench/tracing.py wraps it
 
     def __neg__(self):
         if self.cfg.p > 2:  # [p-1] = -1 exactly for odd p
-            return PHahn._trusted(self.cfg, self.den, (
-                (n, neg_mod(d, self.cfg.p)) for n, d in self.ints), self.cap)
+            return super().__neg__()
         return normalize(self.cfg, [((-1, d), x) for x, d in self.ints], self.cap,
                          den=self.den)
-
-    def __sub__(self, other):
-        return self.__add__(other, -1)
-
-    def __mul__(self, other):
-        self._check(other)
-        if self.is_exact_zero() or other.is_exact_zero():
-            return PHahn.zero(self.cfg)
-        cap = min(self.cap + other.val_lower_bound(),
-                  other.cap + self.val_lower_bound())
-        # Equal products enter the bag once as (count, digit): a dense square
-        # has far fewer distinct (exponent, digit pair) products than pairs.
-        den = math.lcm(self.den, other.den)
-        b = other.ints_over(den)
-        counts = {}
-        for xa, ca in self.ints_over(den):
-            for xb, cb in b:
-                key = (xa + xb, ca, cb)
-                counts[key] = counts.get(key, 0) + 1
-        prods, bag = {}, []
-        for (x, ca, cb), k in counts.items():
-            d = prods.get((ca, cb))
-            if d is None:
-                d = prods[ca, cb] = fq_mul(self.cfg, ca, cb)
-            bag.append(((k, d), x))
-        return normalize(self.cfg, bag, cap, den=den)
 
 
 # ---------------------------------------------------------------------------

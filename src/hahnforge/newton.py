@@ -12,7 +12,7 @@ coefficient rings (equal characteristic and p-adic):
     3. every nonzero residue root appends a term and the polynomial is
        Taylor-shifted by it, in closed form: the shift monomial's powers
        are monomials, so each shifted coefficient is one bag of terms,
-       canonicalised once (see _taylor_shift).
+       canonicalised once by its ring (see _taylor_shift).
 
 Exponent accumulation.  Families like X^p - X - u produce increments whose
 consecutive differences shrink by exactly 1/p, so the plain loop would walk
@@ -34,9 +34,12 @@ always passes at the declared bound.
 Representation.  The step path runs on ints and coefficient tuples: the
 polygon's valuations are int numerators over one common denominator, the
 state's exponents are reduced (numerator, denominator) pairs, and the shift
-multiplies digits as raw coefficient values.  Fractions are built only for
-RootBranch terms and bounds and for NewtonPolygon's public view; FqElems
-only as residue roots and their polynomial's coefficients.
+multiplies digits as raw coefficient values.  The shift builds its bags
+without asking which ring it is in: the ring's canonicalizer `_canonical`,
+the one the series core's sums and products call, turns each into a value.
+Fractions are built only for RootBranch terms and bounds and for
+NewtonPolygon's public view; FqElems only as residue roots and their
+polynomial's coefficients.
 
 Branch order is deterministic: slopes increasing, residue roots in
 lexicographic coefficient order.
@@ -57,8 +60,8 @@ from .errors import (
 )
 from .exactnum import (FqElem, PrimeConfig, fq_mul, fq_poly_roots,
                        subfield_embedding)
-from .hahn_eqchar import EqHahn, merged_terms
-from .hahn_padic import PHahn, normalize
+from .hahn_eqchar import EqHahn
+from .hahn_padic import PHahn
 from .series import INF, as_frac, eval_poly
 
 GEO_WINDOW = 3   # geometric increments required before acceleration
@@ -184,8 +187,9 @@ def _taylor_shift(coeffs, tau):
     tau = [c]*base^e is one monomial and Teichmüller lifts are
     multiplicative, so tau^i = [c^i]*base^(ie) exactly and each b_k is one
     bag of terms C(j, k)*[d c^(j-k)] at x + (j-k)e over the terms [d]*base^x
-    of a_j, canonicalised once: by normalize in the p-adic ring; in
-    characteristic p, C(j, k) is read mod p and equal exponents merge.
+    of a_j, canonicalised once by the ring's `_canonical`, which reads the
+    bag as sums and products do (in characteristic p, a C(j, k) that
+    vanishes mod p adds nothing).
 
     Caps are those of repeated synthetic division.  The product rule
     min(cap_a + v(tau), cap_tau + v(a)), applied i >= 1 times, knows
@@ -197,7 +201,6 @@ def _taylor_shift(coeffs, tau):
     """
     (x_tau, c), = tau.ints
     cfg, n = tau.cfg, len(coeffs)
-    p, padic = cfg.p, isinstance(tau, PHahn)
     den = math.lcm(tau.den, *(a.den for a in coeffs),
                    *(x.denominator for x in [tau.cap] + [a.cap for a in coeffs]
                      if x != INF))
@@ -224,19 +227,12 @@ def _taylor_shift(coeffs, tau):
             continue
         bag = []
         for j in range(k, n):
-            i = j - k
-            binom = math.comb(j, k) if padic else math.comb(j, k) % p
-            if binom:
-                bag.extend(((binom, fq_mul(cfg, d, cpow[i]) if i else d),
-                            x + i * step)
-                           for x, d in rows[j][0] if x + i * step < cap)
+            i, binom = j - k, math.comb(j, k)
+            bag.extend(((binom, fq_mul(cfg, d, cpow[i]) if i else d),
+                        x + i * step)
+                       for x, d in rows[j][0] if x + i * step < cap)
         frac_cap = cap if cap == INF else Fraction(cap, den)
-        if padic:
-            out.append(normalize(cfg, bag, frac_cap, den=den))
-            continue
-        ints = merged_terms(p, den, ((x, [binom * v for v in d])
-                                     for (binom, d), x in bag), frac_cap)
-        out.append(EqHahn._trusted(cfg, den, ints, frac_cap))
+        out.append(type(tau)._canonical(cfg, bag, frac_cap, den))
     return out
 
 

@@ -14,19 +14,24 @@ zero.
 
 The rings differ only in how coefficients combine -- no carries in
 characteristic p (hahn_eqchar.EqHahn), Teichmüller carries in the p-adic case
-(hahn_padic.PHahn) -- so they define addition, multiplication and
-canonicalization; every operation that merely moves, filters or reads terms
-lives here.  Values are immutable.
+(hahn_padic.PHahn) -- so sum, difference, product and negation are written
+once here: each builds one raw bag of ((k, coefficient tuple), int exponent)
+items over a common den and hands it to the ring's canonicalizer,
+`_canonical(cfg, bag, cap, den)`, the one hook that a ring must define.
+Every operation that merely moves, filters or reads terms lives here too.
+Values are immutable.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from collections import Counter
 from fractions import Fraction
 
 from .errors import PrecisionLoss
-from .exactnum import FqElem, PrimeConfig, _square_multiply, subfield_embedding
+from .exactnum import (FqElem, PrimeConfig, _square_multiply, fq_mul, neg_mod,
+                       subfield_embedding)
 
 INF = math.inf
 
@@ -59,7 +64,8 @@ class TruncatedSeries:
 
     This constructor takes canonical (exponent, coefficient) pairs on trust
     (see the module docstring); ring classes that canonicalize override it,
-    so operations here build results from int terms through _trusted.
+    so operations here build results from int terms through _trusted, or
+    from a raw bag through the ring's `_canonical(cfg, bag, cap, den)`.
     """
 
     __slots__ = ("cfg", "den", "ints", "cap", "_terms")
@@ -162,6 +168,42 @@ class TruncatedSeries:
             raise TypeError(f"{type(self).__name__} expected")
         if not self.cfg.same_field(other.cfg):
             raise ValueError("PrimeConfig mismatch")
+
+    # ring operations: one raw bag each, canonicalized by the ring ------------
+
+    def __add__(self, other, k=1):
+        """self + k*other for k = 1 or -1."""
+        self._check(other)
+        den = math.lcm(self.den, other.den)
+        bag = [((1, c), x) for x, c in self.ints_over(den)]
+        bag += [((k, c), x) for x, c in other.ints_over(den)]
+        return self._canonical(self.cfg, bag, min(self.cap, other.cap), den)
+
+    def __sub__(self, other):
+        return self.__add__(other, -1)
+
+    def __neg__(self):
+        """Coefficient-wise negation; canonical as it stands where -[c] = [-c]."""
+        return self._trusted(self.cfg, self.den, (
+            (n, neg_mod(c, self.cfg.p)) for n, c in self.ints), self.cap)
+
+    def __mul__(self, other):
+        self._check(other)
+        if self.is_exact_zero() or other.is_exact_zero():
+            return self.zero(self.cfg)
+        cap = min(self.cap + other.val_lower_bound(),
+                  other.cap + self.val_lower_bound())
+        # Pairs at or above the cap are dropped (carries only rise), and equal
+        # products enter the bag once as (count, product): a dense square has
+        # far fewer distinct (exponent, coefficient pair) products than pairs.
+        cfg, den = self.cfg, math.lcm(self.den, other.den)
+        lim, b = int_cap(cap, den), other.ints_over(den)
+        counts = Counter((xa + xb, ca, cb) for xa, ca in self.ints_over(den)
+                         for xb, cb in b if xa + xb < lim)
+        pairs = {(ca, cb) for _, ca, cb in counts}
+        prods = {pair: fq_mul(cfg, *pair) for pair in pairs}
+        bag = [((k, prods[ca, cb]), x) for (x, ca, cb), k in counts.items()]
+        return self._canonical(cfg, bag, cap, den)
 
     # operations that move or filter terms -----------------------------------
 

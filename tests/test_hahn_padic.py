@@ -52,6 +52,18 @@ class TestNormalize:
         z = normalize(cfg, [], Fr(2))
         assert z.digits == () and z.cap == Fr(2)
 
+    def test_capped_prime_field_output_shares_one_tuple_per_digit(self):
+        # digit_runs reads every capped r = 1 bucket; -1 is the digit [4]
+        cfg = PrimeConfig.make(5)
+        out = normalize(cfg, [(-1, Fr(i, 4)) for i in range(4)]
+                        + [(1, Fr(i, 4)) for i in range(5, 9)], Fr(4))
+        by_digit = {}
+        for _, c in out.ints:
+            by_digit.setdefault(c, []).append(c)
+        assert {c: len(same) for c, same in by_digit.items()} == {(1,): 4, (4,): 4}
+        for same in by_digit.values():
+            assert all(c is same[0] for c in same)
+
     def test_char2_double_term_carries_one_level_up(self):
         cfg = PrimeConfig.make(2)
         one = cfg.fq(1)

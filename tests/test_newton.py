@@ -5,7 +5,7 @@ from fractions import Fraction as Fr
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hahnforge import hahn_padic, newton
+from hahnforge import hahn_padic
 from hahnforge.errors import (BoundViolation, FieldExtensionExceeded,
                                PrecisionLoss)
 from hahnforge.exactnum import FqElem, PrimeConfig, subfield_embedding
@@ -520,8 +520,25 @@ class TestTaylorShift:
             calls.append(args)
             return normalize(*args, **kwargs)
 
-        # newton's own name for it, and the one PHahn's + and * call
-        monkeypatch.setattr(newton, "normalize", counting)
+        # the one name PHahn's canonicalizer, and so the shift, calls
         monkeypatch.setattr(hahn_padic, "normalize", counting)
+        assert _taylor_shift(coeffs, tau) == oracle
+        assert len(calls) <= degree + 1
+
+    @pytest.mark.parametrize("degree", [1, 2, 3, 5])
+    def test_eq_shift_canonicalizes_once_per_coefficient(self, degree,
+                                                         monkeypatch):
+        cfg = PrimeConfig.make(3)
+        coeffs = [EqHahn(cfg, [(Fr(-1, 3), i + 1), (Fr(i, 2), 2)], Fr(3))
+                  for i in range(degree + 1)]
+        tau = EqHahn.monomial(cfg, 2, Fr(-1, 9), cap=Fr(4))
+        oracle = _taylor_shift_synthetic(coeffs, tau)
+        canonical, calls = EqHahn._canonical, []
+
+        def counting(cls, *args):
+            calls.append(args)
+            return canonical(*args)
+
+        monkeypatch.setattr(EqHahn, "_canonical", classmethod(counting))
         assert _taylor_shift(coeffs, tau) == oracle
         assert len(calls) <= degree + 1

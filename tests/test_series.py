@@ -169,3 +169,89 @@ def test_every_operation_stores_coefficient_tuples(p, r):
     assert all(v.ints for v in values)
     for v in values:
         _assert_tuple_coeffs(v)
+
+
+# ---------------------------------------------------------------------------
+# sum, difference, product and negation, written once for both rings
+# ---------------------------------------------------------------------------
+
+ARITH_FIELDS = [(2, 1), (3, 1), (2, 2), (3, 2)]
+
+
+@st.composite
+def operand_pairs(draw, ring):
+    """Two values of `ring` over F_2, F_3, F_4 or F_9 on a small exponent
+    grid, so that products share exponents; p-adic values are capped, since
+    an exact p-adic sum needs digits with integer lifts."""
+    cfg = PrimeConfig.make(*draw(st.sampled_from(ARITH_FIELDS)))
+    digit = st.sampled_from(list(cfg.fq_elements())[1:])
+    exps = st.builds(Fr, st.integers(-3, 6), st.sampled_from([1, 2, 3]))
+    caps = st.builds(Fr, st.integers(2, 10), st.sampled_from([1, 2]))
+    pair = []
+    for _ in range(2):
+        terms = draw(st.lists(st.tuples(exps, digit), max_size=5))
+        if ring is PHahn:
+            pair.append(normalize(cfg, [(d, e) for e, d in terms], draw(caps)))
+        else:
+            pair.append(EqHahn(cfg, terms, draw(st.one_of(st.just(INF), caps))))
+    return tuple(pair)
+
+
+def schoolbook_product(a, b):
+    """(terms, cap) of a * b from the FqElem views: every pairwise product
+    summed by exponent, without merged_terms or the series core's bag."""
+    if a.is_exact_zero() or b.is_exact_zero():
+        return (), INF
+    cap = min(a.cap + b.val_lower_bound(), b.cap + a.val_lower_bound())
+    sums = {}
+    for ea, ca in a.terms:
+        for eb, cb in b.terms:
+            sums[ea + eb] = sums.get(ea + eb, a.cfg.fq(0)) + ca * cb
+    terms = sorted((e, c) for e, c in sums.items() if e < cap and not c.is_zero())
+    return tuple(terms), cap
+
+
+class TestSharedArithmetic:
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(operand_pairs(EqHahn))
+    def test_eq_product_matches_schoolbook(self, ab):
+        a, b = ab
+        product = a * b
+        assert (product.terms, product.cap) == schoolbook_product(a, b)
+
+    @pytest.mark.parametrize("p", [2, 3], ids=["F4", "F9"])
+    def test_repeated_products_enter_the_bag_with_a_count(self, p,
+                                                          monkeypatch):
+        # (g, h) lands at t^1 twice and (g, g + 1) at t^2 twice
+        cfg = PrimeConfig.make(p, 2)
+        g, one = cfg.fq([0, 1]), cfg.fq(1)
+        a = EqHahn(cfg, [(0, g), (1, g), (2, g)])
+        b = EqHahn(cfg, [(0, g + one), (1, g + one), (Fr(1, 2), one)])
+        canonical, counts = EqHahn._canonical, []
+
+        def recording(cls, cfg, bag, cap, den):
+            counts.extend(k for (k, _), _ in bag)
+            return canonical(cfg, bag, cap, den)
+
+        monkeypatch.setattr(EqHahn, "_canonical", classmethod(recording))
+        product = a * b
+        assert max(counts) == 2
+        assert (product.terms, product.cap) == schoolbook_product(a, b)
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(st.sampled_from([EqHahn, PHahn]).flatmap(operand_pairs))
+    def test_difference_and_negation(self, ab):
+        a, b = ab
+        assert a - b == a + (-b)
+        assert -(-a) == a
+        assert (a + (-a)).is_zero_below_cap()
+
+    @pytest.mark.parametrize("r", [1, 2], ids=["F2", "F4"])
+    def test_padic_negation_at_2_carries_below_the_cap(self, r):
+        # -1 = 1 + 2 + 4 + ... and digits are multiplicative: -[d] = sum [d] p^i
+        cfg = PrimeConfig.make(2, r)
+        d = cfg.fq([0, 1] if r > 1 else 1)
+        a = PHahn.monomial(cfg, d, Fr(1, 2), cap=Fr(7, 2))
+        assert -a == PHahn(cfg, [(Fr(1, 2), d), (Fr(3, 2), d), (Fr(5, 2), d)],
+                           Fr(7, 2))
+        assert -EqHahn.monomial(cfg, d, Fr(1, 2)) == EqHahn.monomial(cfg, d, Fr(1, 2))
