@@ -4,8 +4,8 @@ Values are truncated series in the sense of `series`: coefficient tuples
 of F_{p^r}, rational exponents, exact below the cap.  Sum, difference,
 product and negation are the series core's; this ring defines only their
 canonicalization (`merged_terms`: in characteristic p there are no carries,
-so equal exponents merge by summing coefficients mod p), plus `inverse` and
-`frobenius`.
+so equal exponents merge by summing coefficients mod p) and the image k mod p
+of an integer k, plus `inverse` and `frobenius`.
 
 Cap propagation:
     add:  cap = min(cap_a, cap_b)
@@ -49,6 +49,11 @@ class EqHahn(TruncatedSeries):
     @classmethod
     def _canonical(cls, cfg, bag, cap, den):
         return cls._trusted(cfg, den, merged_terms(cfg.p, den, bag, cap), cap)
+
+    @staticmethod
+    def _int_image(cfg, k):
+        """The image of the integer k as a bag multiplier: k mod p."""
+        return k % cfg.p
 
     __mul__ = TruncatedSeries.__mul__  # own entry: perfbench/tracing.py wraps it
 

@@ -7,7 +7,8 @@ finite exact digit map).  Because digits add p-adically, sums and products of
 digit terms generate carries; normalization is where all of them are resolved.
 Sum, difference, product and negation are the series core's (see series);
 this ring defines only their canonicalization, `normalize`, and negates by
-it at p = 2, where -[1] is no single digit.
+it at p = 2, where -[1] is no single digit; its `_int_image` of an integer k
+is k itself.
 
 Normalization works in the fractional-part coordinates: raw terms k*[d]*p^e
 (the bag coefficient is an int k, an FqElem d or a pair (k, d), d an FqElem
@@ -230,6 +231,11 @@ class PHahn(TruncatedSeries):
     def _canonical(cfg, bag, cap, den):
         return normalize(cfg, bag, cap, den=den)
 
+    @staticmethod
+    def _int_image(cfg, k):
+        """The image of the integer k as a bag multiplier: k itself."""
+        return k
+
     __mul__ = TruncatedSeries.__mul__  # own entry: perfbench/tracing.py wraps it
 
     def __neg__(self):
@@ -312,26 +318,28 @@ def decompose(x: PHahn, cover=None) -> FracDecomp:
     `cover` asks every entry to know its digits up to that exponent; it
     defaults to x.cap and may exceed it only when x is exact (a finite digit
     map determines c_q to any precision, its higher digits being zero).
+    Terms n/den are bucketed by divmod(n, den); q is a Fraction per entry.
     """
-    cfg = x.cfg
+    cfg, den = x.cfg, x.den
     cover = x.cap if cover is None else as_frac(cover)
     if not x.is_exact() and cover > x.cap:
         raise PrecisionLoss("cannot cover beyond the cap of a truncated value")
     buckets = {}
-    for e, d in x.terms:
-        n = math.floor(e)
-        buckets.setdefault(e - n, []).append((n, d))
+    for e, d in x.ints:
+        n, q = divmod(e, den)
+        buckets.setdefault(q, []).append((n, d))
     entries = []
     for q in sorted(buckets):
         items = buckets[q]
         n_min = items[0][0]
         prec = items[-1][0] - n_min + 1
+        q = Fraction(q, den)
         if cover is not INF and cover != INF:
             prec = max(prec, math.ceil(cover - q) - n_min)
         pk = cfg.p ** prec
         total = [0] * cfg.r
         for n, d in items:
-            lift = teichmueller(d, prec=prec)
+            lift = teichmueller(FqElem(cfg, d), prec=prec)
             shift = cfg.p ** (n - n_min)
             total = [(a + b * shift) % pk for a, b in zip(total, lift.coeffs)]
         entries.append((q, n_min, WittElem(cfg, tuple(total), prec)))

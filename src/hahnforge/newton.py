@@ -188,8 +188,9 @@ def _taylor_shift(coeffs, tau):
     multiplicative, so tau^i = [c^i]*base^(ie) exactly and each b_k is one
     bag of terms C(j, k)*[d c^(j-k)] at x + (j-k)e over the terms [d]*base^x
     of a_j, canonicalised once by the ring's `_canonical`, which reads the
-    bag as sums and products do (in characteristic p, a C(j, k) that
-    vanishes mod p adds nothing).
+    bag as sums and products do.  C(j, k) enters as the ring's image of an
+    int, `_int_image` (C(j, k) mod p in characteristic p), and a binomial
+    whose image is 0 puts no term in the bag and asks for no product.
 
     Caps are those of repeated synthetic division.  The product rule
     min(cap_a + v(tau), cap_tau + v(a)), applied i >= 1 times, knows
@@ -210,6 +211,7 @@ def _taylor_shift(coeffs, tau):
 
     step, tau_cap = x_tau * (den // tau.den), scaled(tau.cap)
     rows = [(a.ints_over(den), scaled(a.cap), a.is_exact_zero()) for a in coeffs]
+    int_image = type(tau)._int_image
     cpow = [None, c]  # cpow[i] = c^i for i >= 1
     for _ in range(n - 2):
         cpow.append(fq_mul(cfg, cpow[-1], c))
@@ -227,10 +229,11 @@ def _taylor_shift(coeffs, tau):
             continue
         bag = []
         for j in range(k, n):
-            i, binom = j - k, math.comb(j, k)
-            bag.extend(((binom, fq_mul(cfg, d, cpow[i]) if i else d),
-                        x + i * step)
-                       for x, d in rows[j][0] if x + i * step < cap)
+            i, binom = j - k, int_image(cfg, math.comb(j, k))
+            if binom:
+                bag.extend(((binom, fq_mul(cfg, d, cpow[i]) if i else d),
+                            x + i * step)
+                           for x, d in rows[j][0] if x + i * step < cap)
         frac_cap = cap if cap == INF else Fraction(cap, den)
         out.append(type(tau)._canonical(cfg, bag, frac_cap, den))
     return out

@@ -14,6 +14,14 @@ the rational, not to the term.  Polynomial expressions extend `term` with
 X-power factors; ordinals use `w` for the first infinite ordinal; index
 vectors are comma-separated naturals in parentheses.
 
+Every grammar reads the one `tokenize` list by index, in plain functions of
+(toks, i) that return what they read and the next index; a token's value
+alone tells its kind (punct and names are distinct strings, ints are ints,
+the end is None).  An AST keeps Fraction exponents and enters a ring as sums
+and products do (see series): one raw bag of ((k, coefficient tuple), int
+exponent) items over the lcm of its exponent denominators, handed to the
+ring's `_canonical`, with no FqElem built.
+
 Printers emit one canonical spelling per value (coefficients bracketed,
 exponents parenthesized, terms sorted), so print-then-parse is the identity
 on canonical forms and parse-then-print is the identity on ASTs.
@@ -27,7 +35,7 @@ from fractions import Fraction
 from .errors import ParseError
 from .exactnum import FqElem, _poly_powmod
 from .hahn_eqchar import EqHahn
-from .hahn_padic import PHahn, normalize
+from .hahn_padic import PHahn
 from .indexcomb import index_vec
 from .ordinal import MAX_EXPONENT_DEPTH, ZERO, Ordinal
 from .series import INF
@@ -54,93 +62,105 @@ __all__ = [
 # tokens
 # ---------------------------------------------------------------------------
 
-_PUNCT = set("^*+-/()[],")
+_PUNCT = frozenset("^*+-/()[],")
 
 
 def tokenize(text: str):
-    """(kind, value, col) triples; kind in {'int', 'name', 'punct', 'end'}."""
+    """(kind, value, col) triples; kind in {'int', 'name', 'punct', 'end'}.
+
+    An int is a run of Unicode decimal digits, a name a run of letters; an
+    int past sys.get_int_max_str_digits() is a ParseError at its column.
+    """
     out = []
+    append = out.append
     i, n = 0, len(text)
     while i < n:
         ch = text[i]
-        if ch.isspace():
+        if ch in _PUNCT:
+            append(("punct", ch, i))
             i += 1
-            continue
-        if ch.isdecimal():
-            j = i
+        elif ch == " " or ch.isspace():
+            i += 1
+        elif ch.isdecimal():
+            j = i + 1
             while j < n and text[j].isdecimal():
                 j += 1
-            out.append(("int", int(text[i:j]), i))
+            try:
+                append(("int", int(text[i:j]), i))
+            except ValueError:
+                raise ParseError("integer literal too long", col=i,
+                                 expected="int") from None
             i = j
         elif ch.isalpha():
-            j = i
+            j = i + 1
             while j < n and text[j].isalpha():
                 j += 1
-            out.append(("name", text[i:j], i))
+            append(("name", text[i:j], i))
             i = j
-        elif ch in _PUNCT:
-            out.append(("punct", ch, i))
-            i += 1
         else:
             raise ParseError(f"unexpected character {ch!r}", col=i,
                              expected="token")
-    out.append(("end", None, n))
+    append(("end", None, n))
     return out
 
 
-class _Cursor:
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.pos = 0
+def _fail(toks, i, want):
+    """The ParseError for token i where `want` was expected."""
+    _, v, col = toks[i]
+    return ParseError(f"expected {want}, found {v!r}", col=col, expected=want)
 
-    def peek(self):
-        return self.tokens[self.pos]
 
-    def next(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+def _skip(toks, i, value):
+    """The index after token i, which must be the punct or name `value`."""
+    if toks[i][1] != value:
+        raise _fail(toks, i, value)
+    return i + 1
 
-    def expect(self, kind, value=None):
-        k, v, col = self.peek()
-        if k != kind or (value is not None and v != value):
-            raise ParseError(
-                f"expected {value or kind}, found {v!r}", col=col,
-                expected=value or kind)
-        return self.next()
 
-    def accept(self, kind, value=None):
-        k, v, _ = self.peek()
-        if k == kind and (value is None or v == value):
-            return self.next()
-        return None
+def _int(toks, i):
+    """(value, i + 1) of the int token i."""
+    kind, v, _ = toks[i]
+    if kind != "int":
+        raise _fail(toks, i, "int")
+    return v, i + 1
 
-    def done(self):
-        k, v, col = self.peek()
-        if k != "end":
-            raise ParseError(f"trailing input at {v!r}", col=col,
-                             expected="end of input")
+
+def _minus(toks, i):
+    """(-1, i + 1) after a '-' at token i, else (1, i)."""
+    return (-1, i + 1) if toks[i][1] == "-" else (1, i)
+
+
+def _end(toks, i):
+    """Token i must end the input."""
+    kind, v, col = toks[i]
+    if kind != "end":
+        raise ParseError(f"trailing input at {v!r}", col=col,
+                         expected="end of input")
 
 
 # ---------------------------------------------------------------------------
 # rationals
 # ---------------------------------------------------------------------------
 
-def _parse_rat(cur) -> Fraction:
-    sign = -1 if cur.accept("punct", "-") else 1
-    _, num, col = cur.expect("int")
-    if cur.accept("punct", "/"):
-        _, den, _ = cur.expect("int")
-        if den == 0:
-            raise ParseError("zero denominator", col=col, expected="nonzero")
-        return Fraction(sign * num, den)
-    return Fraction(sign * num)
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
+
+def _rat(toks, i):
+    """(Fraction, next index) of rat, after an optional '-'."""
+    sign, i = _minus(toks, i)
+    num, j = _int(toks, i)
+    if toks[j][1] != "/":
+        return Fraction(sign * num), j
+    den, j = _int(toks, j + 1)
+    if den == 0:
+        raise ParseError("zero denominator", col=toks[i][2], expected="nonzero")
+    return Fraction(sign * num, den), j
 
 
 def parse_rational(text: str) -> Fraction:
-    cur = _Cursor(tokenize(text))
-    value = _parse_rat(cur)
-    cur.done()
+    toks = tokenize(text)
+    value, i = _rat(toks, 0)
+    _end(toks, i)
     return value
 
 
@@ -157,40 +177,39 @@ def format_rational(x) -> str:
 # residue-field coefficients
 # ---------------------------------------------------------------------------
 
-def _parse_fqpoly(cur):
-    """Bracket body: sum of c, g, c*g, g^k, c*g^k; returns ((coeff, gpow), ...)."""
+def _fqpoly(toks, i):
+    """(((coeff, gpow), ...), next index) of a bracket body: a sum of c, g,
+    c*g, g^k and c*g^k."""
     terms = []
     while True:
-        sign = -1 if cur.accept("punct", "-") else 1
-        tok = cur.peek()
+        sign, i = _minus(toks, i)
+        kind, v, col = toks[i]
         coeff, gpow = 1, 0
-        if tok[0] == "int":
-            coeff = cur.next()[1]
-            if cur.accept("punct", "*"):
-                cur.expect("name", "g")
-                gpow = 1
-            elif cur.accept("name", "g"):
-                gpow = 1
-        elif tok[0] == "name" and tok[1] == "g":
-            cur.next()
-            gpow = 1
+        if kind == "int":
+            coeff, i = v, i + 1
+            if toks[i][1] == "*":
+                i, gpow = _skip(toks, i + 1, "g"), 1
+            elif toks[i][1] == "g":
+                i, gpow = i + 1, 1
+        elif v == "g":
+            i, gpow = i + 1, 1
         else:
-            raise ParseError("expected coefficient or g", col=tok[2],
+            raise ParseError("expected coefficient or g", col=col,
                              expected="int or g")
-        if gpow and cur.accept("punct", "^"):
-            _, gpow, _ = cur.expect("int")
+        if gpow and toks[i][1] == "^":
+            gpow, i = _int(toks, i + 1)
         terms.append((sign * coeff, gpow))
-        if not cur.accept("punct", "+"):
-            nxt = cur.peek()
-            if nxt[0] == "punct" and nxt[1] == "-":
-                continue
-            break
-    return tuple(terms)
+        v = toks[i][1]
+        if v == "+":
+            i += 1
+        elif v != "-":
+            return tuple(terms), i
 
 
 def _fq_from_ast(cfg, terms):
-    """The bracket's terms summed by g-power; a power g^k with k >= r is
-    reduced mod m(g) by square-and-multiply, in O(log k) products."""
+    """The bracket's terms summed by g-power as a reduced coefficient tuple;
+    a power g^k with k >= r is reduced mod m(g) by square-and-multiply, in
+    O(log k) products."""
     poly = [0] * cfg.r
     for coeff, gpow in terms:
         if gpow < cfg.r:
@@ -198,106 +217,83 @@ def _fq_from_ast(cfg, terms):
         else:
             for i, x in enumerate(_poly_powmod([0, 1], gpow, cfg.modulus, cfg.p)):
                 poly[i] += coeff * x
-    return cfg.fq(poly)
+    return tuple([x % cfg.p for x in poly])
 
 
 # ---------------------------------------------------------------------------
 # series expressions
 # ---------------------------------------------------------------------------
 
-def _parse_coeff(cur):
-    if cur.accept("punct", "["):
-        body = _parse_fqpoly(cur)
-        cur.expect("punct", "]")
-        return ("fq", body)
-    tok = cur.peek()
-    if tok[0] == "int":
-        return ("int", cur.next()[1])
-    return None
+_INT_ONE = ("int", 1)
+_SIGNS = {"+": 1, "-": -1}
 
 
-def _parse_series_term(cur, base_seen):
-    """One term; returns ('term', sign, coeff, exp) or ('cap', exp), plus base."""
-    k, v, col = cur.peek()
-    if k == "name" and v == "O":
-        cur.next()
-        cur.expect("punct", "(")
-        _, base, bcol = cur.expect("name")
-        if base not in ("t", "p"):
-            raise ParseError("cap base must be t or p", col=bcol,
-                             expected="t or p")
-        cur.expect("punct", "^")
-        cur.expect("punct", "(")
-        exp = _parse_rat(cur)
-        cur.expect("punct", ")")
-        cur.expect("punct", ")")
-        return ("cap", exp), base
-    coeff = _parse_coeff(cur)
-    base = None
-    exp = Fraction(0)
-    star = coeff is not None and cur.accept("punct", "*") is not None
-    k, v, col = cur.peek()
-    if k == "name" and v in ("t", "p"):
-        cur.next()
-        base = v
-        exp = Fraction(1)
-        if cur.accept("punct", "^"):
-            cur.expect("punct", "(")
-            exp = _parse_rat(cur)
-            cur.expect("punct", ")")
-    elif star:
-        raise ParseError("expected base after '*'", col=col, expected="t or p")
-    elif coeff is None:
-        raise ParseError("expected coefficient, base or cap", col=col,
-                         expected="term")
-    if coeff is None:
-        coeff = ("int", 1)
-    if base_seen is not None and base is not None and base != base_seen:
-        raise ParseError("mixed series bases in one expression", col=col,
-                         expected=base_seen)
-    return ("term", coeff, exp), base
+def _coeff(toks, i):
+    """(coefficient or None, next index): ('fq', body) or ('int', n)."""
+    kind, v, _ = toks[i]
+    if v == "[":
+        body, i = _fqpoly(toks, i + 1)
+        return ("fq", body), _skip(toks, i, "]")
+    if kind == "int":
+        return ("int", v), i + 1
+    return None, i
+
+
+def _power(toks, i):
+    """(exponent, next index) of the base at token i: ^(rat), or 1."""
+    if toks[i + 1][1] != "^":
+        return _ONE, i + 1
+    exp, i = _rat(toks, _skip(toks, i + 2, "("))
+    return exp, _skip(toks, i, ")")
 
 
 def parse_series(text: str, default_base: str = "t"):
     """AST ('series', base, terms, cap) with terms ((sign, coeff, exp), ...).
 
-    A series with no base written (constants only) gets default_base.
+    A series with no base written (constants only) gets default_base.  A
+    cap takes no sign, and only terms must agree on the base.
     """
-    cur = _Cursor(tokenize(text))
-    terms = []
-    cap = None
-    base = None
-    sign = -1 if cur.accept("punct", "-") else 1
+    toks = tokenize(text)
+    terms, cap, base = [], None, None
+    sign, i = _minus(toks, 0)
     while True:
-        node, b = _parse_series_term(cur, base)
-        if base is None and b is not None:
-            base = b
-        if node[0] == "cap":
-            cap = node[1]
+        if toks[i][1] == "O":
+            i = _skip(toks, i + 1, "(")
+            kind, b, col = toks[i]
+            if kind != "name":
+                raise _fail(toks, i, "name")
+            if b != "t" and b != "p":
+                raise ParseError("cap base must be t or p", col=col,
+                                 expected="t or p")
+            cap, i = _rat(toks, _skip(toks, _skip(toks, i + 1, "^"), "("))
+            i = _skip(toks, _skip(toks, i, ")"), ")")
+            base = base or b
         else:
-            _, coeff, exp = node
-            terms.append((sign, coeff, exp))
-        if cur.accept("punct", "+"):
-            sign = 1
-        elif cur.accept("punct", "-"):
-            sign = -1
-        else:
+            coeff, i = _coeff(toks, i)
+            star = toks[i][1] == "*" and coeff is not None
+            _, v, col = toks[i + star]
+            i += star
+            if v == "t" or v == "p":
+                exp, i = _power(toks, i)
+                if base is not None and v != base:
+                    raise ParseError("mixed series bases in one expression",
+                                     col=col, expected=base)
+                base = v
+            elif star:
+                raise ParseError("expected base after '*'", col=col,
+                                 expected="t or p")
+            elif coeff is None:
+                raise ParseError("expected coefficient, base or cap", col=col,
+                                 expected="term")
+            else:
+                exp = _ZERO
+            terms.append((sign, coeff or _INT_ONE, exp))
+        sign = _SIGNS.get(toks[i][1])
+        if sign is None:
             break
-    cur.done()
+        i += 1
+    _end(toks, i)
     return ("series", base or default_base, tuple(terms), cap)
-
-
-def _eq_coeff(cfg, sign, coeff):
-    """A parsed signed coefficient as an F_q element."""
-    if coeff[0] == "int":
-        return cfg.fq(sign * coeff[1])
-    c = _fq_from_ast(cfg, coeff[1])
-    return -c if sign < 0 else c
-
-
-def _padic_coeff(cfg, sign, coeff):
-    """A parsed signed coefficient as a normalize bag coefficient."""
-    return sign * coeff[1] if coeff[0] == "int" else (sign, _fq_from_ast(cfg, coeff[1]))
 
 
 # the series base of each ring, and the error for any other base
@@ -312,18 +308,32 @@ def _check_base(base, ring):
         raise ParseError(message)
 
 
-def series_to_eq(ast, cfg) -> EqHahn:
+def _int_bag(cfg, terms):
+    """(den, bag) of signed AST terms (sign, coeff, exp): den is the lcm of
+    the exponent denominators, and each term is one bag item ((k, coefficient
+    tuple), n) for k times the tuple at the exponent n/den."""
+    den = math.lcm(*[exp.denominator for _, _, exp in terms])
+    one = (1,) + (0,) * (cfg.r - 1)
+    return den, [
+        ((sign * coeff[1], one) if coeff[0] == "int"
+         else (sign, _fq_from_ast(cfg, coeff[1])),
+         exp.numerator * (den // exp.denominator))
+        for sign, coeff, exp in terms]
+
+
+def _series_to(ast, cfg, ring):
     _, base, terms, cap = ast
-    _check_base(base, EqHahn)
-    bag = [(exp, _eq_coeff(cfg, sign, coeff)) for sign, coeff, exp in terms]
-    return EqHahn(cfg, bag, INF if cap is None else cap)
+    _check_base(base, ring)
+    den, bag = _int_bag(cfg, terms)
+    return ring._canonical(cfg, bag, INF if cap is None else cap, den)
+
+
+def series_to_eq(ast, cfg) -> EqHahn:
+    return _series_to(ast, cfg, EqHahn)
 
 
 def series_to_phahn(ast, cfg) -> PHahn:
-    _, base, terms, cap = ast
-    _check_base(base, PHahn)
-    bag = [(_padic_coeff(cfg, sign, coeff), exp) for sign, coeff, exp in terms]
-    return normalize(cfg, bag, INF if cap is None else cap)
+    return _series_to(ast, cfg, PHahn)
 
 
 def printed_terms(value):
@@ -388,39 +398,26 @@ def format_ast(ast) -> str:
 
 def parse_poly(text: str):
     """AST ('poly', base, pterms) with pterms ((sign, coeff, exp, xpow), ...)."""
-    cur = _Cursor(tokenize(text))
-    pterms = []
-    base = None
-    sign = -1 if cur.accept("punct", "-") else 1
+    toks = tokenize(text)
+    pterms, base = [], None
+    sign, i = _minus(toks, 0)
     while True:
-        coeff = None
-        exp = Fraction(0)
-        xpow = 0
-        saw_factor = False
+        coeff, exp, xpow, saw_factor = None, _ZERO, 0, False
         while True:
-            k, v, col = cur.peek()
-            if k == "name" and v == "X":
-                cur.next()
-                power = 1
-                if cur.accept("punct", "^"):
-                    _, power, _ = cur.expect("int")
+            _, v, col = toks[i]
+            if v == "X":
+                power, i = (_int(toks, i + 2) if toks[i + 1][1] == "^"
+                            else (1, i + 1))
                 xpow += power
-                saw_factor = True
-            elif k == "name" and v in ("t", "p"):
+            elif v == "t" or v == "p":
                 if base is not None and v != base:
                     raise ParseError("mixed series bases", col=col,
                                      expected=base)
                 base = v
-                cur.next()
-                e = Fraction(1)
-                if cur.accept("punct", "^"):
-                    cur.expect("punct", "(")
-                    e = _parse_rat(cur)
-                    cur.expect("punct", ")")
+                e, i = _power(toks, i)
                 exp += e
-                saw_factor = True
             else:
-                c = _parse_coeff(cur)
+                c, i = _coeff(toks, i)
                 if c is None:
                     break
                 if coeff is None:
@@ -430,46 +427,39 @@ def parse_poly(text: str):
                 else:
                     raise ParseError("repeated coefficient factor", col=col,
                                      expected="single coefficient")
-                saw_factor = True
-            if not cur.accept("punct", "*"):
-                k, v, _ = cur.peek()
-                if k == "name" and v in ("X", "t", "p"):
-                    continue
+            saw_factor = True
+            v = toks[i][1]
+            if v == "*":
+                i += 1
+            elif v != "X" and v != "t" and v != "p":
                 break
         if not saw_factor:
-            k, v, col = cur.peek()
-            raise ParseError("expected polynomial term", col=col,
+            raise ParseError("expected polynomial term", col=toks[i][2],
                              expected="term")
-        pterms.append((sign, coeff or ("int", 1), exp, xpow))
-        if cur.accept("punct", "+"):
-            sign = 1
-        elif cur.accept("punct", "-"):
-            sign = -1
-        else:
+        pterms.append((sign, coeff or _INT_ONE, exp, xpow))
+        sign = _SIGNS.get(toks[i][1])
+        if sign is None:
             break
-    cur.done()
+        i += 1
+    _end(toks, i)
     return ("poly", base, tuple(pterms))
 
 
 def poly_to_coeffs(ast, cfg, ring, coeff_cap=INF):
-    """Materialize a poly AST as a coefficient list over the requested ring.
+    """Materialize a poly AST as a coefficient list over the requested ring,
+    one int bag per X-power; coeff_cap caps only p-adic coefficients.
 
     A polynomial written in the other ring's base is a ParseError; one with
     constant coefficients only (base None) fits either ring.
     """
     _, base, pterms = ast
     _check_base(base, ring)
-    degree = max(x for *_r, x in pterms)
-    if ring is EqHahn:
-        coeffs = [EqHahn.zero(cfg) for _ in range(degree + 1)]
-        for sign, coeff, exp, xpow in pterms:
-            term = EqHahn(cfg, [(exp, _eq_coeff(cfg, sign, coeff))], INF)
-            coeffs[xpow] = coeffs[xpow] + term
-        return coeffs
-    bags = [[] for _ in range(degree + 1)]
-    for sign, coeff, exp, xpow in pterms:
-        bags[xpow].append((_padic_coeff(cfg, sign, coeff), exp))
-    return [normalize(cfg, bag, coeff_cap) for bag in bags]
+    den, items = _int_bag(cfg, [t[:3] for t in pterms])
+    bags = [[] for _ in range(max(t[3] for t in pterms) + 1)]
+    for item, t in zip(items, pterms):
+        bags[t[3]].append(item)
+    cap = coeff_cap if ring is PHahn else INF
+    return [ring._canonical(cfg, bag, cap, den) for bag in bags]
 
 
 # ---------------------------------------------------------------------------
@@ -480,34 +470,34 @@ def _depth_error():
     return ValueError(f"ordinal exponent depth exceeds {MAX_EXPONENT_DEPTH}")
 
 
-def _parse_ordinal_expr(cur, nesting) -> Ordinal:
+def _ordinal(toks, i, nesting):
+    """(ordinal, next index) of a sum of ints and w-terms w^(expr)*c."""
     if nesting > MAX_EXPONENT_DEPTH:
         raise _depth_error()
     total = ZERO
     while True:
-        k, v, col = cur.peek()
-        if k == "int":
-            term = Ordinal.from_int(cur.next()[1])
-        elif k == "name" and v == "w":
-            cur.next()
-            exp = Ordinal.from_int(1)
-            if cur.accept("punct", "^"):
-                cur.expect("punct", "(")
-                exp = _parse_ordinal_expr(cur, nesting + 1)
-                cur.expect("punct", ")")
+        kind, v, col = toks[i]
+        if kind == "int":
+            term, i = Ordinal.from_int(v), i + 1
+        elif v == "w":
+            exp, i = Ordinal.from_int(1), i + 1
+            if toks[i][1] == "^":
+                exp, i = _ordinal(toks, _skip(toks, i + 1, "("), nesting + 1)
+                i = _skip(toks, i, ")")
             coeff = 1
-            if cur.accept("punct", "*"):
-                _, coeff, ccol = cur.expect("int")
+            if toks[i][1] == "*":
+                coeff, i = _int(toks, i + 1)
                 if coeff < 1:
                     raise ParseError("ordinal coefficients are positive",
-                                     col=ccol, expected="positive int")
+                                     col=toks[i - 1][2], expected="positive int")
             term = Ordinal(((exp, coeff),))
         else:
             raise ParseError("expected ordinal term", col=col,
                              expected="w or int")
         total = total + term
-        if not cur.accept("punct", "+"):
-            return total
+        if toks[i][1] != "+":
+            return total, i
+        i += 1
 
 
 def parse_ordinal(text: str) -> Ordinal:
@@ -516,39 +506,39 @@ def parse_ordinal(text: str) -> Ordinal:
     Deeper exponents are rejected while parsing, before they can exhaust the
     interpreter's recursion limit.
     """
-    cur = _Cursor(tokenize(text))
-    value = _parse_ordinal_expr(cur, 0)
-    cur.done()
+    toks = tokenize(text)
+    value, i = _ordinal(toks, 0, 0)
+    _end(toks, i)
     if value.depth() > MAX_EXPONENT_DEPTH:
         raise _depth_error()
     return value
 
 
 def parse_index_vec(text: str) -> tuple:
-    cur = _Cursor(tokenize(text))
-    cur.expect("punct", "(")
-    entries = []
-    while not cur.accept("punct", ")"):
-        _, n, _ = cur.expect("int")
+    toks = tokenize(text)
+    i, entries = _skip(toks, 0, "("), []
+    while toks[i][1] != ")":
+        n, i = _int(toks, i)
         entries.append(n)
-        if not cur.accept("punct", ","):
-            cur.expect("punct", ")")
+        if toks[i][1] != ",":
             break
-    cur.done()
+        i += 1
+    _end(toks, _skip(toks, i, ")"))
     return index_vec(entries)
 
 
 def parse_int_list(text: str) -> tuple:
     """Comma separated ints, each an optional '-' and digits: `1,-2,0`."""
-    cur = _Cursor(tokenize(text))
-    entries = []
+    toks = tokenize(text)
+    i, entries = 0, []
     while True:
-        sign = -1 if cur.accept("punct", "-") else 1
-        _, n, _ = cur.expect("int")
+        sign, i = _minus(toks, i)
+        n, i = _int(toks, i)
         entries.append(sign * n)
-        if not cur.accept("punct", ","):
+        if toks[i][1] != ",":
             break
-    cur.done()
+        i += 1
+    _end(toks, i)
     return tuple(entries)
 
 

@@ -5,7 +5,7 @@ from fractions import Fraction as Fr
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hahnforge import hahn_padic
+from hahnforge import hahn_padic, newton
 from hahnforge.errors import (BoundViolation, FieldExtensionExceeded,
                                PrecisionLoss)
 from hahnforge.exactnum import FqElem, PrimeConfig, subfield_embedding
@@ -505,6 +505,28 @@ class TestTaylorShift:
         assert shifted[1] == EqHahn.zero(cfg, cap=Fr(0))
         assert shifted[0] == EqHahn(cfg, [(Fr(-2), 1)], Fr(-1))
         assert shifted[2] == coeffs[2]
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_eq_shift_multiplies_no_term_whose_binomial_vanishes(
+            self, p, monkeypatch):
+        # X^p - X - t^(-1) shifted by [g]*t^(-1/p) over F_(p^2): the powers
+        # g^2 .. g^p are p - 1 products, and then only the terms of a_1 and
+        # a_p into b_0 are multiplied, since C(p, k) = 0 mod p for 0 < k < p
+        cfg = PrimeConfig.make(p, 2)
+        coeffs = [EqHahn.monomial(cfg, -1, Fr(-1)), EqHahn.monomial(cfg, -1, 0)]
+        coeffs += [EqHahn.zero(cfg)] * (p - 2) + [EqHahn.one(cfg)]
+        tau = EqHahn.monomial(cfg, cfg.fq_gen(), Fr(-1, p))
+        calls, mul = [], newton.fq_mul
+
+        def counting(*args):
+            calls.append(args)
+            return mul(*args)
+
+        monkeypatch.setattr(newton, "fq_mul", counting)
+        shifted = _taylor_shift(coeffs, tau)
+        monkeypatch.undo()
+        assert shifted == _taylor_shift_synthetic(coeffs, tau)
+        assert len(calls) == (p - 1) + 2
 
     @pytest.mark.parametrize("degree", [1, 2, 3, 5])
     def test_padic_shift_normalizes_once_per_coefficient(self, degree,
