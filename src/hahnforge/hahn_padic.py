@@ -7,8 +7,7 @@ finite exact digit map).  Because digits add p-adically, sums and products of
 digit terms generate carries; normalization is where all of them are resolved.
 Sum, difference, product and negation are the series core's (see series);
 this ring defines only their canonicalization, `normalize`, and negates by
-it at p = 2, where -[1] is no single digit; its `_int_image` of an integer k
-is k itself.
+it at p = 2, where -[1] is no single digit.
 
 Normalization works in the fractional-part coordinates: raw terms k*[d]*p^e
 (the bag coefficient is an int k, an FqElem d or a pair (k, d), d an FqElem

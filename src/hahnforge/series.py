@@ -17,12 +17,10 @@ characteristic p (hahn_eqchar.EqHahn), Teichmüller carries in the p-adic case
 (hahn_padic.PHahn) -- so sum, difference, product and negation are written
 once here: each builds one raw bag of ((k, coefficient tuple), int exponent)
 items over a common den and hands it to the ring's canonicalizer,
-`_canonical(cfg, bag, cap, den)`.  That and `_int_image(cfg, k)`, the
-ring's image of an integer as a bag multiplier (k, or k mod p in
-characteristic p), are the hooks a ring defines: the parser's
-conversions hand their bags to the same `_canonical`, and the Taylor shift
-maps its binomials through `_int_image`.  Every operation that merely
-moves, filters or reads terms lives here too.
+`_canonical(cfg, bag, cap, den)`, as the parser's conversions do; a ring
+also defines `_int_image(cfg, k)`, its image of an integer as a bag
+multiplier.  Every operation that merely moves, filters or reads terms
+lives here too.
 Values are immutable.
 """
 
