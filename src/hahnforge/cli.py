@@ -12,7 +12,8 @@ payload), the payload a zero-argument callable that builds it, or None
 (text-only verbs): --json prints payload() as one `json.dumps(...,
 sort_keys=True)` line, so text mode never builds it; otherwise each line
 is printed.  A batch argument given as `-` runs the handler once per
-non-blank stdin line, set to the stripped line, printing as it goes.
+non-blank stdin line, set to the stripped line, printing each result
+before it reads the next line.
 
 The argparse tree is built once per process, on the first `run`, and shared
 by every later call; each call's `out` and `err` reach it through a context
@@ -25,7 +26,6 @@ from __future__ import annotations
 import argparse
 import contextvars
 import functools
-import json
 import os
 import sys
 import textwrap
@@ -68,6 +68,7 @@ def _env_defaults():
     path = os.environ.get("HAHNFORGE_CONFIG")
     if not path:
         return {}
+    import json
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
@@ -343,12 +344,14 @@ def _dispatch(args, cfg, out, stdin):
     _specs, handler, batch = _VERBS[args.verb]
     texts = [None]
     if batch and getattr(args, batch) == "-":
-        texts = [line.strip() for line in stdin if line.strip()]
+        # lazily: each line's result is written before the next is read
+        texts = filter(None, map(str.strip, stdin))
     for text in texts:
         if text is not None:
             setattr(args, batch, text)
         lines, payload = handler(args, cfg)
         if args.json and payload is not None:
+            import json
             print(json.dumps(payload(), sort_keys=True), file=out)
         else:
             for line in lines:

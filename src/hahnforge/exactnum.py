@@ -45,12 +45,14 @@ in the degree and in log q.
 
 All values are immutable; operations are pure functions of their operands
 and the shared PrimeConfig.  The lift table only caches such a function.
+Every value class of the package derives from _Frozen, defined here, and
+copies and pickles; the records among them (PrimeConfig, Certificate,
+ExpandOptions, RootBranch) derive from _Record.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DivisionByZero, NotAUnit, ZeroPolynomial
@@ -350,8 +352,49 @@ def find_modulus(p: int, r: int) -> tuple:
     raise AssertionError("unreachable: irreducibles of every degree exist")
 
 
-@dataclass(frozen=True)
-class PrimeConfig:
+class _Frozen:
+    """Base of every value class: slots set once, by the constructor (through
+    _set, or object.__setattr__ on a hot path), and restored by __setstate__,
+    so that every value copies and pickles."""
+
+    __slots__ = ()
+
+    def __setattr__(self, *a):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def _set(self, **fields):
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __setstate__(self, state):  # a slots-only state: (None, {slot: value})
+        self._set(**state[1])
+
+
+class _Record(_Frozen):
+    """A value compared, hashed and printed by its __slots__, as a frozen
+    dataclass by its fields."""
+
+    __slots__ = ()
+
+    def _fields(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        body = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__qualname__}({body})"
+
+
+class PrimeConfig(_Record):
     """Fixed arithmetic context: prime p and extension degree r.
 
     `modulus` is the monic degree-r integer polynomial whose reduction mod p
@@ -359,10 +402,10 @@ class PrimeConfig:
     `l_max` bounds the Witt precision any internal normalization may request.
     """
 
-    p: int
-    r: int
-    modulus: tuple
-    l_max: int = 128
+    __slots__ = ("p", "r", "modulus", "l_max")
+
+    def __init__(self, p: int, r: int, modulus: tuple, l_max: int = 128):
+        self._set(p=p, r=r, modulus=modulus, l_max=l_max)
 
     @staticmethod
     def make(p: int, r: int = 1, l_max: int = 128,
@@ -428,7 +471,7 @@ class PrimeConfig:
         return WittElem(self, self._coeffs(value, self.p ** prec), prec)
 
 
-class _ResidueElem:
+class _ResidueElem(_Frozen):
     """Element of Z[g]/(n, m(g)) for the config's modulus m; immutable.
 
     The ring arithmetic of FqElem (n = p) and WittElem (n = p^prec).  A
@@ -443,9 +486,6 @@ class _ResidueElem:
     def __init__(self, cfg: PrimeConfig, coeffs: tuple):
         object.__setattr__(self, "cfg", cfg)
         object.__setattr__(self, "coeffs", coeffs)
-
-    def __setattr__(self, *a):
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)

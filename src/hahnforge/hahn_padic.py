@@ -49,9 +49,10 @@ import math
 from fractions import Fraction
 
 from .errors import PrecisionLoss
-from .exactnum import (FqElem, PrimeConfig, WittElem, _int_lift, digit_coeffs,
-                       digit_runs, digit_decompose, neg_mod, teichmueller)
-from .series import INF, TruncatedSeries, as_frac
+from .exactnum import (FqElem, PrimeConfig, WittElem, _Frozen, _int_lift,
+                       digit_coeffs, digit_runs, digit_decompose, neg_mod,
+                       teichmueller)
+from .series import INF, TruncatedSeries, as_frac, is_inf
 
 GUARD_DIGITS = 2  # carries only propagate upward: these absorb the cap boundary
 
@@ -154,7 +155,7 @@ def normalize(cfg: PrimeConfig, bag, cap, den: int = 1) -> "PHahn":
         for x, k, d in fracs:
             n, q = divmod(x.numerator * (scale // x.denominator), den)
             buckets.setdefault(q, []).append((n, k, d))
-    exact = cap is INF or cap == INF
+    exact = is_inf(cap)
     if not exact:  # ceil(cap - q/den) = -((q * cd - cn) // (cd * den))
         cn, cd = cap.numerator * den, cap.denominator
     out, runs, lifts = [], [], {}  # out: (exponent * den, digit)
@@ -282,7 +283,7 @@ def frak_a(cfg: PrimeConfig, cap, terms: int | None = None) -> PHahn:
 # fractional-part decomposition (the second coordinate system)
 # ---------------------------------------------------------------------------
 
-class FracDecomp:
+class FracDecomp(_Frozen):
     """Coefficients c_q of the decomposition sum_q c_q p^q, q in [0,1).
 
     Each entry is (q, offset, unit): the coefficient is p^offset * unit with
@@ -293,12 +294,7 @@ class FracDecomp:
     __slots__ = ("cfg", "entries", "cap")
 
     def __init__(self, cfg, entries, cap):
-        object.__setattr__(self, "cfg", cfg)
-        object.__setattr__(self, "entries", tuple(entries))
-        object.__setattr__(self, "cap", as_frac(cap))
-
-    def __setattr__(self, *a):
-        raise AttributeError("FracDecomp is immutable")
+        self._set(cfg=cfg, entries=tuple(entries), cap=as_frac(cap))
 
     def __eq__(self, other):
         return (isinstance(other, FracDecomp)
@@ -333,7 +329,7 @@ def decompose(x: PHahn, cover=None) -> FracDecomp:
         n_min = items[0][0]
         prec = items[-1][0] - n_min + 1
         q = Fraction(q, den)
-        if cover is not INF and cover != INF:
+        if not is_inf(cover):
             prec = max(prec, math.ceil(cover - q) - n_min)
         pk = cfg.p ** prec
         total = [0] * cfg.r
@@ -350,7 +346,7 @@ def recompose(fd: FracDecomp, cap=None) -> PHahn:
     cap = fd.cap if cap is None else as_frac(cap)
     out = []
     for q, off, unit in fd.entries:
-        if cap is not INF and cap != INF and cap > q + off + unit.prec:
+        if not is_inf(cap) and cap > q + off + unit.prec:
             raise PrecisionLoss("FracDecomp entry does not cover the requested cap")
         for i, d in enumerate(digit_decompose(unit)):
             e = q + off + i
@@ -372,7 +368,7 @@ def mul_via_decomposition(a: PHahn, b: PHahn) -> PHahn:
     if a.is_exact_zero() or b.is_exact_zero():
         return PHahn.zero(cfg)
     cap = min(a.cap + b.val_lower_bound(), b.cap + a.val_lower_bound())
-    if cap is INF or cap == INF:
+    if is_inf(cap):
         raise PrecisionLoss(
             "decomposition-route product needs a finite cap; truncate a factor")
     fa = decompose(a, cover=min(a.cap, cap - b.val_lower_bound()))
@@ -392,7 +388,7 @@ def mul_via_decomposition(a: PHahn, b: PHahn) -> PHahn:
         o_min = min(o for o, _ in items)
         abs_prec = min(o + w.prec for o, w in items)
         rel = abs_prec - o_min
-        if cap is not INF and cap != INF and q + abs_prec < cap:
+        if q + abs_prec < cap:
             raise PrecisionLoss("product bucket does not cover the requested cap")
         if rel <= 0:
             continue

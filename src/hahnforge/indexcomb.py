@@ -34,11 +34,10 @@ powers are exact dict products; normalize sees sum_i s_i * A_K^i once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import SigmaMismatch
-from .exactnum import PrimeConfig
+from .exactnum import PrimeConfig, _Record
 from .hahn_padic import PHahn, frak_a, from_integer, normalize
 from .series import INF, as_frac
 
@@ -162,20 +161,18 @@ def multinomial(i: int, k) -> int:
     return out
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(_Record):
     """Integer proxy for a hypothetical polynomial relation of degree n+1."""
 
-    s: tuple
-    cap: Fraction
+    __slots__ = ("s", "cap")
 
-    def __post_init__(self):
-        object.__setattr__(self, "s", tuple(int(x) for x in self.s))
-        if len(self.s) < 2:
+    def __init__(self, s, cap):
+        s = tuple(int(x) for x in s)
+        if len(s) < 2:
             raise ValueError("certificate needs at least s_0 and s_1")
-        if self.s[0] == 0 or self.s[-1] == 0:
+        if s[0] == 0 or s[-1] == 0:
             raise ValueError("s_0 and s_{n+1} must be nonzero")
-        object.__setattr__(self, "cap", as_frac(self.cap))
+        self._set(s=s, cap=as_frac(cap))
 
     @property
     def degree(self) -> int:

@@ -48,9 +48,9 @@ lexicographic coefficient order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import zip_longest
+from types import SimpleNamespace
 
 from .errors import (
     BoundViolation,
@@ -58,11 +58,11 @@ from .errors import (
     NoProgress,
     PrecisionLoss,
 )
-from .exactnum import (FqElem, PrimeConfig, fq_mul, fq_poly_roots,
-                       subfield_embedding)
+from .exactnum import (FqElem, PrimeConfig, _Frozen, _Record, fq_mul,
+                       fq_poly_roots, subfield_embedding)
 from .hahn_eqchar import EqHahn
 from .hahn_padic import PHahn
-from .series import INF, as_frac, eval_poly
+from .series import INF, as_frac, eval_poly, int_cap, is_inf
 
 GEO_WINDOW = 3   # geometric increments required before acceleration
 
@@ -77,30 +77,26 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ExpandOptions:
-    max_field_degree: int = 6
-    stall_limit: int = 3
-    max_steps: int = 120
+class ExpandOptions(_Record):
+    __slots__ = ("max_field_degree", "stall_limit", "max_steps")
+
+    def __init__(self, max_field_degree=6, stall_limit=3, max_steps=120):
+        self._set(max_field_degree=max_field_degree, stall_limit=stall_limit,
+                  max_steps=max_steps)
 
 
 # ---------------------------------------------------------------------------
 # polygons
 # ---------------------------------------------------------------------------
 
-class NewtonPolygon:
+class NewtonPolygon(_Frozen):
     """Lower convex hull of (index, valuation) points, slopes increasing:
     int `points` (i, y) for the valuation y/den, with a Fraction view."""
 
     __slots__ = ("points", "zero_multiplicity", "den")
 
     def __init__(self, points, zero_multiplicity=0, den=1):
-        object.__setattr__(self, "points", tuple(points))
-        object.__setattr__(self, "zero_multiplicity", zero_multiplicity)
-        object.__setattr__(self, "den", den)
-
-    def __setattr__(self, *a):
-        raise AttributeError("NewtonPolygon is immutable")
+        self._set(points=tuple(points), zero_multiplicity=zero_multiplicity, den=den)
 
     @property
     def vertices(self):
@@ -204,13 +200,9 @@ def _taylor_shift(coeffs, tau):
     cfg, n = tau.cfg, len(coeffs)
     den = math.lcm(tau.den, *(a.den for a in coeffs),
                    *(x.denominator for x in [tau.cap] + [a.cap for a in coeffs]
-                     if x != INF))
-
-    def scaled(x):
-        return x if x == INF else x.numerator * (den // x.denominator)
-
-    step, tau_cap = x_tau * (den // tau.den), scaled(tau.cap)
-    rows = [(a.ints_over(den), scaled(a.cap), a.is_exact_zero()) for a in coeffs]
+                     if not is_inf(x)))
+    step, tau_cap = x_tau * (den // tau.den), int_cap(tau.cap, den)
+    rows = [(a.ints_over(den), int_cap(a.cap, den), a.is_exact_zero()) for a in coeffs]
     int_image = type(tau)._int_image
     cpow = [None, c]  # cpow[i] = c^i for i >= 1
     for _ in range(n - 2):
@@ -234,20 +226,19 @@ def _taylor_shift(coeffs, tau):
                 bag.extend(((binom, fq_mul(cfg, d, cpow[i]) if i else d),
                             x + i * step)
                            for x, d in rows[j][0] if x + i * step < cap)
-        frac_cap = cap if cap == INF else Fraction(cap, den)
+        frac_cap = cap if is_inf(cap) else Fraction(cap, den)
         out.append(type(tau)._canonical(cfg, bag, frac_cap, den))
     return out
 
 
-@dataclass(frozen=True)
-class RootBranch:
+class RootBranch(_Record):
     """One expanded root: term list, achieved residual bound, field used."""
 
-    cfg: PrimeConfig
-    ring: type
-    terms: tuple
-    residual_bound: object
-    field_degree: int
+    __slots__ = ("cfg", "ring", "terms", "residual_bound", "field_degree")
+
+    def __init__(self, cfg, ring, terms, residual_bound, field_degree):
+        self._set(cfg=cfg, ring=ring, terms=terms,
+                  residual_bound=residual_bound, field_degree=field_degree)
 
     def value(self):
         """The prefix as an exact ring element (finite term map)."""
@@ -271,15 +262,13 @@ class RootBranch:
         return f"RootBranch({body}; bound={self.residual_bound})"
 
 
-@dataclass
-class _State:
-    cfg: PrimeConfig
-    coeffs: list                     # shifted polynomial, low degree first
-    terms: list = field(default_factory=list)   # committed ((n, d), digit)
-    prev_strip: object = None        # stripped residual one step ago
-    jump_bound: object = None        # head valuation at the jump, once jumped
-    stall_count: int = 0
-    last_val: object = None          # head valuation one step ago, (n, d)
+def _state(cfg, coeffs):
+    """A branch's mutable state: the shifted polynomial (low degree first),
+    the committed ((n, d), digit) terms, the stripped residual and the head
+    valuation (n, d) one step ago, the head valuation at the jump once
+    jumped, and the stall count.  A child is a copy with fields replaced."""
+    return SimpleNamespace(cfg=cfg, coeffs=coeffs, terms=[], prev_strip=None,
+                           last_val=None, jump_bound=None, stall_count=0)
 
 
 def _geo_chain(terms, p):
@@ -367,8 +356,9 @@ def _children_for_segment(ring, st, e, members, opts, upper):
     out = []
     for c in sorted(roots, key=lambda c: c.sort_key()):
         tau = ring._trusted(st.cfg, e[1], ((e[0], c.coeffs),), tau_cap)
-        out.append(replace(st, coeffs=_taylor_shift(st.coeffs, tau),
-                           terms=st.terms + [(e, c)]))
+        out.append(SimpleNamespace(**{**vars(st),
+                                      "coeffs": _taylor_shift(st.coeffs, tau),
+                                      "terms": st.terms + [(e, c)]}))
     return out
 
 
@@ -383,7 +373,8 @@ def _extend_field(st, phi, opts):
         if roots:
             terms = [(e, subfield_embedding(c, big)) for e, c in st.terms]
             coeffs = [c.embed(big) for c in st.coeffs]
-            return replace(st, cfg=big, coeffs=coeffs, terms=terms), roots
+            return SimpleNamespace(**{**vars(st), "cfg": big, "coeffs": coeffs,
+                                      "terms": terms}), roots
         factor += 1
     raise FieldExtensionExceeded(
         f"no residue root within extension degree {opts.max_field_degree}")
@@ -436,9 +427,7 @@ def _advance(ring, st, stack, branches, upper, max_terms, opts):
                     accept, bound = _stable_pair(stripped, st.prev_strip)
                 if accept:
                     st.jump_bound = a0.valuation()
-                    st.coeffs = list(st.coeffs)
-                    st.coeffs[0] = stripped if bound is INF or bound == INF \
-                        else stripped.truncate(bound)
+                    st.coeffs = [stripped.truncate(bound)] + st.coeffs[1:]
                     st.prev_strip = None
                     st.last_val = None
                     st.stall_count = 0
@@ -481,7 +470,7 @@ def _expand(ring, cfg, coeffs, *, upper=None, max_terms=None, opts=None):
     if len(coeffs) <= 1:
         raise ValueError("polynomial must have positive degree")
     branches = []
-    stack = [_State(cfg=cfg, coeffs=coeffs)]
+    stack = [_state(cfg, coeffs)]
     while stack:
         st = stack.pop()
         _advance(ring, st, stack, branches, upper, max_terms, opts)
@@ -513,7 +502,7 @@ def expand_root_padic(coeffs, cap, opts: ExpandOptions | None = None):
     """Root branches over PHahn coefficients with digit exponents below cap."""
     coeffs, cap = list(coeffs), as_frac(cap)
     return _expand(PHahn, coeffs[0].cfg, coeffs,
-                   upper=None if cap == INF else cap, opts=opts)
+                   upper=None if is_inf(cap) else cap, opts=opts)
 
 
 def verify_root(coeffs, prefix, expected_bound):

@@ -17,6 +17,7 @@ from __future__ import annotations
 import functools
 
 from .errors import ZeroOrderType
+from .exactnum import _Frozen
 
 MAX_EXPONENT_DEPTH = 8
 
@@ -31,14 +32,11 @@ __all__ = [
 
 
 @functools.total_ordering
-class Ordinal:
+class Ordinal(_Frozen):
     __slots__ = ("terms",)
 
     def __init__(self, terms=()):
-        object.__setattr__(self, "terms", tuple(terms))
-
-    def __setattr__(self, *a):
-        raise AttributeError("Ordinal is immutable")
+        self._set(terms=tuple(terms))
 
     @staticmethod
     def from_int(n: int) -> "Ordinal":

@@ -32,8 +32,8 @@ from collections import Counter
 from fractions import Fraction
 
 from .errors import PrecisionLoss
-from .exactnum import (FqElem, PrimeConfig, _square_multiply, fq_mul, neg_mod,
-                       subfield_embedding)
+from .exactnum import (FqElem, PrimeConfig, _Frozen, _square_multiply, fq_mul,
+                       neg_mod, subfield_embedding)
 
 INF = math.inf
 
@@ -54,14 +54,20 @@ def ints_of(terms):
     return den, [(e.numerator * (den // e.denominator), c.coeffs) for e, c in terms]
 
 
+def is_inf(x):
+    """Whether x is INF, for x a cap or bound: a Fraction, an int over a den,
+    or INF, the one float among them (as_frac makes outside values so)."""
+    return type(x) is float
+
+
 def int_cap(cap, den):
     """n/den < cap exactly when n < int_cap(cap, den); INF for an exact cap."""
-    if cap is INF or cap == INF:
+    if is_inf(cap):
         return INF
     return -(-cap.numerator * den // cap.denominator)
 
 
-class TruncatedSeries:
+class TruncatedSeries(_Frozen):
     """Base of EqHahn and PHahn; BASE is the printed variable ("t" or "p").
 
     This constructor takes canonical (exponent, coefficient) pairs on trust
@@ -98,9 +104,6 @@ class TruncatedSeries:
         self._init_ints(cfg, den, ints, cap)
         return self
 
-    def __setattr__(self, *a):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
     @property
     def terms(self):
         """The (Fraction exponent, FqElem) pairs, built on first read."""
@@ -134,7 +137,7 @@ class TruncatedSeries:
     # predicates and views ----------------------------------------------------
 
     def is_exact(self) -> bool:
-        return self.cap is INF or self.cap == INF
+        return is_inf(self.cap)
 
     def is_exact_zero(self) -> bool:
         return not self.ints and self.is_exact()

@@ -397,6 +397,36 @@ class TestStdinBatch:
         assert invoke(["-p", "3", "decompose", "-"], "O(p^(2))\n") == (0, "", "")
         assert invoke(["--json", "val", "-"], "\n\n") == (0, "", "")
 
+    @pytest.mark.parametrize("flags,want", [
+        ([], ["1/3", "-1/2", "2", "0", "3"]),
+        (["--json"], ['{"valuation": "%s"}' % v for v in ("1/3", "-1/2", "2", "0", "3")]),
+    ], ids=["text", "json"])
+    def test_results_are_written_as_lines_are_read(self, flags, want):
+        class SourceStopped(Exception):
+            pass
+
+        def source():
+            yield from ["[1]*p^(1/3)\n", "\n", "t^(-1/2) + t^(1/4)\n",
+                        "  [1]*p^(2) + O(p^(3)) \n", "1\n", "t^(3)\n"]
+            raise SourceStopped
+
+        # every line before the failing read has its result in `out`
+        out, err = io.StringIO(), io.StringIO()
+        with pytest.raises(SourceStopped):
+            run(flags + ["-p", "2", "val", "-"], out=out, err=err, stdin=source())
+        assert out.getvalue().splitlines() == want and err.getvalue() == ""
+
+
+class TestColdStart:
+    def test_import_loads_no_dataclasses_inspect_or_json(self):
+        src = pathlib.Path(cli.__file__).parents[1]
+        done = subprocess.run(
+            [sys.executable, "-c", "import sys, hahnforge.cli; print(sorted("
+             "m for m in ('dataclasses', 'inspect', 'json') if m in sys.modules))"],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+
 
 class TestPayloadOnlyUnderJson:
     def test_text_mode_builds_no_json_payload(self, monkeypatch):

@@ -294,6 +294,24 @@ class TestExpandEq:
             expand_roots_eq(coeffs, max_terms=2,
                             opts=ExpandOptions(max_field_degree=1))
 
+    def test_field_extension_past_degree_two(self):
+        cfg = PrimeConfig.make(2)
+        # X^3 + X + 1 has no root in F_2 or F_4: the search reaches F_8
+        coeffs = [EqHahn.one(cfg), EqHahn.one(cfg), EqHahn.zero(cfg),
+                  EqHahn.one(cfg)]
+        branches = expand_roots_eq(coeffs, max_terms=1)
+        assert [str(c) for b in branches for _, c in b.terms] == [
+            "g", "g^2", "g^2+g"]
+        for b in branches:
+            assert (b.exponents(), b.residual_bound, b.field_degree) == (
+                [0], INF, 3)
+            assert eval_poly([c.embed(b.cfg) for c in coeffs],
+                             b.value()).is_exact_zero()
+        with pytest.raises(FieldExtensionExceeded,
+                           match="^no residue root within extension degree 2$"):
+            expand_roots_eq(coeffs, max_terms=1,
+                            opts=ExpandOptions(max_field_degree=2))
+
     @pytest.mark.parametrize("max_terms", [10, 12, 2000])
     def test_term_budget_at_the_step_budget_is_named(self, max_terms):
         from hahnforge.errors import NoProgress
