@@ -20,49 +20,56 @@ CFG = PrimeConfig.make(3, 2)
 
 def records():
     """(record, its fields in declaration order, the same fields again as a
-    fresh record, the repr the frozen dataclass printed)."""
+    fresh record, the repr the frozen dataclass printed, a record that
+    differs in the last field only)."""
     half = Fr(-1, 2)
     branch = dict(cfg=CFG, ring=EqHahn, terms=((half, CFG.fq([1, 2])),),
                   residual_bound=Fr(-1, 4), field_degree=2)
     return [
         (CFG, (3, 2, (1, 0, 1), 128),
          PrimeConfig(p=3, r=2, modulus=(1, 0, 1)),
-         "PrimeConfig(p=3, r=2, modulus=(1, 0, 1), l_max=128)"),
+         "PrimeConfig(p=3, r=2, modulus=(1, 0, 1), l_max=128)",
+         PrimeConfig(3, 2, (1, 0, 1), l_max=64)),
         (Certificate([1, 0, "2"], cap=1), ((1, 0, 2), Fr(1)),
          Certificate((1, 0, 2), Fr(1)),
-         "Certificate(s=(1, 0, 2), cap=Fraction(1, 1))"),
+         "Certificate(s=(1, 0, 2), cap=Fraction(1, 1))",
+         Certificate((1, 0, 2), Fr(2))),
         (ExpandOptions(max_steps=10), (6, 3, 10), ExpandOptions(6, 3, 10),
-         "ExpandOptions(max_field_degree=6, stall_limit=3, max_steps=10)"),
+         "ExpandOptions(max_field_degree=6, stall_limit=3, max_steps=10)",
+         ExpandOptions(max_steps=11)),
         (RootBranch(**branch), tuple(branch.values()), RootBranch(*branch.values()),
-         "RootBranch([2*g+1]*t^(-1/2); bound=-1/4)"),
+         "RootBranch([2*g+1]*t^(-1/2); bound=-1/4)",
+         RootBranch(**{**branch, "field_degree": 1})),
     ]
 
 
 RECORD_IDS = ["PrimeConfig", "Certificate", "ExpandOptions", "RootBranch"]
+FIRST_FIELDS = ["p", "s", "max_field_degree", "cfg"]
 
 
 @pytest.mark.parametrize("index", range(4), ids=RECORD_IDS)
 class TestRecords:
     def test_equality_is_field_wise_within_one_class(self, index):
-        rec, fields, twin, _ = records()[index]
+        rec, fields, twin, _, changed = records()[index]
         assert rec == twin and not rec != twin and rec is not twin
+        assert rec != changed and not rec == changed
         assert rec != fields and fields != rec
-        for _, _, other, _ in records()[:index] + records()[index + 1:]:
+        for _, _, other, _, _ in records()[:index] + records()[index + 1:]:
             assert rec != other
         assert (rec == object()) is False
 
     def test_hash_is_the_hash_of_the_field_tuple(self, index):
-        rec, fields, twin, _ = records()[index]
+        rec, fields, twin, _, _ = records()[index]
         assert hash(rec) == hash(fields) == hash(twin)
         assert len({rec, twin}) == 1
 
     def test_repr_is_the_dataclass_repr(self, index):
-        rec, _, _, text = records()[index]
+        rec, _, _, text, _ = records()[index]
         assert repr(rec) == text
 
     def test_fields_cannot_be_assigned_or_deleted(self, index):
         rec = records()[index][0]
-        name = type(rec).__slots__[0]
+        name = FIRST_FIELDS[index]
         with pytest.raises(AttributeError):
             setattr(rec, name, None)
         with pytest.raises(AttributeError):
@@ -87,7 +94,7 @@ def every_value():
     cfg2 = PrimeConfig.make(2)
     x = normalize(CFG, [(CFG.fq([1, 1]), Fr(-1, 2)), (CFG.fq(2), Fr(1, 3))],
                   Fr(3))
-    return {rec.__class__.__name__: rec for rec, _, _, _ in records()} | {
+    return {type(rec).__name__: rec for rec, *_ in records()} | {
         "FqElem": CFG.fq([2, 1]),
         "WittElem": CFG.witt([5, 7], prec=3),
         "PHahn": x,
