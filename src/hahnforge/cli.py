@@ -5,36 +5,39 @@ overridable through a JSON config file named by $HAHNFORGE_CONFIG); mixing
 bases or configs inside one expression is a usage error.  Exit codes:
 0 success, 1 domain error, 2 usage error, 3 precision loss.
 
-Each verb is one `_VERBS` entry (argument specs, handler, batch argument);
-the specs are (name, add_argument keywords) pairs, added after the shared
-flags.  A handler maps (parsed args, PrimeConfig) to (text lines, JSON
-payload), the payload a zero-argument callable that builds it, or None
-(text-only verbs): --json prints payload() as one `json.dumps(...,
-sort_keys=True)` line, so text mode never builds it; otherwise each line
-is printed.  A batch argument given as `-` runs the handler once per
-non-blank stdin line, set to the stripped line, printing each result
-before it reads the next line.
+Each verb is one `_VERBS` entry (argument specs, handler, batch argument).
+A spec is a (name, keywords) pair: a name that begins with `-` is an
+option, any other a positional, and the keywords are `type` (int),
+`choices`, `required` and `help`.  A handler maps (parsed args,
+PrimeConfig) to (text lines, JSON payload), the payload a zero-argument
+callable that builds it, or None (text-only verbs): --json prints
+payload() as one `json.dumps(..., sort_keys=True)` line, so text mode
+never builds it; otherwise each line is printed.  A batch argument given
+as `-` runs the handler once per non-blank stdin line, set to the stripped
+line, printing each result before it reads the next line.
 
-The argparse tree is built once per process, on the first `run`, and shared
-by every later call; each call's `out` and `err` reach it through a context
-variable, so help and usage errors go to the streams of the call that
-parsed, also when threads call `run` at the same time.
+`_read` reads argv against `_SHARED` and the verb's specs, and usage and
+help text come from the same table.  Shared flags go before or after the
+verb, and the last of a repeated option wins.  Every option takes the next
+argument as its value, whatever it begins with, or the text after its `=`;
+`-` alone and an argument that begins with `-` and a digit are values, and
+`--` ends the options.  Nothing is kept between calls: help goes to the
+`out` and a usage error to the `err` of the call, wrapped at the terminal
+width of that moment.
 """
 
 from __future__ import annotations
 
-import argparse
-import contextvars
-import functools
 import os
 import sys
-import textwrap
+from types import SimpleNamespace
 
-from . import indexcomb, newton, ordinal
+from . import indexcomb, newton
 from .errors import HahnForgeError, ParseError, PrecisionLoss
 from .exactnum import PrimeConfig
 from .hahn_eqchar import EqHahn
 from .hahn_padic import PHahn, decompose
+from .ordinal import prediction_filter, replication_order_type
 from .parsing import (
     format_index_vec,
     format_rational,
@@ -52,38 +55,44 @@ from .parsing import (
 )
 from .series import INF
 
-# the int flags of every verb: (flag, attribute, config-file key, default,
-# help); the config file may also set "output" ("json" turns on --json)
-_SHARED = (
-    ("-p", "p", "p", 2, "prime (default 2)"),
-    ("-r", "r", "r", 1, "residue field extension degree (default 1)"),
-    ("--l-max", "l_max", "l_max", 128, None),
-    ("--max-degree", "max_degree", "max_field_degree", 6,
-     "field extension budget for root solving"),
-    ("--stall-limit", "stall_limit", "stall_limit", 3, None),
-)
+# the flags of every verb: `default` is the program default, `key` the
+# config-file key where it is not the attribute, and `const` the value of
+# a flag that takes none (the config file's "output": "json" is --json)
+_SHARED = [
+    ("-p", {"type": int, "default": 2, "help": "prime (default 2)"}),
+    ("-r", {"type": int, "default": 1, "help": "residue field degree (default 1)"}),
+    ("--l-max", {"type": int, "default": 128}),
+    ("--max-degree", {"type": int, "default": 6, "key": "max_field_degree",
+                      "help": "field extension budget for root solving"}),
+    ("--stall-limit", {"type": int, "default": 3}),
+    ("--json", {"const": "json", "key": "output", "help": "emit JSON instead of text"}),
+]
 
 
-def _env_defaults():
-    path = os.environ.get("HAHNFORGE_CONFIG")
-    if not path:
-        return {}
-    import json
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict):
-        raise ValueError("the config must be a JSON object")
-    types = {key: int for _flag, _attr, key, _default, _help in _SHARED}
-    types["output"] = str
-    unknown = set(data) - set(types)
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    for key, value in data.items():
-        # exact type: JSON true/false load as bools, which are ints to Python
-        if type(value) is not types[key]:
-            raise ValueError(f"config key {key!r} must be of type "
-                             f"{types[key].__name__}, got {value!r}")
-    return data
+def _attr(name):
+    return name.lstrip("-").replace("-", "_")
+
+
+def _defaults():
+    """Each shared flag's value before argv is read, by flag: the config
+    file's if $HAHNFORGE_CONFIG names one, else the program's."""
+    path, data = os.environ.get("HAHNFORGE_CONFIG"), {}
+    if path:
+        import json
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ValueError("the config must be a JSON object")
+        types = {kw.get("key", _attr(n)): kw.get("type", str) for n, kw in _SHARED}
+        if unknown := set(data) - set(types):
+            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        for key, value in data.items():
+            # exact type: JSON true/false load as bools, which are ints to Python
+            if type(value) is not types[key]:
+                raise ValueError(f"config key {key!r} must be of type "
+                                 f"{types[key].__name__}, got {value!r}")
+    return {n: data.get(kw.get("key", _attr(n)), kw.get("default"))
+            for n, kw in _SHARED}
 
 
 def _series_value(text, cfg):
@@ -212,12 +221,8 @@ def _ordinal(args, cfg):
     return [str(a + b if args.op == "add" else a * b)], None
 
 
-def _replicate(args, cfg):
-    return [str(ordinal.replication_order_type(parse_ordinal(args.ordinal)))], None
-
-
-def _prediction(args, cfg):
-    return [ordinal.prediction_filter(parse_ordinal(args.ordinal))], None
+def _of_ordinal(fn):
+    return lambda args, cfg: ([str(fn(parse_ordinal(args.ordinal)))], None)
 
 
 _EXPR = [("expr", {"help": "series expression, or - for stdin batch"})]
@@ -247,115 +252,118 @@ _VERBS = {
         ("--cap", {"required": True}),
         ("--terms", {"type": int, "help": "truncation depth of the base series"})],
         _certificate_check, None),
-    "ordinal": ([("op", {"choices": ("add", "mul", "cmp")})] + _LHS_RHS,
-                _ordinal, None),
-    "order-type-replicate": (_ORDINAL, _replicate, "ordinal"),
-    "prediction-check": (_ORDINAL, _prediction, "ordinal"),
+    "ordinal": ([("op", {"choices": ("add", "mul", "cmp"), "help": "add, mul or cmp"})]
+                + _LHS_RHS, _ordinal, None),
+    "order-type-replicate": (_ORDINAL, _of_ordinal(replication_order_type), "ordinal"),
+    "prediction-check": (_ORDINAL, _of_ordinal(prediction_filter), "ordinal"),
 }
 
-# options that take free text; argparse refuses a separate value beginning
-# with '-' (`--cap -1/2`), so _glue_values hands it over as `--cap=-1/2`
-_TEXT_OPTIONS = {name for specs, _handler, _batch in _VERBS.values()
-                 for name, kw in specs
-                 if name.startswith("--") and not {"type", "choices"} & set(kw)}
+_TOP = _SHARED + [("VERB", {"choices": _VERBS, "help": ", ".join(_VERBS)})]
 
 
-def _glue_values(argv):
-    out = []
-    for arg in argv:
-        if out and out[-1] in _TEXT_OPTIONS and arg.startswith("-") \
-                and "--" not in out:
-            out[-1] += "=" + arg
-        else:
-            out.append(arg)
-    return out
+class _Usage(Exception):
+    """A usage error from `_read`, with args (verb or None, message); a
+    message of None asks for help."""
 
 
-# the (out, err) of the `run` call that is parsing right now
-_STREAMS = contextvars.ContextVar("streams")
+def _read(argv):
+    """Read argv against `_SHARED` and the verb's specs into a namespace of
+    every spec's attribute: a shared flag not given holds its config-file
+    or program default, any other option not given holds None.  Raises
+    `_Usage`, or OSError or ValueError for a bad config file."""
+    values, verb, specs, extras, options = _defaults(), None, _TOP, [], True
+    for tok in (tokens := iter(argv)):
+        name, eq, text = tok.partition("=")
+        if options and tok == "--":
+            options = False
+            continue
+        if options and name in ("-h", "--help"):
+            raise _Usage(verb, None)
+        # `-` alone, and `-` with a digit (`-1`, `-1/2`), is a value
+        if options and tok[:1] == "-" and tok[1:2] not in "0123456789":
+            kw = dict(specs).get(name)
+            if kw is None or "const" in kw and eq:
+                extras.append(tok)
+                continue
+            text = kw.get("const") or (text if eq else next(tokens, None))
+            if text is None:
+                raise _Usage(verb, f"argument {name}: expected one argument")
+        else:  # the next positional in spec order
+            free = [(n, kw) for n, kw in specs if n[0] != "-" and n not in values]
+            if not free:
+                extras.append(tok)
+                continue
+            (name, kw), text = free[0], tok
+        if text not in kw.get("choices", (text,)):
+            raise _Usage(verb, f"argument {name}: invalid choice: {text!r} (choose "
+                               f"from {', '.join(map(repr, kw['choices']))})")
+        try:
+            values[name] = kw.get("type", str)(text)
+        except ValueError:
+            raise _Usage(verb, f"argument {name}: invalid int value: {text!r}")
+        if name == "VERB":
+            verb, specs = text, _SHARED + _VERBS[text][0]
+    need = [n for n, kw in specs if kw.get("required", n[0] != "-") and n not in values]
+    if need:
+        raise _Usage(verb, "the following arguments are required: " + ", ".join(need))
+    if extras:
+        raise _Usage(verb, "unrecognized arguments: " + " ".join(extras))
+    return SimpleNamespace(verb=verb, **{_attr(n): values.get(n) for n, _kw in specs})
 
 
-class _Parser(argparse.ArgumentParser):
-    """An ArgumentParser that prints help to the `out` and usage errors to the
-    `err` of the `run` call that is parsing.
-
-    argparse's own methods write to sys.stdout and sys.stderr, which are not
-    the streams an in-process caller of `run` passed.  The tree is built once
-    per process and shared by every call, so the streams are not stored on
-    it: `run` sets `_STREAMS` around `parse_args`, and each thread sees only
-    the value it set.
-    """
-
-    def print_usage(self, file=None):
-        super().print_usage(_STREAMS.get()[0] if file is None else file)
-
-    def print_help(self, file=None):
-        super().print_help(_STREAMS.get()[0] if file is None else file)
-
-    def error(self, message):
-        # argparse formats the message without the formatter, so a long one
-        # (an unknown verb's names every verb) is wrapped here as help is
-        self.print_usage(_STREAMS.get()[1])
-        text, fmt = f"{self.prog}: error: {message}", _HelpFormatter(self.prog)
-        if len(text) > fmt._width:
-            text = "\n".join(fmt._split_lines(text, fmt._width))
-        self.exit(2, text + "\n")
-
-    def exit(self, status=0, message=None):
-        if message:
-            _STREAMS.get()[1].write(message)
-        raise SystemExit(status)
+def _form(name, kw):
+    """How a spec reads in usage: a positional by its name, an option with
+    the name of its value or with its choices, in brackets unless required."""
+    meta = "{%s}" % ",".join(kw["choices"]) if "choices" in kw else _attr(name).upper()
+    form = name if name[0] != "-" or "const" in kw else f"{name} {meta}"
+    return form if kw.get("required", name[0] != "-") else f"[{form}]"
 
 
-class _HelpFormatter(argparse.HelpFormatter):
-    """argparse's formatter, wrapping help text at spaces only, so that a
-    hyphenated verb in the verb list stays on one line."""
+def _wrap(words, width, indent=""):
+    """Fill words into lines of at most `width` columns, every line after
+    the first led by `indent`; a word wider than that stands alone."""
+    lines = words[:1]
+    for word in words[1:]:
+        glued = f"{lines[-1]} {word}"
+        lines[-1:] = [glued] if len(glued) <= width else [lines[-1], indent + word]
+    return lines
 
-    def _split_lines(self, text, width):
-        return textwrap.wrap(" ".join(text.split()), width,
-                             break_on_hyphens=False)
 
-
-@functools.cache
-def _parser():
-    # built on the first `run`, not at import, and reused by every later one;
-    # the shared flags parse both before and after the verb (the subcommand
-    # occurrence, parsed last, wins); run fills the defaults of unset ones
-    common = argparse.ArgumentParser(add_help=False)
-    s = argparse.SUPPRESS
-    for flag, attr, _key, _default, help_text in _SHARED:
-        common.add_argument(flag, dest=attr, type=int, default=s, help=help_text)
-    common.add_argument("--json", action="store_true", default=s,
-                        help="emit JSON instead of text")
-    top = _Parser(
-        prog="hahnforge",
-        description="exact Hahn-series arithmetic at finite truncation",
-        parents=[common], formatter_class=_HelpFormatter)
-    sub = top.add_subparsers(dest="verb", required=True, metavar="VERB",
-                             help=", ".join(_VERBS))
-    for verb, (specs, _handler, _batch) in _VERBS.items():
-        sp = sub.add_parser(verb, parents=[common])
-        for name, kw in specs:
-            sp.add_argument(name, **kw)
-    return top
+def _screen(verb, message, out, err):
+    """Print the usage of the verb (None: of the top level) and the usage
+    error `message` to `err`, or the help to `out` if it is None, wrapped
+    two columns short of the terminal's width; return the exit code."""
+    import shutil
+    width = shutil.get_terminal_size().columns - 2
+    prog = f"hahnforge {verb or ''}".rstrip()
+    specs = _SHARED + _VERBS[verb][0] if verb else _TOP
+    lines = _wrap([f"usage: {prog}", "[-h]"] + [_form(n, kw) for n, kw in specs],
+                  width, " " * len(f"usage: {prog} "))
+    if message is None:
+        lines += ["", "arguments:"]
+        for left, text in [("-h, --help", "show this help message and exit")] + [
+                (_form(n, kw).strip("[]"), kw.get("help", "")) for n, kw in specs]:
+            lines += _wrap([f"  {left:20} " if text else f"  {left}"] + text.split(),
+                           width, " " * 24)
+    else:
+        lines += _wrap(f"{prog}: error: {message}".split(), width)
+    print(*lines, sep="\n", file=out if message is None else err)
+    return 0 if message is None else 2
 
 
 def _dispatch(args, cfg, out, stdin):
     _specs, handler, batch = _VERBS[args.verb]
-    texts = [None]
-    if batch and getattr(args, batch) == "-":
-        # lazily: each line's result is written before the next is read
-        texts = filter(None, map(str.strip, stdin))
-    for text in texts:
-        if text is not None:
+    batched = batch and getattr(args, batch) == "-"
+    # lazily: each line's result is written before the next is read
+    for text in filter(None, map(str.strip, stdin)) if batched else [None]:
+        if batched:
             setattr(args, batch, text)
         lines, payload = handler(args, cfg)
-        if args.json and payload is not None:
+        if args.json == "json" and payload is not None:
             import json
-            print(json.dumps(payload(), sort_keys=True), file=out)
-        else:
-            for line in lines:
-                print(line, file=out)
+            lines = [json.dumps(payload(), sort_keys=True)]
+        for line in lines:
+            print(line, file=out)
     return 0
 
 
@@ -365,24 +373,12 @@ def run(argv, out=None, err=None, stdin=None):
     err = err if err is not None else sys.stderr
     stdin = stdin if stdin is not None else sys.stdin
     try:
-        defaults = _env_defaults()
+        args = _read(argv)
     except (OSError, ValueError) as exc:
         print(f"error: bad config file: {exc}", file=err)
         return 2
-    streams = _STREAMS.set((out, err))
-    try:
-        args = _parser().parse_args(_glue_values(argv))
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    finally:
-        _STREAMS.reset(streams)
-    # shared flags carry SUPPRESS defaults so either position wins; fill the
-    # config-file or program default of whatever was never given
-    for _flag, attr, key, default, _help in _SHARED:
-        if not hasattr(args, attr):
-            setattr(args, attr, defaults.get(key, default))
-    if not hasattr(args, "json"):
-        args.json = defaults.get("output") == "json"
+    except _Usage as exc:
+        return _screen(*exc.args, out, err)
     try:
         cfg = PrimeConfig.make(args.p, args.r, l_max=args.l_max)
     except ValueError as exc:

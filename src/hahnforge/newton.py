@@ -272,15 +272,15 @@ def _state(cfg, coeffs):
 
 
 def _geo_chain(terms, p):
-    """Last GEO_WINDOW exponents have consecutive differences of ratio 1/p."""
+    """Last GEO_WINDOW exponents have consecutive differences of ratio 1/p.
+    Committed exponents strictly increase (`_candidates` skips any at or
+    below the last term), so no difference is 0."""
     if len(terms) < GEO_WINDOW:
         return False
     window = [e for e, _ in terms[-GEO_WINDOW:]]
     den = math.lcm(*(d for _, d in window))
     xs = [n * (den // d) for n, d in window]
     diffs = [b - a for a, b in zip(xs, xs[1:])]
-    if 0 in diffs:
-        return False
     return all(d2 * p == d1 for d1, d2 in zip(diffs, diffs[1:]))
 
 

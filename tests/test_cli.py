@@ -1,5 +1,3 @@
-import argparse
-import functools
 import io
 import json
 import os
@@ -225,39 +223,46 @@ class TestDashValues:
         assert "unrecognized arguments: -1" in err
 
 
+class TestArgvForms:
+    """Forms the reader keeps or drops, beyond the README's grammar."""
+
+    def test_prefix_of_an_option_is_not_the_option(self):
+        # dropped: `--ca` is not read as `--cap`
+        code, out, err = invoke(["certificate-check", "1,1", "--cap", "1",
+                                 "--ca", "1"])
+        assert (code, out) == (2, "")
+        assert err.endswith("error: unrecognized arguments: --ca 1\n")
+
+    def test_short_flag_with_attached_value_is_unknown(self):
+        # dropped: `-p3` is not `-p 3`; `-p 3` and `-p=3` are the forms
+        code, out, err = invoke(["-p3", "val", "t^(1)"])
+        assert (code, out) == (2, "")
+        assert err.endswith("error: unrecognized arguments: -p3\n")
+        assert invoke(["-p=3", "val", "t^(1)"]) == invoke(["-p", "3", "val", "t^(1)"])
+
+    def test_flag_takes_no_value(self):
+        code, out, err = invoke(["--json=1", "val", "t^(1)"])
+        assert (code, out) == (2, "")
+        assert err.endswith("error: unrecognized arguments: --json=1\n")
+
+    def test_last_of_a_repeated_option_wins(self):
+        solve = ["-p", "2", "newton-solve", "--ring", "eq", "--poly", "X^2+X+t^(-1)"]
+        golden = (GOLDEN_DIR / "newton_eq_abhyankar.txt").read_text()
+        assert invoke(solve + ["--terms", "2", "--terms", "3"]) == (0, golden, "")
+        assert invoke(solve + ["--terms", "3", "--terms", "2"])[1] != golden
+        # a shared flag after the verb counts as well
+        assert invoke(["-p", "3", "val", "t^(-1/2)", "-p", "2"]) == (0, "-1/2\n", "")
+
+    def test_negative_number_is_a_value(self):
+        assert invoke(["pow", "t^(1)", "-1"]) == (
+            1, "", "error: power exponent must be >= 0, got -1\n")
+        # `-` and a digit is a value, so the series grammar reads it
+        assert invoke(["val", "-1/2"]) == (
+            2, "", "syntax error: trailing input at '/' (col 2)\n")
+
+
 class TestCachedParser:
-    """One argparse tree serves every `run` call of the process."""
-
-    def test_tree_is_built_once(self, monkeypatch):
-        built = []
-        init = argparse.ArgumentParser.__init__
-
-        def counting_init(self, *args, **kwargs):
-            built.append(1)
-            init(self, *args, **kwargs)
-
-        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
-        # a fresh cache, so the count starts from an unbuilt tree
-        monkeypatch.setattr(cli, "_parser", functools.cache(cli._parser.__wrapped__))
-        invoke(CASES[0][1])
-        # the shared-flags parent, the top parser and one per verb
-        assert len(built) == 2 + len(cli._VERBS)
-        for _ in range(3):
-            for _name, argv in CASES:
-                invoke(argv)
-            invoke(["-h"])
-            invoke(["frobnicate"])
-        assert len(built) == 2 + len(cli._VERBS)
-
-    def test_import_builds_no_tree(self):
-        # the first `run` builds it: importing the module does no argparse work
-        src = pathlib.Path(cli.__file__).parents[1]
-        done = subprocess.run(
-            [sys.executable, "-c", "import hahnforge.cli as c; "
-             "print(c._parser.cache_info().currsize)"],
-            env={**os.environ, "PYTHONPATH": str(src)},
-            capture_output=True, text=True, timeout=60)
-        assert (done.returncode, done.stdout, done.stderr) == (0, "0\n", "")
+    """Every `run` call reads its own argv and writes to its own streams."""
 
     def test_interleaved_callers_keep_their_own_streams(self, capsys):
         argvs = [["-h"], ["val", "-h"], ["frobnicate"], ["-p", "x", "val", "t"]]
@@ -419,10 +424,12 @@ class TestStdinBatch:
 
 class TestColdStart:
     def test_import_loads_no_dataclasses_inspect_or_json(self):
+        # nor argparse, or the gettext it imports: the CLI reads argv itself
         src = pathlib.Path(cli.__file__).parents[1]
         done = subprocess.run(
             [sys.executable, "-c", "import sys, hahnforge.cli; print(sorted("
-             "m for m in ('dataclasses', 'inspect', 'json') if m in sys.modules))"],
+             "m for m in ('dataclasses', 'inspect', 'json', 'argparse', 'gettext') "
+             "if m in sys.modules))"],
             env={**os.environ, "PYTHONPATH": str(src)},
             capture_output=True, text=True, timeout=60)
         assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
