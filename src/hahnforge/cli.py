@@ -8,7 +8,8 @@ bases or configs inside one expression is a usage error.  Exit codes:
 Each verb is one `_VERBS` entry (argument specs, handler, batch argument).
 A spec is a (name, keywords) pair: a name that begins with `-` is an
 option, any other a positional, and the keywords are `type` (int),
-`choices`, `required` and `help`.  A handler maps (parsed args,
+`choices`, `required`, `when` (an (option, value) pair that makes the
+option required) and `help`.  A handler maps (parsed args,
 PrimeConfig) to (text lines, JSON payload), the payload a zero-argument
 callable that builds it, or None (text-only verbs): --json prints
 payload() as one `json.dumps(..., sort_keys=True)` line, so text mode
@@ -153,13 +154,9 @@ def _newton_solve(args, cfg):
     opts = newton.ExpandOptions(max_field_degree=args.max_degree,
                                 stall_limit=args.stall_limit)
     if args.ring == "eq":
-        if args.terms is None:
-            raise ParseError("--terms is required for --ring eq")
         coeffs = poly_to_coeffs(ast, cfg, EqHahn)
         branches = newton.expand_roots_eq(coeffs, max_terms=args.terms, opts=opts)
     else:
-        if args.cap is None:
-            raise ParseError("--cap is required for --ring padic")
         cap = parse_rational(args.cap)
         coeffs = poly_to_coeffs(ast, cfg, PHahn, coeff_cap=cap + 4)
         branches = newton.expand_root_padic(coeffs, cap=cap, opts=opts)
@@ -239,8 +236,10 @@ _VERBS = {
     "mul": (_LHS_RHS, _binary(lambda a, b: a * b), None),
     "pow": ([("expr", {}), ("n", {"type": int})], _pow, None),
     "newton-solve": (_RING_POLY + [
-        ("--terms", {"type": int, "help": "term budget per branch (eq)"}),
-        ("--cap", {"help": "digit cap a/b (padic)"})], _newton_solve, None),
+        ("--terms", {"type": int, "when": ("--ring", "eq"),
+                     "help": "term budget per branch (eq)"}),
+        ("--cap", {"when": ("--ring", "padic"), "help": "digit cap a/b (padic)"})],
+        _newton_solve, None),
     "verify-root": (_RING_POLY + [("--prefix", {"required": True}),
                                   ("--bound", {"required": True})], _verify_root, None),
     "reduce-index": ([("vec", {"help": "index vector (a1,a2,...), or - for stdin"})],
@@ -303,7 +302,8 @@ def _read(argv):
             raise _Usage(verb, f"argument {name}: invalid int value: {text!r}")
         if name == "VERB":
             verb, specs = text, _SHARED + _VERBS[text][0]
-    need = [n for n, kw in specs if kw.get("required", n[0] != "-") and n not in values]
+    need = [n for n, kw in specs if n not in values and (
+        kw.get("required", n[0] != "-") or kw.get("when") in values.items())]
     if need:
         raise _Usage(verb, "the following arguments are required: " + ", ".join(need))
     if extras:
@@ -337,8 +337,11 @@ def _screen(verb, message, out, err):
     width = shutil.get_terminal_size().columns - 2
     prog = f"hahnforge {verb or ''}".rstrip()
     specs = _SHARED + _VERBS[verb][0] if verb else _TOP
-    lines = _wrap([f"usage: {prog}", "[-h]"] + [_form(n, kw) for n, kw in specs],
-                  width, " " * len(f"usage: {prog} "))
+    forms = [_form(n, kw) for n, kw in specs]
+    # items align after the verb, or after `usage:` where that cannot fit them
+    indent = len(f"usage: {prog} ")
+    indent = indent if indent + max(map(len, forms)) <= width else len("usage: ")
+    lines = _wrap([f"usage: {prog}", "[-h]"] + forms, width, " " * indent)
     if message is None:
         lines += ["", "arguments:"]
         for left, text in [("-h, --help", "show this help message and exit")] + [

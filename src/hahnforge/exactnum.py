@@ -35,13 +35,15 @@ and p-adic normalization at r > 1 share, and at r = 1 from single ints by digit_
 which p-adic normalization calls once for all its buckets.  Rational
 numbers are stdlib fractions.Fraction throughout.
 
-Roots in F_q of a polynomial over F_q (fq_poly_roots) are the roots of
-h = gcd(f, x^q - x), with x^q mod f by square-and-multiply; Berlekamp's
-trace algorithm splits h into its linear factors (von zur Gathen and
-Gerhard, Modern Computer Algebra, ch. 14).  find_modulus tests candidates
-by Rabin's irreducibility test.  Both work on raw coefficient values (ints
-when r = 1, r-tuples otherwise), not on FqElem objects, in time polynomial
-in the degree and in log q.
+One distinct-degree ladder, _FpPolys.ladder (von zur Gathen and Shoup
+1992), yields gcd(f, x^(q^d) - x) for d = 1, 2, ..., each x^(q^d) mod f
+the q-th power of the last by square-and-multiply.  Its first gcd holds
+the roots in F_q (fq_poly_roots), split into linear factors by Berlekamp's
+trace algorithm (von zur Gathen and Gerhard, Modern Computer Algebra,
+ch. 14); its first d whose gcd is not 1 is the least degree of an
+irreducible factor, which find_modulus and Newton's field extension read.
+All of it works on raw coefficient values (ints when r = 1, r-tuples
+otherwise), not on FqElem objects, in time polynomial in deg f and log q.
 
 All values are immutable; operations are pure functions of their operands
 and the shared PrimeConfig.  The lift table only caches such a function.
@@ -191,12 +193,6 @@ class _FpPolys:
         return _square_multiply(self.reduce(a, f), e,
                                 lambda x, y: self.mulmod(x, y, f))
 
-    def minus_x(self, y):
-        """y - x, for y with at least two entries."""
-        y = list(y)
-        y[1] = self.sub(y[1], self.one)
-        return y
-
     def monic(self, f):
         """f without zero high coefficients, divided by its leading one."""
         f = list(f)
@@ -216,16 +212,30 @@ class _FpPolys:
             a, b = b, self.monic(self.reduce(a, b))
         return a
 
+    def ladder(self, f):
+        """(d, gcd(f, x^(q^d) - x)) for d = 1, ..., deg f // 2, for a monic f:
+        distinct-degree factorization (von zur Gathen and Shoup 1992).  The
+        gcd at d holds the irreducible factors whose degree divides d, so the
+        first d whose gcd is not 1 is the least factor degree.  x^(q^d) mod f
+        is the q-th power of the previous one, O(log q) products."""
+        y = [self.zero, self.one]
+        for d in range(1, (len(f) - 1) // 2 + 1):
+            y = self.powmod(y, self.q, f)
+            yield d, self.gcd(f, [y[0], self.sub(y[1], self.one)] + y[2:])
+
+    def least_degree(self, f):
+        """The least degree of an irreducible factor of a monic f."""
+        return next((d for d, g in self.ladder(f) if len(g) > 1), len(f) - 1)
+
     def roots(self, f):
         """The distinct roots in F_q of a nonzero f with f(0) != 0.
 
-        Past degree 1 they are the roots of h = gcd(f, x^q - x), which has
-        no repeated root; x^q mod f takes O(log q) products.
+        Past degree 1 they are the roots of the ladder's first gcd, h =
+        gcd(f, x^q - x), which has no repeated root.
         """
         f = self.monic(f)
         if len(f) > 2:
-            xq = self.powmod([self.zero, self.one], self.q, f)
-            f = self.gcd(f, self.minus_x(xq))
+            f = next(self.ladder(f))[1]
         return self._split(f, 0)
 
     def _split(self, h, k):
@@ -264,9 +274,9 @@ class _FpPolys:
 
 
 class _FqPolys(_FpPolys):
-    """Polynomials over F_q with r > 1: a value is its r-tuple of generator
-    basis coefficients, and a product of values is `_poly_mulmod` by the
-    field modulus."""
+    """Polynomials over F_q: a value is its r-tuple of generator basis
+    coefficients (at r = 1 `_FpPolys` is faster), and a product of values
+    is `_poly_mulmod` by the field modulus."""
 
     def __init__(self, cfg):
         self.cfg, self.p, self.q, self.r = cfg, cfg.p, cfg.q, cfg.r
@@ -309,20 +319,8 @@ class _FqPolys(_FpPolys):
 
 
 def _fp_irreducible(coeffs, p):
-    """Rabin's test (1980) for a monic f of degree r >= 1 over F_p.
-
-    f is irreducible exactly when it divides x^(p^r) - x and is coprime to
-    x^(p^(r/l)) - x for every prime l dividing r.  The powers x^(p^k) mod f
-    come one from the other by a p-th power, r of them in all.
-    """
-    F, f = _FpPolys(p), list(coeffs)
-    r = len(f) - 1
-    frob = [F.reduce([0, 1], f)]        # frob[k] = x^(p^k) mod f
-    for _ in range(r):
-        frob.append(F.powmod(frob[-1], p, f))
-    return frob[r] == frob[0] and all(
-        len(F.gcd(f, F.minus_x(frob[r // l]))) == 1
-        for l in range(2, r + 1) if r % l == 0 and is_prime(l))
+    """Whether a monic f of degree >= 1 over F_p has no factor of lower degree."""
+    return _FpPolys(p).least_degree(list(coeffs)) == len(coeffs) - 1
 
 
 def _int_digits(n, p, width):

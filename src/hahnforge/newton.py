@@ -7,8 +7,9 @@ coefficient rings (equal characteristic and p-adic):
        f(prefix + X); each hull segment of slope -e with e above the previous
        increment offers a candidate next exponent;
     2. the segment's residue polynomial (leading digits of the on-segment
-       coefficients) is solved over F_{p^r} by exactnum.fq_poly_roots,
-       extending the field by the minimal factor when rootless;
+       coefficients) without its zero roots is solved over F_{p^r} by
+       exactnum.fq_poly_roots, or if rootless over F_{p^(rd)}, d the least
+       degree of its irreducible factors (exactnum's distinct-degree ladder);
     3. every nonzero residue root appends a term and the polynomial is
        Taylor-shifted by it, in closed form: the shift monomial's powers
        are monomials, so each shifted coefficient is one bag of terms,
@@ -58,8 +59,8 @@ from .errors import (
     NoProgress,
     PrecisionLoss,
 )
-from .exactnum import (FqElem, PrimeConfig, _Frozen, _Record, fq_mul,
-                       fq_poly_roots, subfield_embedding)
+from .exactnum import (FqElem, PrimeConfig, _FqPolys, _Frozen, _Record,
+                       fq_mul, fq_poly_roots, subfield_embedding)
 from .hahn_eqchar import EqHahn
 from .hahn_padic import PHahn
 from .series import INF, as_frac, eval_poly, int_cap, is_inf
@@ -341,10 +342,10 @@ def _candidates(st, upper):
 
 
 def _children_for_segment(ring, st, e, members, opts, upper):
-    phi = [st.cfg.fq(0)] * (members[-1] + 1)
+    phi = [st.cfg.fq(0)] * (members[-1] + 1 - members[0])
     for i in members:
-        phi[i] = FqElem(st.cfg, st.coeffs[i].ints[0][1])
-    roots = [c for c in fq_poly_roots(phi) if not c.is_zero()]
+        phi[i - members[0]] = FqElem(st.cfg, st.coeffs[i].ints[0][1])
+    roots = fq_poly_roots(phi)
     if not roots:
         st, roots = _extend_field(st, phi, opts)
     # p-adic shifts work at a finite cap: sums of exact Teichmüller terms can
@@ -363,21 +364,19 @@ def _children_for_segment(ring, st, e, members, opts, upper):
 
 
 def _extend_field(st, phi, opts):
-    """State and nonzero roots of phi over the least extension that has any."""
-    base_r = st.cfg.r
-    factor = 2
-    while base_r * factor <= opts.max_field_degree:
-        big = PrimeConfig.make(st.cfg.p, base_r * factor, l_max=st.cfg.l_max)
-        phi_big = [subfield_embedding(c, big) for c in phi]
-        roots = [c for c in fq_poly_roots(phi_big) if not c.is_zero()]
-        if roots:
-            terms = [(e, subfield_embedding(c, big)) for e, c in st.terms]
-            coeffs = [c.embed(big) for c in st.coeffs]
-            return SimpleNamespace(**{**vars(st), "cfg": big, "coeffs": coeffs,
-                                      "terms": terms}), roots
-        factor += 1
-    raise FieldExtensionExceeded(
-        f"no residue root within extension degree {opts.max_field_degree}")
+    """State and roots of phi over the least extension that has any: of
+    degree r*d for the least degree d of an irreducible factor of phi."""
+    F = _FqPolys(st.cfg)                # on r-tuples, which serve r = 1 too
+    r = st.cfg.r * F.least_degree(F.monic([c.coeffs for c in phi]))
+    if r > opts.max_field_degree:
+        raise FieldExtensionExceeded(
+            f"no residue root within extension degree {opts.max_field_degree}")
+    big = PrimeConfig.make(st.cfg.p, r, l_max=st.cfg.l_max)
+    roots = fq_poly_roots([subfield_embedding(c, big) for c in phi])
+    terms = [(e, subfield_embedding(c, big)) for e, c in st.terms]
+    coeffs = [c.embed(big) for c in st.coeffs]
+    return SimpleNamespace(**{**vars(st), "cfg": big, "coeffs": coeffs,
+                              "terms": terms}), roots
 
 
 def _finish(ring, st, branches, bound):

@@ -94,6 +94,24 @@ class TestExitCodes:
         assert "VERB" in words
         assert all(f"{verb}," in words or verb in words for verb in cli._VERBS)
 
+    @pytest.mark.parametrize("columns", [60, 80, 100])
+    @pytest.mark.parametrize("verb", list(cli._VERBS))
+    def test_verb_help_fits_the_width(self, monkeypatch, columns, verb):
+        monkeypatch.setenv("COLUMNS", str(columns))
+        code, out, err = invoke([verb, "-h"])
+        assert (code, err) == (0, "")
+        assert max(len(line) for line in out.splitlines()) <= columns
+
+    @pytest.mark.parametrize("ring,given,missing", [
+        ("eq", ["--cap", "1"], "--terms"), ("padic", ["--terms", "3"], "--cap")],
+        ids=["eq-terms", "padic-cap"])
+    def test_ring_without_its_budget_is_usage_error(self, ring, given, missing):
+        # a usage error, not a syntax error at a column that does not exist
+        usage = invoke(["newton-solve", "-h"])[1].split("\n\n")[0]
+        argv = ["-p", "2", "newton-solve", "--ring", ring, "--poly", "X", *given]
+        assert invoke(argv) == (2, "", f"{usage}\nhahnforge newton-solve: error: "
+                                       f"the following arguments are required: {missing}\n")
+
     def test_syntax_error_is_usage_error(self):
         code, _out, err = invoke(["-p", "2", "val", "t^("])
         assert code == 2 and "syntax" in err
@@ -333,8 +351,9 @@ class TestCachedParser:
         solve = ["-p", "2", "newton-solve", "--ring", "eq", "--poly", "X^2+X+t^(-1)"]
         assert invoke(solve + ["--terms", "3"]) == (
             0, (GOLDEN_DIR / "newton_eq_abhyankar.txt").read_text(), "")
-        assert invoke(solve) == (
-            2, "", "syntax error: --terms is required for --ring eq (col 0)\n")
+        usage = invoke(["newton-solve", "-h"])[1].split("\n\n")[0]
+        assert invoke(solve) == (2, "", f"{usage}\nhahnforge newton-solve: error: "
+                                        "the following arguments are required: --terms\n")
 
 
 class TestPow:

@@ -81,6 +81,15 @@ def trial_division_irreducible(coeffs, p):
                for d in range(1, deg // 2 + 1) for n in range(p ** d))
 
 
+def trial_division_least_degree(coeffs, p):
+    """Independent oracle: the least degree of a monic divisor over F_p of
+    degree 1 .. deg/2, else the degree."""
+    deg = len(coeffs) - 1
+    return next((d for d in range(1, deg // 2 + 1) for n in range(p ** d)
+                 if not any(naive_rem(coeffs, base_p_digits(n, p, d) + [1], p))),
+                deg)
+
+
 def first_irreducible(p, r):
     """Independent oracle for find_modulus: the same base-p scan, tested by
     trial division."""
@@ -129,11 +138,29 @@ class TestFindModulus:
 
     @pytest.mark.parametrize("p,degree", [(2, 8), (3, 5), (5, 4), (7, 3)])
     def test_rabin_matches_trial_division_on_every_monic(self, p, degree):
+        # the distinct-degree ladder's least factor degree, and the
+        # irreducibility test read from it
+        F = exactnum._FpPolys(p)
         for d in range(1, degree + 1):
             for n in range(p ** d):
                 coeffs = tuple(base_p_digits(n, p, d) + [1])
-                assert (exactnum._fp_irreducible(coeffs, p)
-                        == trial_division_irreducible(coeffs, p)), coeffs
+                least = trial_division_least_degree(coeffs, p)
+                assert F.least_degree(list(coeffs)) == least, coeffs
+                assert exactnum._fp_irreducible(coeffs, p) == (least == d), coeffs
+
+    @pytest.mark.parametrize("p,r,degree", [(2, 2, 4), (3, 2, 2)])
+    def test_ladder_degree_is_the_least_field_with_a_root(self, p, r, degree):
+        # over F_q, q = p^r, the least factor degree of a monic f is the
+        # least k for which f has a root in F_(q^k), found by evaluation
+        cfg = PrimeConfig.make(p, r)
+        F, elems = exactnum._FqPolys(cfg), list(cfg.fq_elements())
+        fields = [PrimeConfig.make(p, r * k) for k in range(1, degree + 1)]
+        for d in range(1, degree + 1):
+            for n in range(cfg.q ** d):
+                poly = [elems[n // cfg.q ** i % cfg.q] for i in range(d)] + [cfg.fq(1)]
+                k = next(k for k, big in enumerate(fields, 1) if exhaustive_roots(
+                    [subfield_embedding(c, big) for c in poly]))
+                assert F.least_degree([c.coeffs for c in poly]) == k, poly
 
     def test_degree_30_modulus(self):
         assert find_modulus(2, 30) == (1, 1) + (0,) * 28 + (1,)  # x^30+x+1

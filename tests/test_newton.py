@@ -312,6 +312,53 @@ class TestExpandEq:
             expand_roots_eq(coeffs, max_terms=1,
                             opts=ExpandOptions(max_field_degree=2))
 
+    def test_field_extension_over_f4_reaches_degree_six(self):
+        cfg = PrimeConfig.make(2, r=2)
+        # X^3 + X + 1 stays irreducible over F_4: its roots lie in F_64
+        coeffs = [EqHahn.one(cfg), EqHahn.one(cfg), EqHahn.zero(cfg),
+                  EqHahn.one(cfg)]
+        branches = expand_roots_eq(coeffs, max_terms=1)
+        assert len(branches) == 3
+        for b in branches:
+            assert (b.exponents(), b.residual_bound, b.field_degree) == (
+                [0], INF, 6)
+            assert eval_poly([c.embed(b.cfg) for c in coeffs],
+                             b.value()).is_exact_zero()
+        with pytest.raises(FieldExtensionExceeded,
+                           match="^no residue root within extension degree 5$"):
+            expand_roots_eq(coeffs, max_terms=1,
+                            opts=ExpandOptions(max_field_degree=5))
+
+    def test_field_extension_takes_the_least_factor_degree(self):
+        cfg = PrimeConfig.make(2)
+        # X^5 + X^4 + 1 = (X^2 + X + 1)(X^3 + X + 1): F_4 holds the roots of
+        # the quadratic factor, so no branch goes on to F_8 or F_64
+        one, zero = EqHahn.one(cfg), EqHahn.zero(cfg)
+        coeffs = [one, zero, zero, zero, one, one]
+        branches = expand_roots_eq(coeffs, max_terms=1)
+        assert [(b.field_degree, str(b.terms[0][1])) for b in branches] == [
+            (2, "g"), (2, "g+1")]
+        for b in branches:
+            assert eval_poly([c.embed(b.cfg) for c in coeffs],
+                             b.value()).is_exact_zero()
+
+    def test_field_extension_builds_one_field(self, monkeypatch):
+        # the extension degree is read from the residue polynomial's least
+        # factor degree, not found by building every field below it
+        cfg = PrimeConfig.make(2)
+        built, make = [], PrimeConfig.make
+
+        def counted(p, r=1, **kwargs):
+            built.append((p, r))
+            return make(p, r, **kwargs)
+
+        monkeypatch.setattr(PrimeConfig, "make", staticmethod(counted))
+        one, zero = EqHahn.one(cfg), EqHahn.zero(cfg)
+        coeffs = [one, zero, one, zero, zero, one]        # X^5 + X^2 + 1
+        branches = expand_roots_eq(coeffs, max_terms=1)
+        assert built == [(2, 5)]
+        assert len(branches) == 5 and all(b.field_degree == 5 for b in branches)
+
     @pytest.mark.parametrize("max_terms", [10, 12, 2000])
     def test_term_budget_at_the_step_budget_is_named(self, max_terms):
         from hahnforge.errors import NoProgress

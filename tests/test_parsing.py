@@ -113,10 +113,6 @@ ERRORS = [
 # errors only the CLI raises, all at col 0: (argv, message)
 CLI_ERRORS = [
     (["-p", "2", "decompose", "t"], "decompose expects a p-adic series"),
-    (["-p", "2", "newton-solve", "--ring", "eq", "--poly", "X"],
-     "--terms is required for --ring eq"),
-    (["-p", "2", "newton-solve", "--ring", "padic", "--poly", "X"],
-     "--cap is required for --ring padic"),
     (["-p", "2", "add", "t", "p"], "operands use different bases"),
 ]
 
