@@ -33,28 +33,14 @@ import os
 import sys
 from types import SimpleNamespace
 
-from . import indexcomb, newton
+from . import _OnFirstUse
 from .errors import HahnForgeError, ParseError, PrecisionLoss
 from .exactnum import PrimeConfig
-from .hahn_eqchar import EqHahn
-from .hahn_padic import PHahn, decompose
-from .ordinal import prediction_filter, replication_order_type
-from .parsing import (
-    format_index_vec,
-    format_rational,
-    format_series,
-    parse_index_vec,
-    parse_int_list,
-    parse_ordinal,
-    parse_poly,
-    parse_rational,
-    parse_series,
-    poly_to_coeffs,
-    printed_terms,
-    series_to_eq,
-    series_to_phahn,
-)
-from .series import INF
+
+# bound on first use, so that a process compiles only the modules its verb runs
+hahn_eqchar, hahn_padic, indexcomb, newton, ordinal, parsing = (
+    _OnFirstUse(globals(), name) for name in
+    ("hahn_eqchar", "hahn_padic", "indexcomb", "newton", "ordinal", "parsing"))
 
 # the flags of every verb: `default` is the program default, `key` the
 # config-file key where it is not the attribute, and `const` the value of
@@ -97,19 +83,19 @@ def _defaults():
 
 
 def _series_value(text, cfg):
-    ast = parse_series(text)
-    to_ring = series_to_phahn if ast[1] == "p" else series_to_eq
+    ast = parsing.parse_series(text)
+    to_ring = parsing.series_to_phahn if ast[1] == "p" else parsing.series_to_eq
     return to_ring(ast, cfg), ast[1]
 
 
 def _series_json(value, base):
     cap = None if value.is_exact() else list(value.cap.as_integer_ratio())
-    terms = [list(t) for t in printed_terms(value)]
+    terms = [list(t) for t in parsing.printed_terms(value)]
     return {"terms" if base == "t" else "digits": terms, "cap": cap}
 
 
 def _series_out(value, base):
-    return [format_series(value, base)], lambda: _series_json(value, base)
+    return [parsing.format_series(value, base)], lambda: _series_json(value, base)
 
 
 def _normalize(args, cfg):
@@ -132,7 +118,7 @@ def _pow(args, cfg):
 
 
 def _val(args, cfg):
-    v = format_rational(_series_value(args.expr, cfg)[0].valuation())
+    v = parsing.format_rational(_series_value(args.expr, cfg)[0].valuation())
     return [v], lambda: {"valuation": v}
 
 
@@ -140,86 +126,90 @@ def _decompose(args, cfg):
     value, base = _series_value(args.expr, cfg)
     if base != "p":
         raise ParseError("decompose expects a p-adic series")
-    fd = decompose(value)
-    lines = [f"q={format_rational(q)} offset={off} unit={unit} prec={unit.prec}"
+    fd = hahn_padic.decompose(value)
+    lines = [f"q={parsing.format_rational(q)} offset={off} unit={unit} prec={unit.prec}"
              for q, off, unit in fd.entries]
     return lines, lambda: {
         "entries": [[q.numerator, q.denominator, off, str(unit), unit.prec]
                     for q, off, unit in fd.entries],
-        "cap": format_rational(fd.cap)}
+        "cap": parsing.format_rational(fd.cap)}
 
 
 def _newton_solve(args, cfg):
-    ast = parse_poly(args.poly)
+    ast = parsing.parse_poly(args.poly)
     opts = newton.ExpandOptions(max_field_degree=args.max_degree,
                                 stall_limit=args.stall_limit)
     if args.ring == "eq":
-        coeffs = poly_to_coeffs(ast, cfg, EqHahn)
+        coeffs = parsing.poly_to_coeffs(ast, cfg, hahn_eqchar.EqHahn)
         branches = newton.expand_roots_eq(coeffs, max_terms=args.terms, opts=opts)
     else:
-        cap = parse_rational(args.cap)
-        coeffs = poly_to_coeffs(ast, cfg, PHahn, coeff_cap=cap + 4)
+        cap = parsing.parse_rational(args.cap)
+        coeffs = parsing.poly_to_coeffs(ast, cfg, hahn_padic.PHahn, coeff_cap=cap + 4)
         branches = newton.expand_root_padic(coeffs, cap=cap, opts=opts)
     base = "t" if args.ring == "eq" else "p"
-    lines = [f"branch {i}: {format_series(b.value(), base)} (bound "
-             f"{format_rational(b.residual_bound)}, field degree {b.field_degree})"
+    lines = [f"branch {i}: {parsing.format_series(b.value(), base)} (bound "
+             f"{parsing.format_rational(b.residual_bound)}, "
+             f"field degree {b.field_degree})"
              for i, b in enumerate(branches, 1)]
     return lines, lambda: [
         {"terms": [[e.numerator, e.denominator, str(c)] for e, c in b.terms],
-         "bound": format_rational(b.residual_bound),
+         "bound": parsing.format_rational(b.residual_bound),
          "field_degree": b.field_degree}
         for b in branches]
 
 
 def _verify_root(args, cfg):
-    ast = parse_poly(args.poly)
-    bound = parse_rational(args.bound)
-    ring = EqHahn if args.ring == "eq" else PHahn
-    coeff_cap = INF if ring is EqHahn else bound + 4
-    coeffs = poly_to_coeffs(ast, cfg, ring, coeff_cap=coeff_cap)
-    to_ring = series_to_eq if ring is EqHahn else series_to_phahn
+    ast = parsing.parse_poly(args.poly)
+    bound = parsing.parse_rational(args.bound)
+    eq = args.ring == "eq"
+    ring = hahn_eqchar.EqHahn if eq else hahn_padic.PHahn
+    # the cap applies to p-adic coefficients only
+    coeffs = parsing.poly_to_coeffs(ast, cfg, ring, coeff_cap=bound + 4)
+    to_ring = parsing.series_to_eq if eq else parsing.series_to_phahn
     # a constant prefix, like a constant polynomial, fits either ring
-    prefix = to_ring(parse_series(args.prefix, default_base=ring.BASE), cfg)
-    v = format_rational(newton.verify_root(coeffs, prefix, bound))
+    prefix = to_ring(parsing.parse_series(args.prefix, default_base=ring.BASE), cfg)
+    v = parsing.format_rational(newton.verify_root(coeffs, prefix, bound))
     return [v], lambda: {"valuation": v}
 
 
 def _reduce_index(args, cfg):
-    red = indexcomb.reduce_index(parse_index_vec(args.vec), cfg.p)
-    return [format_index_vec(red)], None
+    red = indexcomb.reduce_index(parsing.parse_index_vec(args.vec), cfg.p)
+    return [parsing.format_index_vec(red)], None
 
 
 def _enumerate_class(args, cfg):
-    vec = parse_index_vec(args.vec)
+    vec = parsing.parse_index_vec(args.vec)
     members = indexcomb.enumerate_class(vec, args.sigma_max, cfg.p)
-    return ([format_index_vec(m) for m in members],
+    return ([parsing.format_index_vec(m) for m in members],
             lambda: [list(m) for m in members])
 
 
 def _certificate_check(args, cfg):
-    cert = indexcomb.Certificate(parse_int_list(args.coeffs),
-                                 cap=parse_rational(args.cap))
+    cert = indexcomb.Certificate(parsing.parse_int_list(args.coeffs),
+                                 cap=parsing.parse_rational(args.cap))
     residual = indexcomb.certificate_residual(cfg, cert, terms=args.terms)
     k_star = (1,) * cert.degree
-    grouped = format_rational(indexcomb.grouped_sum(k_star, cert, cfg.p))
+    grouped = parsing.format_rational(indexcomb.grouped_sum(k_star, cert, cfg.p))
     nonzero = not residual.is_zero_below_cap()
-    lines = [f"residual: {format_series(residual, 'p')}",
+    lines = [f"residual: {parsing.format_series(residual, 'p')}",
              f"nonzero below cap: {'true' if nonzero else 'false'}",
-             f"kstar {format_index_vec(k_star)} coefficient: {grouped}"]
+             f"kstar {parsing.format_index_vec(k_star)} coefficient: {grouped}"]
     return lines, lambda: {"residual": _series_json(residual, "p"),
                            "nonzero": nonzero, "kstar": list(k_star),
                            "kstar_coefficient": grouped}
 
 
 def _ordinal(args, cfg):
-    a, b = parse_ordinal(args.lhs), parse_ordinal(args.rhs)
+    a, b = parsing.parse_ordinal(args.lhs), parsing.parse_ordinal(args.rhs)
     if args.op == "cmp":
         return ["less" if a < b else ("greater" if b < a else "equal")], None
     return [str(a + b if args.op == "add" else a * b)], None
 
 
-def _of_ordinal(fn):
-    return lambda args, cfg: ([str(fn(parse_ordinal(args.ordinal)))], None)
+def _of_ordinal(name):
+    """The handler that prints ordinal.<name> of its argument."""
+    return lambda args, cfg: (
+        [str(getattr(ordinal, name)(parsing.parse_ordinal(args.ordinal)))], None)
 
 
 _EXPR = [("expr", {"help": "series expression, or - for stdin batch"})]
@@ -253,8 +243,9 @@ _VERBS = {
         _certificate_check, None),
     "ordinal": ([("op", {"choices": ("add", "mul", "cmp"), "help": "add, mul or cmp"})]
                 + _LHS_RHS, _ordinal, None),
-    "order-type-replicate": (_ORDINAL, _of_ordinal(replication_order_type), "ordinal"),
-    "prediction-check": (_ORDINAL, _of_ordinal(prediction_filter), "ordinal"),
+    "order-type-replicate": (_ORDINAL, _of_ordinal("replication_order_type"),
+                             "ordinal"),
+    "prediction-check": (_ORDINAL, _of_ordinal("prediction_filter"), "ordinal"),
 }
 
 _TOP = _SHARED + [("VERB", {"choices": _VERBS, "help": ", ".join(_VERBS)})]

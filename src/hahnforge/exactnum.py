@@ -238,34 +238,45 @@ class _FpPolys:
             f = next(self.ladder(f))[1]
         return self._split(f, 0)
 
-    def _split(self, h, k):
+    def _split(self, h, k, frob=None):
         """The roots of a monic h that has distinct roots, all in F_q, on
         which Tr(b x) is constant for the basis elements b before basis[k].
 
         Berlekamp's trace algorithm (1970): T = Tr(basis[k] x) mod h, where
         Tr(y) = y + y^p + ... + y^(p^(r-1)), takes a value c in F_p at each
         root, and gcd(h, T - c) gathers the roots with value c.  The trace
-        form is nondegenerate, so the basis separates any two roots.
+        form is nondegenerate, so the basis separates any two roots.  As
+        y -> y^p is a ring map, Tr(b x) = sum b^(p^i) x^(p^i): `frob` holds
+        x^(p^i) mod a multiple of h for i < r, computed once (None: here)
+        by the first split and reduced by each factor.
         """
         if len(h) <= 2:
             return [self.sub(self.zero, h[0])] if len(h) == 2 else []
-        y = self.reduce([self.zero, self.basis[k]], h)
-        trace = y
-        for _ in range(self.r - 1):
-            y = self.powmod(y, self.p, h)
-            trace = [self.add(u, v) for u, v in zip(trace, y)]
+        if frob is None:
+            frob = [self.reduce([self.zero, self.one], h)]
+            for _ in range(self.r - 1):
+                frob.append(self.powmod(frob[-1], self.p, h))
+        else:
+            frob = [self.reduce(y, h) for y in frob]
+        terms, b = frob, self.basis[k]
+        if k:                           # b^(p^i) x^(p^i); at k = 0, b = 1
+            terms = []
+            for y in frob:
+                terms.append([self.mul(b, v) for v in y])
+                b = _square_multiply(b, self.p, self.mul)
+        trace = [functools.reduce(self.add, col) for col in zip(*terms)]
         # T - c = u (T/u - c/u) for T's leading coefficient u, and T/u - c/u
         # is monic: one inversion serves every c
         u = next((v for v in reversed(trace[1:]) if v != self.zero), None)
         if u is None:                   # T is constant on the roots of h
-            return self._split(h, k + 1)
+            return self._split(h, k + 1, frob)
         w = self.inv(u)
         trace = [self.mul(w, v) for v in trace]
         out, left, shift = [], len(h) - 1, self.zero
         for _ in range(self.p):
             g = self.gcd(h, [self.sub(trace[0], shift)] + trace[1:])
             if len(g) > 1:
-                out += self._split(g, k + 1)
+                out += self._split(g, k + 1, frob)
                 left -= len(g) - 1
                 if not left:
                     break

@@ -32,13 +32,15 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from . import _OnFirstUse
 from .errors import ParseError
 from .exactnum import FqElem, _poly_powmod
-from .hahn_eqchar import EqHahn
-from .hahn_padic import PHahn
-from .indexcomb import index_vec
-from .ordinal import MAX_EXPONENT_DEPTH, ZERO, Ordinal
-from .series import INF
+
+# bound on first use: reading an ordinal loads no ring, nor reading a series
+# the index or ordinal machinery
+hahn_eqchar, hahn_padic, indexcomb, ordinal = (
+    _OnFirstUse(globals(), name) for name in
+    ("hahn_eqchar", "hahn_padic", "indexcomb", "ordinal"))
 
 __all__ = [
     "tokenize",
@@ -167,7 +169,7 @@ def parse_rational(text: str) -> Fraction:
 def format_rational(x) -> str:
     """`a/b` in lowest terms, `a` for an integer, `inf` for INF."""
     # no Fraction is built or compared per printed term
-    if isinstance(x, float) and x == INF:
+    if isinstance(x, float) and x == math.inf:
         return "inf"
     num, den = x.as_integer_ratio()
     return str(num) if den == 1 else f"{num}/{den}"
@@ -296,16 +298,15 @@ def parse_series(text: str, default_base: str = "t"):
     return ("series", base or default_base, tuple(terms), cap)
 
 
-# the series base of each ring, and the error for any other base
-_RING_BASES = {EqHahn: ("t", "equal-characteristic series use base t"),
-               PHahn: ("p", "p-adic series use base p")}
+# the error for a base other than the ring's, by the ring's base
+_BASE_ERRORS = {"t": "equal-characteristic series use base t",
+                "p": "p-adic series use base p"}
 
 
 def _check_base(base, ring):
     """Reject a base other than the ring's; None (no base written) passes."""
-    want, message = _RING_BASES[ring]
-    if base is not None and base != want:
-        raise ParseError(message)
+    if base is not None and base != ring.BASE:
+        raise ParseError(_BASE_ERRORS[ring.BASE])
 
 
 def _int_bag(cfg, terms):
@@ -325,15 +326,15 @@ def _series_to(ast, cfg, ring):
     _, base, terms, cap = ast
     _check_base(base, ring)
     den, bag = _int_bag(cfg, terms)
-    return ring._canonical(cfg, bag, INF if cap is None else cap, den)
+    return ring._canonical(cfg, bag, math.inf if cap is None else cap, den)
 
 
-def series_to_eq(ast, cfg) -> EqHahn:
-    return _series_to(ast, cfg, EqHahn)
+def series_to_eq(ast, cfg) -> hahn_eqchar.EqHahn:
+    return _series_to(ast, cfg, hahn_eqchar.EqHahn)
 
 
-def series_to_phahn(ast, cfg) -> PHahn:
-    return _series_to(ast, cfg, PHahn)
+def series_to_phahn(ast, cfg) -> hahn_padic.PHahn:
+    return _series_to(ast, cfg, hahn_padic.PHahn)
 
 
 def printed_terms(value):
@@ -445,7 +446,7 @@ def parse_poly(text: str):
     return ("poly", base, tuple(pterms))
 
 
-def poly_to_coeffs(ast, cfg, ring, coeff_cap=INF):
+def poly_to_coeffs(ast, cfg, ring, coeff_cap=math.inf):
     """Materialize a poly AST as a coefficient list over the requested ring,
     one int bag per X-power; coeff_cap caps only p-adic coefficients.
 
@@ -458,7 +459,7 @@ def poly_to_coeffs(ast, cfg, ring, coeff_cap=INF):
     bags = [[] for _ in range(max(t[3] for t in pterms) + 1)]
     for item, t in zip(items, pterms):
         bags[t[3]].append(item)
-    cap = coeff_cap if ring is PHahn else INF
+    cap = coeff_cap if ring.BASE == "p" else math.inf
     return [ring._canonical(cfg, bag, cap, den) for bag in bags]
 
 
@@ -467,14 +468,14 @@ def poly_to_coeffs(ast, cfg, ring, coeff_cap=INF):
 # ---------------------------------------------------------------------------
 
 def _depth_error():
-    return ValueError(f"ordinal exponent depth exceeds {MAX_EXPONENT_DEPTH}")
+    return ValueError(f"ordinal exponent depth exceeds {ordinal.MAX_EXPONENT_DEPTH}")
 
 
 def _ordinal(toks, i, nesting):
     """(ordinal, next index) of a sum of ints and w-terms w^(expr)*c."""
-    if nesting > MAX_EXPONENT_DEPTH:
+    if nesting > ordinal.MAX_EXPONENT_DEPTH:
         raise _depth_error()
-    total = ZERO
+    total, Ordinal = ordinal.ZERO, ordinal.Ordinal
     while True:
         kind, v, col = toks[i]
         if kind == "int":
@@ -500,7 +501,7 @@ def _ordinal(toks, i, nesting):
         i += 1
 
 
-def parse_ordinal(text: str) -> Ordinal:
+def parse_ordinal(text: str) -> ordinal.Ordinal:
     """Ordinal in w-notation; ValueError past MAX_EXPONENT_DEPTH.
 
     Deeper exponents are rejected while parsing, before they can exhaust the
@@ -509,7 +510,7 @@ def parse_ordinal(text: str) -> Ordinal:
     toks = tokenize(text)
     value, i = _ordinal(toks, 0, 0)
     _end(toks, i)
-    if value.depth() > MAX_EXPONENT_DEPTH:
+    if value.depth() > ordinal.MAX_EXPONENT_DEPTH:
         raise _depth_error()
     return value
 
@@ -524,7 +525,7 @@ def parse_index_vec(text: str) -> tuple:
             break
         i += 1
     _end(toks, _skip(toks, i, ")"))
-    return index_vec(entries)
+    return indexcomb.index_vec(entries)
 
 
 def parse_int_list(text: str) -> tuple:

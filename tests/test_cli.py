@@ -441,6 +441,26 @@ class TestStdinBatch:
         assert out.getvalue().splitlines() == want and err.getvalue() == ""
 
 
+def package_modules_after(code):
+    """The package's modules in sys.modules after `code` runs in a fresh
+    interpreter, as a set of their names."""
+    src = pathlib.Path(cli.__file__).parents[1]
+    done = subprocess.run(
+        [sys.executable, "-c", code + "\nimport sys; print(' '.join(sorted("
+         "m for m in sys.modules if m.split('.')[0] == 'hahnforge')))"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    return set(done.stdout.split())
+
+
+CLI_BASE = {"hahnforge", "hahnforge.cli", "hahnforge.errors", "hahnforge.exactnum"}
+
+
+def run_in_fresh(*argv):
+    return f"import io, hahnforge.cli as c; c.run({list(argv)!r}, io.StringIO(), io.StringIO())"
+
+
 class TestColdStart:
     def test_import_loads_no_dataclasses_inspect_or_json(self):
         # nor argparse, or the gettext it imports: the CLI reads argv itself
@@ -452,6 +472,34 @@ class TestColdStart:
             env={**os.environ, "PYTHONPATH": str(src)},
             capture_output=True, text=True, timeout=60)
         assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+
+    def test_import_loads_only_errors_and_exactnum(self):
+        assert package_modules_after("import hahnforge.cli") == CLI_BASE
+
+    @pytest.mark.parametrize("argv", [["-h"], ["frobnicate"], ["normalize", "-h"],
+                                      ["-p", "x", "val", "t"]],
+                             ids=["help", "unknown-verb", "verb-help", "bad-p"])
+    def test_help_and_usage_errors_load_nothing_more(self, argv):
+        assert package_modules_after(run_in_fresh(*argv)) == CLI_BASE
+
+    def test_normalize_loads_no_newton_indexcomb_or_ordinal(self):
+        loaded = package_modules_after(run_in_fresh("-p", "3", "normalize", "1+p^(1)"))
+        assert loaded == CLI_BASE | {"hahnforge.parsing", "hahnforge.series",
+                                     "hahnforge.hahn_padic"}
+
+    def test_ordinal_loads_no_ring(self):
+        loaded = package_modules_after(run_in_fresh("ordinal", "add", "w", "w"))
+        assert loaded == CLI_BASE | {"hahnforge.parsing", "hahnforge.ordinal"}
+
+    def test_each_handler_binds_its_modules_in_the_cli(self):
+        # the stand-ins give way to the modules themselves on first use
+        loaded = package_modules_after(
+            run_in_fresh("-p", "2", "certificate-check", "1,0,1", "--cap", "1")
+            + "\nimport sys"
+            "\nassert c.indexcomb is sys.modules['hahnforge.indexcomb']"
+            "\nassert c.parsing is sys.modules['hahnforge.parsing']"
+            "\nassert type(c.newton).__name__ == '_OnFirstUse'")
+        assert "hahnforge.newton" not in loaded
 
 
 class TestPayloadOnlyUnderJson:

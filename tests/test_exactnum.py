@@ -1,6 +1,8 @@
 import functools
 import itertools
+import io
 import random
+from fractions import Fraction as Fr
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +15,7 @@ from hahnforge.exactnum import (
     find_modulus,
     fq_poly_roots,
     is_prime,
+    rational_p_val,
     subfield_embedding,
     teichmueller,
 )
@@ -623,6 +626,46 @@ class TestFqPolyRoots:
         f9, f27 = PrimeConfig.make(3, r=2), PrimeConfig.make(3, r=3)
         with pytest.raises(ValueError, match="^field mismatch$"):
             fq_poly_roots([f9.fq(1), f27.fq(1)])
+
+    def test_eleven_roots_in_f_7_11_take_14872_products(self, monkeypatch):
+        # X^11+X+3 has its residue roots in F_{7^11}: the split raises x to
+        # x^(7^i) once for the whole search and reduces those for each factor
+        # (20,943 products when each factor raised its own traces)
+        from hahnforge import cli
+        calls = []
+        mulmod = exactnum._poly_mulmod
+        monkeypatch.setattr(exactnum, "_poly_mulmod",
+                            lambda *args: calls.append(1) or mulmod(*args))
+        out = io.StringIO()
+        argv = ["-p", "7", "--max-degree", "12", "newton-solve", "--ring", "eq",
+                "--poly", "X^11+X+3", "--terms", "1"]
+        assert cli.run(argv, out=out) == 0
+        assert len(calls) == 14872
+        lines = out.getvalue().splitlines()
+        assert len(lines) == 11
+        assert all(line.endswith(", field degree 11)") for line in lines)
+
+
+class TestRationalPVal:
+    @pytest.mark.parametrize("x,p,want", [
+        (Fr(12, 5), 2, 2), (Fr(3, 8), 2, -3), (Fr(-5, 18), 3, -2),
+        (Fr(7, 250), 5, -3), (Fr(49, 50), 7, 2), (Fr(1), 3, 0)])
+    def test_named_values(self, x, p, want):
+        assert rational_p_val(x, p) == want
+
+    def test_zero_is_infinite(self):
+        assert rational_p_val(Fr(0), 5) == float("inf")
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_removing_p_to_the_valuation_leaves_a_unit(self, p):
+        # independent of the loops: x / p^v has numerator and denominator
+        # prime to p exactly when v is the valuation
+        rng = random.Random(p)
+        for _ in range(200):
+            x = Fr(rng.randint(-10**6, 10**6) or 1, rng.randint(1, 10**6))
+            x *= Fr(p) ** rng.randint(-6, 6)
+            unit = x / Fr(p) ** rational_p_val(x, p)
+            assert unit.numerator % p and unit.denominator % p
 
 
 class TestSubfieldEmbedding:

@@ -7,9 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 from hahnforge import hahn_padic
 from hahnforge.errors import PrecisionLoss
-from hahnforge.exactnum import PrimeConfig, digit_decompose, teichmueller
+from hahnforge.exactnum import PrimeConfig, WittElem, digit_decompose, teichmueller
 from hahnforge.hahn_eqchar import EqHahn
 from hahnforge.hahn_padic import (
+    FracDecomp,
     PHahn,
     decompose,
     frak_a,
@@ -746,6 +747,40 @@ class TestCrossOracle:
         # cross terms 2*[2] at p^1 exercise both carry paths
         x = PHahn(cfg, ((Fr(1, 3), cfg.fq(1)), (Fr(2, 3), cfg.fq(2))), Fr(4))
         assert x * x == mul_via_decomposition(x, x)
+
+    # decompose covers the product's cap and gives every unit its lowest
+    # digit, so the next two paths take a decomposition changed by hand
+
+    def test_a_decomposition_short_of_the_cap_is_refused(self, monkeypatch):
+        # one digit short: the product's digits just below the cap are unknown
+        cfg = PrimeConfig.make(3)
+        x = PHahn(cfg, ((Fr(1, 3), cfg.fq(1)), (Fr(2, 3), cfg.fq(2))), Fr(4))
+        honest = hahn_padic.decompose
+
+        def short(value, cover=None):
+            fd = honest(value, cover)
+            return FracDecomp(cfg, [(q, off, unit.at_prec(unit.prec - 1))
+                                    for q, off, unit in fd.entries], fd.cap)
+
+        monkeypatch.setattr(hahn_padic, "decompose", short)
+        with pytest.raises(PrecisionLoss, match="^product bucket does not cover"):
+            mul_via_decomposition(x, x)
+
+    def test_a_bucket_that_knows_no_digit_is_skipped(self, monkeypatch):
+        # an entry of precision 0 far above the cap makes buckets that know
+        # no digit (q + offset at or above the cap): they add nothing
+        cfg = PrimeConfig.make(3)
+        x = PHahn(cfg, ((Fr(1, 3), cfg.fq(1)), (Fr(2, 3), cfg.fq(2))), Fr(4))
+        honest = hahn_padic.decompose
+
+        def padded(value, cover=None):
+            fd = honest(value, cover)
+            blank = (Fr(1, 2), 10, WittElem(cfg, (0,), 0))
+            return FracDecomp(cfg, fd.entries + (blank,), fd.cap)
+
+        want = x * x
+        monkeypatch.setattr(hahn_padic, "decompose", padded)
+        assert mul_via_decomposition(x, x) == want
 
 
 class TestReplicationIdentity:
