@@ -85,46 +85,44 @@ def _defaults():
 def _series_value(text, cfg):
     ast = parsing.parse_series(text)
     to_ring = parsing.series_to_phahn if ast[1] == "p" else parsing.series_to_eq
-    return to_ring(ast, cfg), ast[1]
+    return to_ring(ast, cfg)
 
 
-def _series_json(value, base):
+def _series_json(value):
     cap = None if value.is_exact() else list(value.cap.as_integer_ratio())
     terms = [list(t) for t in parsing.printed_terms(value)]
-    return {"terms" if base == "t" else "digits": terms, "cap": cap}
+    return {"terms" if value.BASE == "t" else "digits": terms, "cap": cap}
 
 
-def _series_out(value, base):
-    return [parsing.format_series(value, base)], lambda: _series_json(value, base)
+def _series_out(value):
+    return [parsing.format_series(value, value.BASE)], lambda: _series_json(value)
 
 
 def _normalize(args, cfg):
-    return _series_out(*_series_value(args.expr, cfg))
+    return _series_out(_series_value(args.expr, cfg))
 
 
 def _binary(op):
     def handler(args, cfg):
-        a, base_a = _series_value(args.lhs, cfg)
-        b, base_b = _series_value(args.rhs, cfg)
-        if base_a != base_b:
+        a, b = _series_value(args.lhs, cfg), _series_value(args.rhs, cfg)
+        if a.BASE != b.BASE:
             raise ParseError("operands use different bases")
-        return _series_out(op(a, b), base_a)
+        return _series_out(op(a, b))
     return handler
 
 
 def _pow(args, cfg):
-    a, base = _series_value(args.expr, cfg)
-    return _series_out(a ** args.n, base)
+    return _series_out(_series_value(args.expr, cfg) ** args.n)
 
 
 def _val(args, cfg):
-    v = parsing.format_rational(_series_value(args.expr, cfg)[0].valuation())
+    v = parsing.format_rational(_series_value(args.expr, cfg).valuation())
     return [v], lambda: {"valuation": v}
 
 
 def _decompose(args, cfg):
-    value, base = _series_value(args.expr, cfg)
-    if base != "p":
+    value = _series_value(args.expr, cfg)
+    if value.BASE != "p":
         raise ParseError("decompose expects a p-adic series")
     fd = hahn_padic.decompose(value)
     lines = [f"q={parsing.format_rational(q)} offset={off} unit={unit} prec={unit.prec}"
@@ -146,8 +144,7 @@ def _newton_solve(args, cfg):
         cap = parsing.parse_rational(args.cap)
         coeffs = parsing.poly_to_coeffs(ast, cfg, hahn_padic.PHahn, coeff_cap=cap + 4)
         branches = newton.expand_root_padic(coeffs, cap=cap, opts=opts)
-    base = "t" if args.ring == "eq" else "p"
-    lines = [f"branch {i}: {parsing.format_series(b.value(), base)} (bound "
+    lines = [f"branch {i}: {parsing.format_series(b.value(), b.ring.BASE)} (bound "
              f"{parsing.format_rational(b.residual_bound)}, "
              f"field degree {b.field_degree})"
              for i, b in enumerate(branches, 1)]
@@ -191,10 +188,10 @@ def _certificate_check(args, cfg):
     k_star = (1,) * cert.degree
     grouped = parsing.format_rational(indexcomb.grouped_sum(k_star, cert, cfg.p))
     nonzero = not residual.is_zero_below_cap()
-    lines = [f"residual: {parsing.format_series(residual, 'p')}",
+    lines = [f"residual: {parsing.format_series(residual, residual.BASE)}",
              f"nonzero below cap: {'true' if nonzero else 'false'}",
              f"kstar {parsing.format_index_vec(k_star)} coefficient: {grouped}"]
-    return lines, lambda: {"residual": _series_json(residual, "p"),
+    return lines, lambda: {"residual": _series_json(residual),
                            "nonzero": nonzero, "kstar": list(k_star),
                            "kstar_coefficient": grouped}
 

@@ -6,7 +6,9 @@ The residue field F_{p^r} is presented as F_p[g]/(m(g)) for a fixed monic
 irreducible m of degree r, chosen deterministically (see find_modulus).
 An FqElem stores the r coefficients of the basis 1, g, ..., g^{r-1}, each
 reduced into [0, p).  The series rings store a coefficient as that tuple
-alone; fq_mul and neg_mod are the product and negation of such tuples.
+alone; fq_mul, neg_mod and fq_inv are the product, negation and inverse
+of such tuples, the inverse (the only one for F_q) by extended Euclid on
+the field modulus.
 
 The length-L truncated Witt ring W_L(F_{p^r}) is realized as
 Z[g]/(p^L, m(g)): a WittElem stores r integer coefficients reduced into
@@ -153,6 +155,34 @@ def fq_mul(cfg, a, b) -> tuple:
 def neg_mod(c, n) -> tuple:
     """The negative of the coefficient tuple c, each entry reduced mod n."""
     return tuple([-x % n for x in c])
+
+
+def fq_inv(cfg, a) -> tuple:
+    """The inverse of a nonzero F_q element given as a coefficient tuple.
+
+    Extended Euclid on the field modulus and a over F_p: O(r^2) int
+    operations and no F_q products.
+    """
+    p, r = cfg.p, cfg.r
+    if r == 1:
+        return (pow(a[0], -1, p),)
+    # Euclid on f = m and g = a, kept without high zeros, and the cofactors
+    # s * a = f, t * a = g mod m, whose degrees stay below r
+    f, s, g, t = [c % p for c in cfg.modulus], [0] * r, list(a), [1] + [0] * (r - 1)
+    while True:
+        while not g[-1]:
+            g.pop()
+        if len(g) == 1:
+            u = pow(g[0], -1, p)
+            return tuple([x * u % p for x in t])
+        u = pow(g[-1], -1, p)
+        while len(f) >= len(g):         # f -= c x^k g and s -= c x^k t
+            c, k = f[-1] * u % p, len(f) - len(g)
+            f = [(x - c * y) % p for x, y in zip(f, [0] * k + g)][:-1]
+            s = [(x - c * y) % p for x, y in zip(s, [0] * k + t)]
+            while not f[-1]:
+                f.pop()
+        f, s, g, t = g, t, f, s
 
 
 class _FpPolys:
@@ -306,7 +336,7 @@ class _FqPolys(_FpPolys):
         return fq_mul(self.cfg, a, b)
 
     def inv(self, a):
-        return tuple(_poly_powmod(a, self.q - 2, self.cfg.modulus, self.p))
+        return fq_inv(self.cfg, a)
 
     def reduce(self, c, f):
         c, d = list(c), len(f) - 1
@@ -576,7 +606,7 @@ class FqElem(_ResidueElem):
     def inv(self) -> "FqElem":
         if self.is_zero():
             raise DivisionByZero("inverse of zero in F_q")
-        return self ** (self.cfg.q - 2)
+        return FqElem(self.cfg, fq_inv(self.cfg, self.coeffs))
 
     def frobenius(self) -> "FqElem":
         return self ** self.cfg.p

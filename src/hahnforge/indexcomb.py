@@ -91,20 +91,18 @@ def is_reduced(a, p: int) -> bool:
 def reduce_index(a, p: int) -> tuple:
     """The unique reduced vector equivalent to a.
 
-    Repeatedly carries at the top over-full position; each step preserves
-    lam modulo Z (exactly, when the carry lands on a real position; by an
-    integer discard when it falls off position 1).
+    One pass from the last position down carries at every over-full
+    position, as carries only move down; each carry preserves lam modulo Z
+    (exactly, when it lands on a real position; by an integer discard when
+    it falls off position 1).
     """
     work = list(index_vec(a))
-    while True:
-        kappa = kappa_of(work, p)
-        if kappa == 0:
-            return index_vec(work)
-        r, d = work[kappa - 1] % p, work[kappa - 1] // p
-        work[kappa - 1] = r
-        if kappa > 1:
-            work[kappa - 2] += d
-        # kappa == 1: d leaves through the integer part
+    for k in range(len(work) - 1, -1, -1):
+        d, work[k] = divmod(work[k], p)
+        if k:
+            work[k - 1] += d
+        # k == 0: d leaves through the integer part
+    return index_vec(work)
 
 
 def equivalent(a, b, p: int) -> bool:

@@ -258,9 +258,7 @@ class RootBranch(_Record):
         return None
 
     def __repr__(self):
-        body = " + ".join(f"[{c}]*{self.ring.BASE}^({e})"
-                          for e, c in self.terms) or "0"
-        return f"RootBranch({body}; bound={self.residual_bound})"
+        return f"RootBranch({self.value()!r}; bound={self.residual_bound})"
 
 
 def _state(cfg, coeffs):

@@ -2,9 +2,10 @@
 
 An Ordinal is a sequence of (exponent, coefficient) terms with exponents
 themselves Ordinals, strictly decreasing, and positive integer coefficients;
-the empty sequence is 0.  Addition absorbs low terms of the left operand,
+the empty sequence is 0.  Addition absorbs low terms of the left operand;
 multiplication right-distributes with the limit rule
-a * w^g = w^(leading_exponent(a) + g); both are the textbook algorithms.
+a * w^g = w^(leading_exponent(a) + g), and since those pieces strictly fall
+it appends them; powers are square-and-multiply over that product.
 
 The support bookkeeping this module backs: a bounded-support series replicated
 along p^(N t) for t = 0, 1, 2, ... has support order type a * w, whose normal
@@ -17,7 +18,7 @@ from __future__ import annotations
 import functools
 
 from .errors import ZeroOrderType
-from .exactnum import _Frozen
+from .exactnum import _Frozen, _square_multiply
 
 MAX_EXPONENT_DEPTH = 8
 
@@ -116,24 +117,23 @@ class Ordinal(_Frozen):
             other = Ordinal.from_int(other)
         if self.is_zero() or other.is_zero():
             return ZERO
+        # the pieces a * w^gamma * c strictly fall with gamma, so the product
+        # is their concatenation
         alpha1, c1 = self.terms[0]
-        total = ZERO
+        terms = []
         for gamma, c in other.terms:
             if gamma.is_zero():
-                # right factor finite: scale the leading term, keep the tail
-                piece = Ordinal(((alpha1, c1 * c),) + self.terms[1:])
+                # the right factor's finite last term: scale the leading
+                # term, keep the tail
+                terms += ((alpha1, c1 * c),) + self.terms[1:]
             else:
-                piece = Ordinal(((alpha1 + gamma, c),))
-            total = total + piece
-        return total
+                terms.append((alpha1 + gamma, c))
+        return Ordinal(terms)
 
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative ordinal powers are undefined")
-        acc = ONE
-        for _ in range(n):
-            acc = acc * self
-        return acc
+        return _square_multiply(self, n, Ordinal.__mul__) if n else ONE
 
     # printing -----------------------------------------------------------------
 

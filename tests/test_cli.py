@@ -504,7 +504,7 @@ class TestColdStart:
 
 class TestPayloadOnlyUnderJson:
     def test_text_mode_builds_no_json_payload(self, monkeypatch):
-        def refuse(value, base):
+        def refuse(value):
             raise RuntimeError("a JSON payload was built in text mode")
 
         monkeypatch.setattr(cli, "_series_json", refuse)
@@ -513,6 +513,14 @@ class TestPayloadOnlyUnderJson:
             0, (GOLDEN_DIR / "certificate_quadratic.txt").read_text(), "")
         assert invoke(["normalize", "-"], "[1]*p^(0) + [1]*p^(0) + O(p^(3))\n") == (
             0, "[1]*p^(1) + O(p^(3))\n", "")
+
+
+class TestSeriesBase:
+    @pytest.mark.parametrize("verb", ["add", "mul"])
+    @pytest.mark.parametrize("lhs,rhs", [("t", "p"), ("p", "t")])
+    def test_operands_of_different_bases_are_a_syntax_error(self, verb, lhs, rhs):
+        assert invoke(["-p", "3", verb, lhs, rhs]) == (
+            2, "", "syntax error: operands use different bases (col 0)\n")
 
 
 class TestClosedPipe:

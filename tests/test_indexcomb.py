@@ -2,9 +2,11 @@ import functools
 import itertools
 import math
 import random
+import time
 from fractions import Fraction as Fr
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hahnforge import indexcomb
 from hahnforge.errors import PrecisionLoss, SigmaMismatch
@@ -41,6 +43,35 @@ def oracle_reduce(a, p):
         digits.append(d)
         x -= d
     return index_vec(digits)
+
+
+def top_carry_reduce(a, p):
+    """Independent oracle: carry at the top over-full position until no
+    position is over-full."""
+    work = list(a)
+    while True:
+        over = [k for k, x in enumerate(work) if x > p - 1]
+        if not over:
+            return index_vec(work)
+        k = over[-1]
+        d, work[k] = divmod(work[k], p)
+        if k:
+            work[k - 1] += d
+
+
+def integer_reduce(a, p):
+    """Independent oracle for long vectors: the reduced b has lam(b) in
+    (-1, 0] and lam(b) = lam(a) mod 1, so its n entries are the base-p
+    digits of sum a_k p^(n-k) mod p^n, position 1 most significant."""
+    n, m = len(a), 0
+    for x in a:
+        m = m * p + x
+    m %= p ** n
+    digits = []
+    for _ in range(n):
+        m, d = divmod(m, p)
+        digits.append(d)
+    return index_vec(digits[::-1])
 
 
 def all_vectors(max_pos, max_entry):
@@ -126,6 +157,26 @@ class TestReduce:
     def test_matches_digit_oracle(self, p):
         for v in all_vectors(4, 2 * p):
             assert reduce_index(v, p) == oracle_reduce(v, p)
+
+    @settings(max_examples=400, derandomize=True, database=None, deadline=None)
+    @given(st.sampled_from([2, 3, 5, 7]),
+           st.lists(st.integers(0, 60), max_size=14))
+    def test_matches_top_carry(self, p, vec):
+        assert reduce_index(vec, p) == top_carry_reduce(vec, p)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_matches_integer_oracle_on_long_vectors(self, p):
+        rng = random.Random(p)
+        for n in (50, 300):
+            vec = [rng.randrange(3 * p) for _ in range(n)]
+            assert reduce_index(vec, p) == integer_reduce(vec, p)
+
+    def test_20000_entries_reduce_in_one_pass(self):
+        vec = (3,) * 20000
+        start = time.perf_counter()
+        red = reduce_index(vec, 2)
+        assert time.perf_counter() - start < 2
+        assert red == integer_reduce(vec, 2)
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_reduction_invariants_exhaustive(self, p):

@@ -19,6 +19,7 @@ from hahnforge.newton import (
     polygon_of,
     verify_root,
 )
+from hahnforge.parsing import parse_poly, poly_to_coeffs
 from hahnforge.series import TruncatedSeries, eval_poly
 
 INF = math.inf
@@ -470,6 +471,39 @@ class TestExpandPadic:
         with pytest.raises(NoProgress):
             expand_root_padic(coeffs, cap=Fr(40),
                               opts=ExpandOptions(max_steps=10))
+
+
+# polynomials whose p-adic branches are compared across the caps of one sweep
+CAP_SWEEP = [(2, "X^2-X-p^(-1)"), (3, "X^3-X-p^(-1)"), (5, "X^5-X-p^(-1)"),
+             (2, "X^2+X+p^(-1)"), (5, "X^2-[2]*p^(1)"), (7, "X^2-[3]*p^(2)")]
+SWEEP_CAPS = [Fr(1, 4), Fr(1, 2), Fr(1), Fr(2), Fr(3)]
+
+
+class TestCapSweep:
+    """Raising the cap only adds digits: a branch printed at one cap comes
+    back in some branch at every larger cap, and each reported bound holds.
+    The sweep is fixed (no random draws), so every run sees the same 30
+    expansions."""
+
+    @pytest.mark.parametrize("p,poly", CAP_SWEEP,
+                             ids=[f"p{p}:{f}" for p, f in CAP_SWEEP])
+    def test_digits_below_a_cap_come_back_at_every_larger_cap(self, p, poly):
+        cfg = PrimeConfig.make(p)
+        runs = []
+        for cap in SWEEP_CAPS:
+            coeffs = poly_to_coeffs(parse_poly(poly), cfg, PHahn, coeff_cap=cap + 4)
+            branches = expand_root_padic(coeffs, cap=cap)
+            assert branches
+            for b in branches:
+                big = [c.embed(b.cfg) for c in coeffs]
+                verify_root(big, b.value(), b.residual_bound)
+            runs.append((cap, branches))
+        for i, (cap, small) in enumerate(runs):
+            for _, large in runs[i + 1:]:
+                for b in small:
+                    below = [(e, c) for e, c in b.terms if e < cap]
+                    assert any(all(big.term_at(e) == subfield_embedding(c, big.cfg)
+                                   for e, c in below) for big in large), (cap, b)
 
 
 class TestVerifyRoot:

@@ -26,6 +26,22 @@ def random_ordinal(rng, depth=2, max_terms=3, max_coeff=4):
     return Ordinal(terms)
 
 
+def piecewise_product(a, b):
+    """Independent oracle: a * b as the left-to-right sum of the pieces
+    a * w^gamma * c over b's terms, each added by Ordinal.__add__."""
+    if a.is_zero() or b.is_zero():
+        return ZERO
+    alpha1, c1 = a.terms[0]
+    total = ZERO
+    for gamma, c in b.terms:
+        if gamma.is_zero():
+            piece = Ordinal(((alpha1, c1 * c),) + a.terms[1:])
+        else:
+            piece = Ordinal(((alpha1 + gamma, c),))
+        total = total + piece
+    return total
+
+
 def triple_to_ordinal(t):
     """(a, b, c) -> w^2*a + w*b + c (coefficients multiply on the right)."""
     a, b, c = t
@@ -89,6 +105,38 @@ class TestAddMul:
                 coeffs = [c for e, c in x.terms]
                 assert all(c >= 1 for c in coeffs)
                 assert all(e2 < e1 for e1, e2 in zip(exps, exps[1:]))
+
+
+class TestProductOracle:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_product_matches_the_piecewise_sum(self, seed):
+        rng = random.Random(seed)
+        for _ in range(300):
+            a, b = (random_ordinal(rng, max_terms=4) for _ in range(2))
+            assert a * b == piecewise_product(a, b)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_power_matches_repeated_piecewise_products(self, seed):
+        rng = random.Random(100 + seed)
+        for _ in range(12):
+            a = random_ordinal(rng, max_terms=4)
+            want = ONE
+            for n in range(13):
+                assert a ** n == want
+                want = piecewise_product(want, a)
+
+    def test_large_powers_take_log_many_products(self, monkeypatch):
+        calls, mul = [], Ordinal.__mul__
+        monkeypatch.setattr(Ordinal, "__mul__",
+                            lambda a, b: calls.append(1) or mul(a, b))
+        assert OMEGA ** 100_000 == Ordinal(((Ordinal.from_int(100_000), 1),))
+        # 16 squarings and 5 products: 100,000 has 17 bits, 6 of them set
+        assert len(calls) == 21
+        monkeypatch.undo()
+        # (w*2 + 3)^n = w^n*2 + w^(n-1)*6 + ... + w*6 + 3
+        want = ([(Ordinal.from_int(2000), 2)]
+                + [(Ordinal.from_int(k), 6) for k in range(1999, 0, -1)] + [(ZERO, 3)])
+        assert (OMEGA * 2 + 3) ** 2000 == Ordinal(want)
 
 
 class TestRankEmbeddingOracle:
