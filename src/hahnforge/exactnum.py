@@ -796,6 +796,16 @@ def digit_decompose(c: WittElem) -> tuple:
     return tuple(FqElem(cfg, d) for d in digit_coeffs(cfg, c.coeffs, c.prec, c.prec))
 
 
+def _poly_ring(cfg, coeffs):
+    """The polynomial ring for root finding over cfg's field and the
+    FqElem coefficients as its values: `_FpPolys` on ints at r = 1,
+    `_FqPolys` on r-tuples otherwise."""
+    values = [cfg.fq(c).coeffs for c in coeffs]
+    if cfg.r == 1:
+        return _FpPolys(cfg.p), [v[0] for v in values]
+    return _FqPolys(cfg), values
+
+
 def fq_poly_roots(coeffs) -> set:
     """Roots in F_{p^r} of the polynomial with the given FqElem coefficients.
 
@@ -808,11 +818,7 @@ def fq_poly_roots(coeffs) -> set:
     if not coeffs or all(c.is_zero() for c in coeffs):
         raise ZeroPolynomial("all coefficients are zero")
     cfg = coeffs[0].cfg
-    values = [cfg.fq(c).coeffs for c in coeffs]
-    if cfg.r == 1:
-        F, values = _FpPolys(cfg.p), [v[0] for v in values]
-    else:
-        F = _FqPolys(cfg)
+    F, values = _poly_ring(cfg, coeffs)
     low = next(i for i, v in enumerate(values) if v != F.zero)
     roots = {FqElem(cfg, v if cfg.r > 1 else (v,)) for v in F.roots(values[low:])}
     if low:

@@ -27,13 +27,24 @@ Both kernels are output-sensitive.  enumerate_class walks reverse carries
 from the deepest position B to 1: times p^B, lam(k) - lam(k_red) in Z is one
 congruence per position, entry = k_red entry - carry from below (mod p), and
 each choice within the sigma budget is a distinct member.  certificate_residual
-scales exponents by p^K, so A_K = {-p^(K-k): 1} has integer keys and its
-powers are exact dict products; normalize sees sum_i s_i * A_K^i once.
+scales exponents by p^K, so A_K = {-p^(K-k): 1} has integer keys, and
+normalize sees sum_i s_i * A_K^i once.  Its powers are taken on one of two
+representations, picked from (p, degree d, K) alone.  They span the d*p^(K-1)+1
+exponents from -d*p^(K-1) to 0, while the dict products hold at most
+C(d+K, d) entries.  When the span is the smaller (at p = 2 and the default K,
+every d >= 3), the powers are packed big ints: one fixed-width slot per
+exponent, a product with A_K is K shifted adds, each one pass over machine
+words where the dicts make one update per entry and step, and the slots are
+read back at the end (Kronecker substitution).  Otherwise (p >= 3, or a K
+far beyond the default) they stay dicts, whose size follows the distinct
+exponents.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from fractions import Fraction
 
 from .errors import SigmaMismatch
@@ -225,22 +236,43 @@ def grouped_sum(k_red, cert: Certificate, p: int) -> Fraction:
     return total
 
 
+# the packed route allocates a few ints of this many slots at most
+PACKED_SLOTS_MAX = 1 << 22
+# signed array typecodes by item size in bytes
+_SIGNED = {array(code).itemsize: code for code in "bhilq"}
+
+
 def certificate_residual(cfg: PrimeConfig, cert: Certificate,
                          terms: int | None = None) -> PHahn:
     """Standard expansion of sum_i s_i * A_K^i below the certificate cap.
 
     A_K is the terms-term truncation of the headline series (default
     K = degree + 2), powered on integer exponents and fed through one global
-    normalization so every carry is resolved jointly.
+    normalization so every carry is resolved jointly.  The powers are
+    packed big ints when their exponent span, d*p^(K-1)+1 slots for d =
+    degree, is below both C(d+K, d), which bounds the dict products'
+    entries, and PACKED_SLOTS_MAX; otherwise dict products.  Both routes
+    hand normalize the same (coefficient, exponent) terms.
     """
     if terms is None:
         terms = cert.degree + 2
     if terms < 0:
         raise ValueError(f"terms must be >= 0, got {terms}")
-    scale = cfg.p ** terms
-    steps = [-cfg.p ** (terms - k) for k in range(1, terms + 1)]
+    d, p = cert.degree, cfg.p
+    if terms and d * p ** (terms - 1) + 1 < min(math.comb(d + terms, d),
+                                               PACKED_SLOTS_MAX):
+        bag = _residual_bag_packed(p, cert.s, terms)
+    else:
+        bag = _residual_bag_dict(p, cert.s, terms)
+    return normalize(cfg, bag, cert.cap, den=p ** terms)
+
+
+def _residual_bag_dict(p: int, s, terms: int) -> list:
+    """The nonzero (coefficient, exponent) terms of sum_i s_i * A_K^i, with
+    exponents scaled by p^K, by dict products: one entry per exponent."""
+    steps = [-p ** (terms - k) for k in range(1, terms + 1)]
     power, total = {0: 1}, {}
-    for i, si in enumerate(cert.s):
+    for i, si in enumerate(s):
         if i:
             nxt = {}
             for e, c in power.items():
@@ -250,8 +282,44 @@ def certificate_residual(cfg: PrimeConfig, cert: Certificate,
         if si:
             for e, c in power.items():
                 total[e] = total.get(e, 0) + si * c
-    bag = [(c, e) for e, c in total.items() if c]
-    return normalize(cfg, bag, cert.cap, den=scale)
+    return [(c, e) for e, c in total.items() if c]
+
+
+def _residual_bag_packed(p: int, s, terms: int) -> list:
+    """_residual_bag_dict's terms by Kronecker substitution, terms >= 1.
+
+    Slot j of an int holds the coefficient at scaled exponent -j, so A_K^i
+    times A_K is the sum of K copies shifted by p^k slots.  Every power has
+    nonnegative coefficients at most K^i (their sum), so the parts of
+    sum_i s_i * A_K^i with s_i > 0 and with s_i < 0 are kept as two
+    nonnegative ints whose slots stay below bound = sum |s_i| K^i.  A slot
+    has a bit to spare above bound, so pos - neg + bias, where bias holds
+    half the slot range in every slot, borrows across no slot, and XOR with
+    bias leaves each slot's difference in two's complement.
+    """
+    bound = sum(abs(si) * terms ** i for i, si in enumerate(s))
+    width = (bound.bit_length() + 8) // 8  # bytes per slot
+    width = next((w for w in sorted(_SIGNED) if w >= width), width)
+    slots = (len(s) - 1) * p ** (terms - 1) + 1
+    shifts = [8 * width * p ** k for k in range(terms)]
+    power, pos, neg = 1, 0, 0
+    for i, si in enumerate(s):
+        if i:
+            power = sum(power << shift for shift in shifts)
+        if si > 0:
+            pos += si * power
+        elif si < 0:
+            neg -= si * power
+    bias = int.from_bytes((bytes(width - 1) + b"\x80") * slots, "little")
+    raw = ((pos - neg + bias) ^ bias).to_bytes(slots * width, "little")
+    if width in _SIGNED:
+        coeffs = array(_SIGNED[width], raw)
+        if sys.byteorder == "big":
+            coeffs.byteswap()
+    else:
+        coeffs = [int.from_bytes(raw[j:j + width], "little", signed=True)
+                  for j in range(0, len(raw), width)]
+    return [(c, -j) for j, c in enumerate(coeffs) if c]
 
 
 def certificate_residual_by_powers(cfg: PrimeConfig, cert: Certificate,

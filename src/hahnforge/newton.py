@@ -59,7 +59,7 @@ from .errors import (
     NoProgress,
     PrecisionLoss,
 )
-from .exactnum import (FqElem, PrimeConfig, _FqPolys, _Frozen, _Record,
+from .exactnum import (FqElem, PrimeConfig, _Frozen, _Record, _poly_ring,
                        fq_mul, fq_poly_roots, subfield_embedding)
 from .hahn_eqchar import EqHahn
 from .hahn_padic import PHahn
@@ -364,8 +364,8 @@ def _children_for_segment(ring, st, e, members, opts, upper):
 def _extend_field(st, phi, opts):
     """State and roots of phi over the least extension that has any: of
     degree r*d for the least degree d of an irreducible factor of phi."""
-    F = _FqPolys(st.cfg)                # on r-tuples, which serve r = 1 too
-    r = st.cfg.r * F.least_degree(F.monic([c.coeffs for c in phi]))
+    F, values = _poly_ring(st.cfg, phi)
+    r = st.cfg.r * F.least_degree(F.monic(values))
     if r > opts.max_field_degree:
         raise FieldExtensionExceeded(
             f"no residue root within extension degree {opts.max_field_degree}")

@@ -200,8 +200,11 @@ def test_criterion_06_certificate_kernel():
                 s[0] = s[0] or 1
                 s[-1] = s[-1] or 1
                 # p-power content shifts the whole residual valuation up and
-                # can push it past any fixed cap; certificates are taken
-                # primitive (a hypothetical relation can always be so scaled)
+                # can push it past any fixed cap, so the draws are primitive
+                # (a hypothetical relation can always be so scaled).  That
+                # alone does not keep a residual nonzero: at p = 2 and cap 1,
+                # (1,0,0,0,4), (1,0,0,0,-4) and (3,0,0,0,4) vanish (pinned in
+                # test_indexcomb.py); the seed-66 draws miss such certificates
                 if math.gcd(*s) % p == 0:
                     continue
                 cert = Certificate(tuple(s), cap=Fr(1))

@@ -1,4 +1,5 @@
 import functools
+import io
 import itertools
 import math
 import random
@@ -12,6 +13,7 @@ from hahnforge import indexcomb
 from hahnforge.errors import PrecisionLoss, SigmaMismatch
 from hahnforge.exactnum import PrimeConfig
 from hahnforge.hahn_padic import INF, frak_a, normalize
+from hahnforge.series import is_inf
 from hahnforge.indexcomb import (
     Certificate,
     certificate_residual,
@@ -446,3 +448,129 @@ class TestCertificateResidual:
         cert = Certificate((1, 1), cap=Fr(1))
         with pytest.raises(ValueError, match="terms must be >= 0, got -3"):
             certificate_residual(cfg, cert, terms=-3)
+
+
+def _outcome(make):
+    """(digits, cap) of the residual `make` returns, or the error it raises."""
+    try:
+        res = make()
+    except PrecisionLoss as exc:
+        return type(exc), str(exc)
+    return res.digits, res.cap
+
+
+class TestPackedResidual:
+    """At p = 2 and the default K, certificate_residual takes its powers as
+    packed big ints from degree 3 up.  The packed terms, the dict terms and
+    the ring-operation route certificate_residual_by_powers must agree."""
+
+    CAPS = (Fr(-1), Fr(0), Fr(1), Fr(5, 2), INF)
+
+    @staticmethod
+    def draws(degree):
+        """A signed s with zero interior entries, and a copy with one entry
+        beyond 2^64, whose slots are wider than 64 bits; past degree 8, where
+        a residual costs tenths of a second, only the copy."""
+        rng = random.Random(700 + degree)
+        s = [rng.choice((-3, -1, 1, 2, 5)) * rng.randrange(2)
+             for _ in range(degree + 1)]
+        s[0], s[-1] = s[0] or 1, s[-1] or -2
+        wide = list(s)
+        wide[rng.randrange(degree + 1)] = -(2 ** 64 + rng.randrange(2 ** 70))
+        return [s, wide] if degree <= 8 else [wide]
+
+    @staticmethod
+    def terms_for(degree):
+        # K = 0, 1, the default and degree + 4; degree 12 is one case
+        return (0, 1, None, degree + 4) if degree <= 10 else (None,)
+
+    def caps_for(self, degree):
+        # an exact normalize past degree 8 costs seconds
+        return self.CAPS if degree <= 8 else \
+            (Fr(-1), Fr(5, 2)) if degree <= 10 else (Fr(1),)
+
+    @pytest.mark.parametrize("degree", list(range(11)) + [12])
+    def test_packed_terms_equal_dict_terms(self, degree):
+        for s in self.draws(degree):
+            for terms in self.terms_for(degree):
+                k = degree + 2 if terms is None else terms
+                if k == 0:              # the packed route needs K >= 1
+                    continue
+                packed = indexcomb._residual_bag_packed(2, s, k)
+                assert sorted(packed, key=lambda t: t[1]) == \
+                    sorted(indexcomb._residual_bag_dict(2, s, k), key=lambda t: t[1])
+
+    @pytest.mark.parametrize("bits", [8, 16, 32, 64])
+    def test_slots_keep_a_sign_bit(self, bits):
+        # at K = 1 a slot holds s_i itself, which can reach the bound
+        for c in (2 ** (bits - 1), 2 ** bits - 1):
+            for s in ([c], [-c], [0, c], [c, 0, -c]):
+                assert sorted(indexcomb._residual_bag_packed(2, s, 1)) == \
+                    sorted(indexcomb._residual_bag_dict(2, s, 1))
+
+    @pytest.mark.parametrize("degree", list(range(1, 11)) + [12])
+    def test_residual_equals_normalized_dict_terms(self, degree):
+        cfg = PrimeConfig.make(2)
+        for s in self.draws(degree):
+            for cap in self.caps_for(degree):
+                cert = Certificate(s, cap=cap)
+                for terms in self.terms_for(degree):
+                    k = degree + 2 if terms is None else terms
+                    got = _outcome(lambda: certificate_residual(cfg, cert, terms))
+                    want = _outcome(lambda: normalize(
+                        cfg, indexcomb._residual_bag_dict(2, s, k), cap, den=2 ** k))
+                    assert got == want, (s, cap, terms)
+
+    @pytest.mark.parametrize("degree", list(range(1, 11)) + [12])
+    def test_ring_route_agrees(self, degree):
+        # the ring route's cost grows fast with degree and K: it runs every
+        # cap and K up to degree 6, and fewer of them beyond
+        cfg = PrimeConfig.make(2)
+        caps = self.CAPS if degree <= 6 else (Fr(-1),)
+        terms_all = (1, None, degree + 4) if degree <= 6 else \
+            ((1, None) if degree <= 10 else (1,))
+        for s in self.draws(degree):
+            for cap in caps:
+                # an exact residual at p = 2 needs s >= 0
+                cert = Certificate([abs(x) for x in s] if is_inf(cap) else s, cap=cap)
+                for terms in terms_all:
+                    a = certificate_residual(cfg, cert, terms)
+                    b = certificate_residual_by_powers(cfg, cert, terms)
+                    assert a.digits == b.digits and a.cap == b.cap, (cert.s, cap, terms)
+
+    def test_route_follows_p_degree_and_terms(self, monkeypatch):
+        taken = []                      # which route ran; it returns no terms
+        for name in ("_residual_bag_packed", "_residual_bag_dict"):
+            monkeypatch.setattr(indexcomb, name, lambda *a, name=name:
+                                taken.append(name.rsplit("_", 1)[1]) or [])
+
+        def route(p, degree, terms=None):
+            taken.clear()
+            certificate_residual(PrimeConfig.make(p), Certificate(
+                (1,) * (degree + 1), cap=Fr(1)), terms)
+            return taken[0]
+
+        assert [route(2, d) for d in range(1, 9)] == ["dict"] * 2 + ["packed"] * 6
+        assert {route(p, d) for p in (3, 5) for d in range(1, 6)} == {"dict"}
+        assert [route(2, 6, t) for t in (0, 1, 2, 8, 40)] == \
+            ["dict", "dict", "packed", "packed", "dict"]
+
+    def test_far_terms_take_the_dict_route(self, monkeypatch):
+        # packed, K = 40 at degree 2 would need 2 * 2^39 + 1 slots
+        monkeypatch.setattr(indexcomb, "_residual_bag_packed", None)
+        cfg = PrimeConfig.make(2)
+        cert = Certificate((1, 1, 1), cap=Fr(1))
+        got = certificate_residual(cfg, cert, terms=40)
+        assert got == residual_by_multinomials(cfg, cert, terms=40)
+
+    @pytest.mark.parametrize("s", ["1,0,0,0,4", "1,0,0,0,-4", "3,0,0,0,4"])
+    def test_primitive_certificates_that_vanish_below_cap_1(self, s):
+        # gcd 1, yet every class total sits at or above cap 1 at p = 2
+        # (the kstar total ±96 = ±2^5 * 3 among them); cap 5 shows them nonzero
+        from hahnforge.cli import run
+        for cap, nonzero in (("1", "false"), ("5", "true")):
+            out = io.StringIO()
+            assert run(["-p", "2", "certificate-check", s, "--cap", cap], out=out) == 0
+            lines = out.getvalue().splitlines()
+            assert lines[1] == f"nonzero below cap: {nonzero}"
+            assert (lines[0] == "residual: O(p^(1))") == (cap == "1")
