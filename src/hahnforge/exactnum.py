@@ -32,9 +32,9 @@ closed form, 0, 1 or -1 mod p^k for [0], [1] or [p-1] and a^(p^(k-1)) mod
 p^k for another digit when r = 1, and otherwise by fixpoint iteration
 x -> x^(p^r), which gains at least one p-adic digit per step, so `prec`
 iterations always suffice.  Teichmüller digits are read as coefficient
-tuples from plain int coefficients by digit_coeffs, which digit_decompose
-and p-adic normalization at r > 1 share, and at r = 1 from single ints by digit_runs,
-which p-adic normalization calls once for all its buckets.  Rational
+tuples by one reader, digit_runs, from plain ints (an int at r = 1, a
+coefficient list otherwise); p-adic normalization calls it once for all
+its capped buckets, and digit_decompose once per Witt value.  Rational
 numbers are stdlib fractions.Fraction throughout.
 
 One distinct-degree ladder, _FpPolys.ladder (von zur Gathen and Shoup
@@ -68,7 +68,6 @@ __all__ = [
     "find_modulus",
     "is_prime",
     "teichmueller",
-    "digit_coeffs",
     "digit_runs",
     "digit_decompose",
     "fq_poly_roots",
@@ -734,42 +733,36 @@ def teichmueller(a: FqElem, prec: int) -> WittElem:
     return WittElem(cfg, tuple(c % pk for c in _lift(cfg, a.coeffs, prec)), prec)
 
 
-def digit_coeffs(cfg: PrimeConfig, coeffs, prec: int, count: int) -> list:
-    """The first `count` Teichmüller digits of the Witt vector with int
-    coefficients `coeffs` (known mod p^prec), as coefficient tuples.
-
-    Digit i is d = (c mod p) for the current coefficients c, after which
-    c becomes (c - [d]) / p; digit i is only determined mod p^(prec-i), so
-    count is at most prec.  No FqElem or WittElem is built.
-    """
-    # The coefficients are never reduced: subtracting the lift of digit d
-    # leaves them divisible by p, and a lift read at a higher precision than
-    # rem moves them by multiples of p^rem, which no later digit sees.
-    p, digits, cur = cfg.p, [], coeffs
-    for rem in range(prec, prec - count, -1):
-        d = tuple([x % p for x in cur])
-        digits.append(d)
-        if any(d):
-            cur = [x - y for x, y in zip(cur, _lift(cfg, d, rem))]
-        cur = [x // p for x in cur]
-    return digits
-
-
 def digit_runs(cfg: PrimeConfig, runs, step: int) -> list:
-    """The nonzero Teichmüller digits of plain ints at r = 1, as (exponent,
+    """The nonzero Teichmüller digits of Witt values, as (exponent,
     coefficient tuple) pairs.
 
-    A run (e, x, prec, count) is an int x known mod p^prec whose digit i
-    sits at exponent e + i*step; x is reduced mod p^prec, its first `count`
-    digits are read as in digit_coeffs, and the run ends early once x is 0,
-    since every further digit is then 0.  [0] = 0 and [1] = 1
-    need no lift (the floor division drops them); any other lift is read
-    from the table once per digit and higher precision, which serves every
-    lower one.  Equal digits of one call share one tuple.
+    A run (e, x, prec, count) is a value known mod p^prec, an int at r = 1
+    and a list of r int coefficients otherwise, whose digit i sits at
+    exponent e + i*step.  x is reduced mod p^prec; digit i is d = x mod p,
+    after which x becomes (x - [d]) / p, so it is known mod p^(prec-i) and
+    count is at most prec; the run ends once x is 0.  x is never reduced
+    again: a lift read at a higher precision moves it by multiples of
+    p^rem, which no later digit sees.  At r = 1, [0] = 0 and [1] = 1 need
+    no lift, and any other is read once per digit and higher precision.
+    Equal digits of one call share one tuple; no FqElem is built.
     """
-    p, lifts, digits, out = cfg.p, {}, {}, []
+    p, r, lifts, digits, out = cfg.p, cfg.r, {}, {}, []
     for e, x, prec, count in runs:
-        x %= p ** prec
+        pk = p ** prec
+        if r > 1:
+            x = [c % pk for c in x]
+            for rem in range(prec, prec - count, -1):
+                if not any(x):
+                    break
+                d = tuple([c % p for c in x])
+                if any(d):
+                    out.append((e, digits.setdefault(d, d)))
+                    x = [c - y for c, y in zip(x, _lift(cfg, d, rem))]
+                x = [c // p for c in x]
+                e += step
+            continue
+        x %= pk
         for rem in range(prec, prec - count, -1):
             if not x:
                 break
@@ -789,11 +782,14 @@ def digit_runs(cfg: PrimeConfig, runs, step: int) -> list:
 def digit_decompose(c: WittElem) -> tuple:
     """Teichmüller digits (d_0, ..., d_{prec-1}) with c = sum [d_i] p^i.
 
-    The digits of `digit_coeffs` as FqElems; digit i is only determined
-    modulo p^(prec-i), and the returned tuple always has length c.prec.
+    The digits `digit_runs` reads from c, zero-filled, as FqElems; digit i
+    is only determined modulo p^(prec-i), and the returned tuple always has
+    length c.prec.
     """
-    cfg = c.cfg
-    return tuple(FqElem(cfg, d) for d in digit_coeffs(cfg, c.coeffs, c.prec, c.prec))
+    cfg, zero = c.cfg, (0,) * c.cfg.r
+    run = (0, c.coeffs[0] if cfg.r == 1 else c.coeffs, c.prec, c.prec)
+    found = dict(digit_runs(cfg, [run], 1))
+    return tuple(FqElem(cfg, found.get(i, zero)) for i in range(c.prec))
 
 
 def _poly_ring(cfg, coeffs):

@@ -17,12 +17,12 @@ every term adds k * p^(integer part - offset) times the coefficients of its
 digit's Teichmüller lift, modulo p^ell, where ell is sized from the cap plus
 the constant GUARD_DIGITS (carries only propagate upward).  `teichmueller`
 is asked once per distinct (digit, ell) in a normalize call, not per
-bucket, and only there is an FqElem built; the digits [0] and [1] are their
-own lifts.  At r = 1 a bucket is one int, summed in the loop over buckets,
-and exactnum's digit_runs reads the digits below the cap of every bucket in
-one call; at r > 1 digit_coeffs reads each bucket's coefficient list.
-Digits are coefficient tuples throughout, as a value stores them (see
-series).  Distinct fractional parts can never interact, which is why the
+bucket, and only there is an FqElem built.  At r = 1 a bucket is one int,
+summed in the loop over buckets, where the digits [0] and [1] are their own
+lifts; at r > 1 it is a coefficient list summed by _lift_sum, which
+decompose shares.  exactnum's digit_runs reads the digits below the cap of
+every bucket in one call.  Digits are coefficient tuples throughout, as a
+value stores them (see series).  Distinct fractional parts can never interact, which is why the
 bucketing is sound.  Exponents are ints x standing for x/den, in the bag
 (sums, products and certificate residuals pass den=) and in the output
 value (see series); a bag of int exponents builds no Fraction at all.
@@ -50,8 +50,7 @@ from fractions import Fraction
 
 from .errors import PrecisionLoss
 from .exactnum import (FqElem, PrimeConfig, WittElem, _Frozen, _int_lift,
-                       digit_coeffs, digit_runs, digit_decompose, neg_mod,
-                       teichmueller)
+                       digit_runs, digit_decompose, neg_mod, teichmueller)
 from .series import INF, TruncatedSeries, as_frac, is_inf
 
 GUARD_DIGITS = 2  # carries only propagate upward: these absorb the cap boundary
@@ -105,6 +104,21 @@ def _bucket_exact(cfg, items, n_min):
     return digits
 
 
+def _lift_sum(cfg, items, n_min, ell, lifts):
+    """Int coefficients of sum k * p^(n - n_min) * [d] over one bucket's
+    (n, k, d) items, each [d] the `teichmueller` lift at length ell, asked
+    once per (d, ell) in the memo `lifts`; correct mod p^ell, not reduced."""
+    p, total = cfg.p, [0] * cfg.r
+    for n, k, d in items:
+        lift = lifts.get((d, ell))
+        if lift is None:
+            lift = lifts[d, ell] = teichmueller(FqElem(cfg, d), ell).coeffs
+        m = k * p ** (n - n_min)
+        for i, x in enumerate(lift):
+            total[i] += m * x
+    return total
+
+
 def normalize(cfg: PrimeConfig, bag, cap, den: int = 1) -> "PHahn":
     """Standard expansion of a raw term bag, exact below cap.
 
@@ -119,11 +133,11 @@ def normalize(cfg: PrimeConfig, bag, cap, den: int = 1) -> "PHahn":
     fractional part q of the exponent.  A capped bucket needs the digits
     below the cap, need = ceil(cap - q) - offset of them, and is summed mod
     p^ell, ell = need + GUARD_DIGITS, from the `teichmueller` lifts of its
-    digits, asked once per (digit, ell) in a call: at r = 1 as one int,
-    whose digits `digit_runs` reads for all buckets at once, and otherwise
-    as int coefficients read by `digit_coeffs`.  Digits are coefficient
-    tuples throughout, the output's included; an FqElem is built only as a
-    `teichmueller` argument.  Any other coefficient raises TypeError.
+    digits, asked once per (digit, ell) in a call: at r = 1 as one int and
+    otherwise as int coefficients, whose digits `digit_runs` reads for all
+    buckets at once.  Digits are coefficient tuples throughout, the
+    output's included; an FqElem is built only as a `teichmueller`
+    argument.  Any other coefficient raises TypeError.
     """
     cap = as_frac(cap)
     p, r = cfg.p, cfg.r
@@ -168,41 +182,31 @@ def normalize(cfg: PrimeConfig, bag, cap, den: int = 1) -> "PHahn":
                 # standard expansion ([p-1] is -1 exactly at odd p)
                 out.extend((n * den + q, d if k == 1 else neg_mod(d, p))
                            for n, k, d in items if any(d))
-                continue
-            digits = _bucket_exact(cfg, items, n_min)
+            else:
+                out.extend(((n_min + i) * den + q, d) for i, d in
+                           enumerate(_bucket_exact(cfg, items, n_min)) if any(d))
+            continue
+        need = -((q * cd - cn) // (cd * den)) - n_min
+        if need <= 0:
+            continue
+        ell = need + GUARD_DIGITS
+        if ell > cfg.l_max:
+            raise PrecisionLoss(f"bucket needs Witt length {ell} > l_max={cfg.l_max}")
+        if r == 1:  # one int; [0] and [1] need no lift
+            x = 0
+            for n, k, (c,) in items:
+                if c > 1:
+                    lift = lifts.get((c, ell))
+                    if lift is None:
+                        lift = lifts[c, ell] = teichmueller(
+                            FqElem(cfg, (c,)), ell).coeffs[0]
+                    k *= lift
+                elif not c:
+                    continue
+                x += k * p ** (n - n_min)
         else:
-            need = -((q * cd - cn) // (cd * den)) - n_min
-            if need <= 0:
-                continue
-            ell = need + GUARD_DIGITS
-            if ell > cfg.l_max:
-                raise PrecisionLoss(
-                    f"bucket needs Witt length {ell} > l_max={cfg.l_max}")
-            if r == 1:  # one int; [0] and [1] need no lift
-                x = 0
-                for n, k, (c,) in items:
-                    if c > 1:
-                        lift = lifts.get((c, ell))
-                        if lift is None:
-                            lift = lifts[c, ell] = teichmueller(
-                                FqElem(cfg, (c,)), ell).coeffs[0]
-                        k *= lift
-                    elif not c:
-                        continue
-                    x += k * p ** (n - n_min)
-                runs.append((n_min * den + q, x, ell, need))
-                continue
-            total = [0] * r
-            for n, k, d in items:
-                lift = lifts.get((d, ell))
-                if lift is None:
-                    lift = lifts[d, ell] = teichmueller(FqElem(cfg, d), ell).coeffs
-                m = k * p ** (n - n_min)
-                for i, x in enumerate(lift):
-                    total[i] += m * x
-            pk = p ** ell
-            digits = digit_coeffs(cfg, [x % pk for x in total], ell, need)
-        out.extend(((n_min + i) * den + q, d) for i, d in enumerate(digits) if any(d))
+            x = _lift_sum(cfg, items, n_min, ell, lifts)
+        runs.append((n_min * den + q, x, ell, need))
     out += digit_runs(cfg, runs, den)
     out.sort(key=lambda t: t[0])
     return PHahn._trusted(cfg, den, out, cap)
@@ -314,15 +318,17 @@ def decompose(x: PHahn, cover=None) -> FracDecomp:
     defaults to x.cap and may exceed it only when x is exact (a finite digit
     map determines c_q to any precision, its higher digits being zero).
     Terms n/den are bucketed by divmod(n, den); q is a Fraction per entry.
+    Each bucket is summed by normalize's _lift_sum, with the `teichmueller`
+    lifts asked once per (digit, length) in a call.
     """
     cfg, den = x.cfg, x.den
     cover = x.cap if cover is None else as_frac(cover)
     if not x.is_exact() and cover > x.cap:
         raise PrecisionLoss("cannot cover beyond the cap of a truncated value")
-    buckets = {}
+    buckets, lifts = {}, {}
     for e, d in x.ints:
         n, q = divmod(e, den)
-        buckets.setdefault(q, []).append((n, d))
+        buckets.setdefault(q, []).append((n, 1, d))
     entries = []
     for q in sorted(buckets):
         items = buckets[q]
@@ -332,12 +338,8 @@ def decompose(x: PHahn, cover=None) -> FracDecomp:
         if not is_inf(cover):
             prec = max(prec, math.ceil(cover - q) - n_min)
         pk = cfg.p ** prec
-        total = [0] * cfg.r
-        for n, d in items:
-            lift = teichmueller(FqElem(cfg, d), prec=prec)
-            shift = cfg.p ** (n - n_min)
-            total = [(a + b * shift) % pk for a, b in zip(total, lift.coeffs)]
-        entries.append((q, n_min, WittElem(cfg, tuple(total), prec)))
+        total = _lift_sum(cfg, items, n_min, prec, lifts)
+        entries.append((q, n_min, WittElem(cfg, tuple(x % pk for x in total), prec)))
     return FracDecomp(cfg, entries, x.cap)
 
 

@@ -37,7 +37,9 @@ exponent, a product with A_K is K shifted adds, each one pass over machine
 words where the dicts make one update per entry and step, and the slots are
 read back at the end (Kronecker substitution).  Otherwise (p >= 3, or a K
 far beyond the default) they stay dicts, whose size follows the distinct
-exponents.
+exponents.  When both counts exceed PACKED_SLOTS_MAX, ValueError is raised
+before any power is built.  frak_a_power takes A_K^i from the same kernel,
+as the residual of the certificate (0, ..., 0, 1).
 """
 
 from __future__ import annotations
@@ -188,32 +190,17 @@ class Certificate(_Record):
         return len(self.s) - 1
 
 
-def _indices_with_sigma(positions: int, total: int):
-    """Index vectors of sigma `total` on the first `positions` positions."""
-    if positions == 0:
-        if total == 0:
-            yield ()
-        return
-    for head in range(total + 1):
-        for rest in _indices_with_sigma(positions - 1, total - head):
-            yield (head,) + rest if head or rest else ()
-
-
 def frak_a_power(cfg: PrimeConfig, i: int, terms: int, cap=INF) -> PHahn:
-    """i-th power of the terms-term truncation, by multinomial expansion.
+    """i-th power of the terms-term truncation A_K, K = terms, below cap.
 
-    Builds the raw bag of multinomial terms (multinomial(i,k), p^lam(k)) over
-    vectors supported on the first `terms` positions and normalizes it; must
-    agree with i-fold multiplication of the truncation itself, which the
-    tests enforce.
+    The certificate kernel's residual of (0, ..., 0, 1); the tests hold it
+    to the normalized multinomial terms (multinomial(i,k), p^lam(k)) over k
+    on the first `terms` positions and to i-fold products of A_K.
     """
     if i < 0:
         raise ValueError("power must be >= 0")
-    if terms < 0:
-        raise ValueError(f"terms must be >= 0, got {terms}")
-    bag = [(multinomial(i, k), lambda_of(k, cfg.p))
-           for k in _indices_with_sigma(terms, i)]
-    return normalize(cfg, bag, cap)
+    return normalize(cfg, _residual_bag(cfg.p, (0,) * i + (1,), terms), cap,
+                     den=cfg.p ** terms)
 
 
 def grouped_sum(k_red, cert: Certificate, p: int) -> Fraction:
@@ -236,7 +223,7 @@ def grouped_sum(k_red, cert: Certificate, p: int) -> Fraction:
     return total
 
 
-# the packed route allocates a few ints of this many slots at most
+# a residual's powers stay within this many packed slots or dict entries
 PACKED_SLOTS_MAX = 1 << 22
 # signed array typecodes by item size in bytes
 _SIGNED = {array(code).itemsize: code for code in "bhilq"}
@@ -247,24 +234,33 @@ def certificate_residual(cfg: PrimeConfig, cert: Certificate,
     """Standard expansion of sum_i s_i * A_K^i below the certificate cap.
 
     A_K is the terms-term truncation of the headline series (default
-    K = degree + 2), powered on integer exponents and fed through one global
-    normalization so every carry is resolved jointly.  The powers are
-    packed big ints when their exponent span, d*p^(K-1)+1 slots for d =
-    degree, is below both C(d+K, d), which bounds the dict products'
-    entries, and PACKED_SLOTS_MAX; otherwise dict products.  Both routes
-    hand normalize the same (coefficient, exponent) terms.
+    K = degree + 2), powered on integer exponents by _residual_bag and fed
+    through one global normalization so every carry is resolved jointly.
     """
     if terms is None:
         terms = cert.degree + 2
+    return normalize(cfg, _residual_bag(cfg.p, cert.s, terms), cert.cap,
+                     den=cfg.p ** terms)
+
+
+def _residual_bag(p: int, s, terms: int) -> list:
+    """The nonzero (coefficient, exponent) terms of sum_i s_i * A_K^i, K =
+    terms, with exponents scaled by p^K: packed when the span d*p^(K-1)+1,
+    d = len(s) - 1, is below both C(d+K, d), which bounds the dict entries,
+    and PACKED_SLOTS_MAX, else dict products, else (both over budget)
+    ValueError before any power is built."""
     if terms < 0:
         raise ValueError(f"terms must be >= 0, got {terms}")
-    d, p = cert.degree, cfg.p
-    if terms and d * p ** (terms - 1) + 1 < min(math.comb(d + terms, d),
-                                               PACKED_SLOTS_MAX):
-        bag = _residual_bag_packed(p, cert.s, terms)
-    else:
-        bag = _residual_bag_dict(p, cert.s, terms)
-    return normalize(cfg, bag, cert.cap, den=p ** terms)
+    d = len(s) - 1
+    # a larger power of p makes a span (d >= 1) over budget all the same
+    span = d * p ** min(terms - 1, PACKED_SLOTS_MAX.bit_length()) + 1 if terms else 1
+    entries = math.comb(d + terms, d)
+    if min(span, entries) > PACKED_SLOTS_MAX:
+        raise ValueError(f"powers of A_K up to degree {d} at K = {terms} need "
+                         f"more than {PACKED_SLOTS_MAX} exponent slots")
+    if span < min(entries, PACKED_SLOTS_MAX):
+        return _residual_bag_packed(p, s, terms)
+    return _residual_bag_dict(p, s, terms)
 
 
 def _residual_bag_dict(p: int, s, terms: int) -> list:
@@ -338,6 +334,6 @@ def certificate_residual_by_powers(cfg: PrimeConfig, cert: Certificate,
     for i, si in enumerate(cert.s):
         if si == 0:
             continue
-        term = from_integer(cfg, si, work_cap - min(0, i * a.valuation()))
+        term = from_integer(cfg, si, work_cap - min(0, i * a.val_lower_bound()))
         acc = acc + (term * a ** i).truncate(cert.cap)
     return acc

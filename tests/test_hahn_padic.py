@@ -54,7 +54,7 @@ class TestNormalize:
         assert z.digits == () and z.cap == Fr(2)
 
     def test_capped_prime_field_output_shares_one_tuple_per_digit(self):
-        # digit_runs reads every capped r = 1 bucket; -1 is the digit [4]
+        # digit_runs reads every capped bucket in one call; -1 is the digit [4]
         cfg = PrimeConfig.make(5)
         out = normalize(cfg, [(-1, Fr(i, 4)) for i in range(4)]
                         + [(1, Fr(i, 4)) for i in range(5, 9)], Fr(4))

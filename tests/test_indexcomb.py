@@ -323,10 +323,35 @@ class TestFrakAPower:
         by_product = (frak_a(cfg, INF, terms=3) ** 2).truncate(Fr(0))
         assert by_multinomial == by_product
 
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_matches_normalized_multinomial_terms(self, monkeypatch, p):
+        # at p = 2 and K = 4 the powers from i = 3 up are packed
+        forms = set()
+        for name in ("_residual_bag_packed", "_residual_bag_dict"):
+            form = getattr(indexcomb, name)
+            monkeypatch.setattr(indexcomb, name, lambda *a, form=form, name=name:
+                                forms.add(name.rsplit("_", 1)[1]) or form(*a))
+        cfg = PrimeConfig.make(p)
+        for terms in (0, 1, 4):
+            for i in range(6):
+                for cap in (Fr(1), INF):
+                    # an exact power at p >= 5 can hold a digit with no
+                    # integer lift; both routes must then raise alike
+                    want = _outcome(lambda: normalize(
+                        cfg, multinomial_terms(p, terms, i), cap))
+                    got = _outcome(lambda: frak_a_power(cfg, i, terms, cap))
+                    assert got == want, (terms, i, cap)
+        assert forms == ({"dict", "packed"} if p == 2 else {"dict"})
+
     def test_negative_terms_rejected(self):
         cfg = PrimeConfig.make(2)
         with pytest.raises(ValueError, match="terms must be >= 0, got -1"):
             frak_a_power(cfg, 2, terms=-1)
+
+    def test_over_budget_power_raises(self):
+        # degree 40 at K = 40: 40 * 2^39 + 1 slots packed, C(80, 40) entries
+        with pytest.raises(ValueError, match="more than 4194304 exponent slots"):
+            frak_a_power(PrimeConfig.make(2), 40, terms=40)
 
 
 class TestGroupedSum:
@@ -527,8 +552,8 @@ class TestPackedResidual:
         # cap and K up to degree 6, and fewer of them beyond
         cfg = PrimeConfig.make(2)
         caps = self.CAPS if degree <= 6 else (Fr(-1),)
-        terms_all = (1, None, degree + 4) if degree <= 6 else \
-            ((1, None) if degree <= 10 else (1,))
+        terms_all = (0, 1, None, degree + 4) if degree <= 6 else \
+            ((0, 1, None) if degree <= 10 else (0, 1))
         for s in self.draws(degree):
             for cap in caps:
                 # an exact residual at p = 2 needs s >= 0
@@ -552,8 +577,23 @@ class TestPackedResidual:
 
         assert [route(2, d) for d in range(1, 9)] == ["dict"] * 2 + ["packed"] * 6
         assert {route(p, d) for p in (3, 5) for d in range(1, 6)} == {"dict"}
-        assert [route(2, 6, t) for t in (0, 1, 2, 8, 40)] == \
+        assert [route(2, 6, t) for t in (0, 1, 2, 8, 14)] == \
             ["dict", "dict", "packed", "packed", "dict"]
+        # K = 40: 6 * 2^39 + 1 slots packed, C(46, 6) = 9,366,819 dict entries
+        with pytest.raises(ValueError, match="more than 4194304 exponent slots"):
+            route(2, 6, 40)
+        assert taken == []
+
+    def test_over_budget_terms_end_at_once(self):
+        from hahnforge.cli import run
+        out, err = io.StringIO(), io.StringIO()
+        start = time.perf_counter()
+        code = run(["-p", "2", "certificate-check", "--cap", "1", "--terms", "40",
+                    "1,1,1,1,1,1,1"], out=out, err=err)
+        assert time.perf_counter() - start < 1
+        assert (code, out.getvalue()) == (1, "")
+        assert err.getvalue() == ("error: powers of A_K up to degree 6 at K = 40 "
+                                  "need more than 4194304 exponent slots\n")
 
     def test_far_terms_take_the_dict_route(self, monkeypatch):
         # packed, K = 40 at degree 2 would need 2 * 2^39 + 1 slots
