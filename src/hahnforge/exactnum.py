@@ -592,6 +592,10 @@ class FqElem(_ResidueElem):
         return self, other, self.cfg.p
 
     def __eq__(self, other):
+        """Equality within one field.  An int operand raises TypeError: fq(1)
+        equals both 1 and p + 1, so no hash could agree with int equality."""
+        if isinstance(other, int):
+            raise TypeError("compare an FqElem with cfg.fq(n), not an int")
         return (isinstance(other, FqElem)
                 and self.cfg.same_field(other.cfg)
                 and self.coeffs == other.coeffs)

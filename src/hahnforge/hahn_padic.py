@@ -6,8 +6,7 @@ below which the digits are exact (the error is O(p^cap); cap = +inf marks a
 finite exact digit map).  Because digits add p-adically, sums and products of
 digit terms generate carries; normalization is where all of them are resolved.
 Sum, difference, product and negation are the series core's (see series);
-this ring defines only their canonicalization, `normalize`, and negates by
-it at p = 2, where -[1] is no single digit.
+this ring defines only their canonicalization, `normalize`.
 
 Normalization works in the fractional-part coordinates: raw terms k*[d]*p^e
 (the bag coefficient is an int k, an FqElem d or a pair (k, d), d an FqElem
@@ -30,7 +29,8 @@ value (see series); a bag of int exponents builds no Fraction at all.
 The same fractional-part coordinates, kept as honest Witt values instead of
 digits, form a second representation (FracDecomp).  Multiplication performed
 entirely in those coordinates is the package's primary anti-bug oracle for
-carry handling: see mul_via_decomposition.
+carry handling: see mul_via_decomposition, whose product entries recompose
+reads back as digits.
 
 Uncapped (exact) normalization passes a bucket of single digits at distinct
 integer parts through as it is: that is already a standard expansion.  Any
@@ -242,12 +242,6 @@ class PHahn(TruncatedSeries):
 
     __mul__ = TruncatedSeries.__mul__  # own entry: perfbench/tracing.py wraps it
 
-    def __neg__(self):
-        if self.cfg.p > 2:  # [p-1] = -1 exactly for odd p
-            return super().__neg__()
-        return normalize(self.cfg, [((-1, d), x) for x, d in self.ints], self.cap,
-                         den=self.den)
-
 
 # ---------------------------------------------------------------------------
 # embeddings of plain integers and the headline series
@@ -362,7 +356,8 @@ def mul_via_decomposition(a: PHahn, b: PHahn) -> PHahn:
     """Product computed entirely in FracDecomp coordinates.
 
     Pairwise Witt products with fractional-part wraparound (q1 + q2 >= 1
-    moves one factor of p into the coefficient), then digit extraction.
+    moves one factor of p into the coefficient), summed per bucket into
+    FracDecomp entries that recompose reads back as digits.
     Independent of the digit-bag route in PHahn.__mul__, which it cross
     checks.
     """
@@ -384,7 +379,7 @@ def mul_via_decomposition(a: PHahn, b: PHahn) -> PHahn:
                 q -= 1
                 wrap = 1
             buckets.setdefault(q, []).append((o1 + o2 + wrap, w1 * w2))
-    out = []
+    entries = []
     for q in sorted(buckets):
         items = buckets[q]
         o_min = min(o for o, _ in items)
@@ -399,10 +394,5 @@ def mul_via_decomposition(a: PHahn, b: PHahn) -> PHahn:
         for o, w in items:
             shift = cfg.p ** (o - o_min)
             total = [(x + y * shift) % pk for x, y in zip(total, w.coeffs)]
-        unit = WittElem(cfg, tuple(total), rel)
-        for i, d in enumerate(digit_decompose(unit)):
-            e = q + o_min + i
-            if not d.is_zero() and e < cap:
-                out.append((e, d))
-    out.sort(key=lambda t: t[0])
-    return PHahn(cfg, tuple(out), cap)
+        entries.append((q, o_min, WittElem(cfg, tuple(total), rel)))
+    return recompose(FracDecomp(cfg, entries, cap))

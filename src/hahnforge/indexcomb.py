@@ -332,7 +332,7 @@ def certificate_residual_by_powers(cfg: PrimeConfig, cert: Certificate,
     a = frak_a(cfg, work_cap, terms=terms)
     acc = PHahn.zero(cfg, cap=cert.cap)
     for i, si in enumerate(cert.s):
-        if si == 0:
+        if si == 0 or (i and not terms):  # A_0 is the exact zero
             continue
         term = from_integer(cfg, si, work_cap - min(0, i * a.val_lower_bound()))
         acc = acc + (term * a ** i).truncate(cert.cap)

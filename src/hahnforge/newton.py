@@ -27,6 +27,14 @@ No ordinal bookkeeping is materialized.  The jump is also where
 Artin-Schreier branches separate: the post-jump polygon exposes the
 Y^p - Y segment whose nonzero residue roots shift the branch by constants.
 
+Branch ends.  A state is finished as a branch at one place, with the bound
+a0.val_lower_bound() of its residual a0 = f(prefix): when a0 has no term
+below its cap, when no hull segment continues it (below the cap, within
+the term budget), or when a segment at or above the cap was dropped -- a
+root then agrees with the prefix below the cap, as the constant-free root
+of X^2 - X - p^(-1) does at cap 1/4.  A finished state still pushes the
+children of its remaining segments.
+
 A jumped branch's reported residual bound stays at the valuation the finite
 prefix actually achieves (the stripped head), never at what the untruncated
 limit would achieve; verify_root against the returned prefix therefore
@@ -305,26 +313,29 @@ def _stable_pair(stripped, prev):
 
 
 def _candidates(st, upper):
-    """(exponent, members) of each hull segment that may give the next term,
-    by increasing exponent: -slope as a reduced (n, d) pair, and the indices
-    of the coefficients whose leading point lies on the segment."""
+    """(cands, dropped): the (exponent, members) of each hull segment that
+    may give the next term, by increasing exponent -- -slope as a reduced
+    (n, d) pair, and the indices of the coefficients whose leading point lies
+    on the segment -- and whether a segment at or above `upper` was dropped:
+    a root then agrees with the prefix below `upper`."""
     try:
         poly = polygon_of(st.coeffs)
     except PrecisionLoss:
-        return []
+        return [], False
     den, coeffs = poly.den, st.coeffs
     a0 = coeffs[0]
     cap0 = None  # an unresolved constant term's cap, over den
     if not a0.ints and not a0.is_exact_zero():
         cap0 = a0.cap.numerator * (den // a0.cap.denominator)
     last = st.terms[-1][0] if st.terms else None
-    cands = []
+    cands, dropped = [], False
     for (i1, y1), (i2, y2) in zip(poly.points, poly.points[1:]):
         w, en = i2 - i1, y1 - y2        # the exponent is en / (w * den)
         ed = w * den
         if last is not None and en * last[1] <= last[0] * ed:
             continue
         if upper is not None and en * upper.denominator >= upper.numerator * ed:
+            dropped = True
             continue
         level = y1 * w + i1 * en        # the segment's level, over ed
         if cap0 is not None and level >= cap0 * w:
@@ -336,7 +347,7 @@ def _candidates(st, upper):
         g = math.gcd(en, ed)
         cands.append(((en // g, ed // g), members))
     cands.reverse()  # slopes increase along the hull, so exponents decrease
-    return cands
+    return cands, dropped
 
 
 def _children_for_segment(ring, st, e, members, opts, upper):
@@ -386,7 +397,8 @@ def _finish(ring, st, branches, bound):
 
 
 def _advance(ring, st, stack, branches, upper, max_terms, opts):
-    """Process one state to its next branching point, pushing children."""
+    """Process one state to its next branching point, pushing children and
+    finishing it as a branch where the module docstring's branch ends say."""
     while True:
         if len(st.terms) > opts.max_steps:
             if max_terms is not None and max_terms >= opts.max_steps:
@@ -394,14 +406,9 @@ def _advance(ring, st, stack, branches, upper, max_terms, opts):
                                  f"budget max_steps={opts.max_steps}")
             raise NoProgress(f"no convergence within {opts.max_steps} steps")
         a0 = st.coeffs[0]
-        emitted = False
         jumped = st.jump_bound is not None
 
-        if not a0.ints:
-            _finish(ring, st, branches,
-                    INF if a0.is_exact_zero() else a0.cap)
-            emitted = True
-        else:
+        if a0.ints:
             # stall detection: the residual valuation must keep increasing
             val, last = (a0.ints[0][0], a0.den), st.last_val
             if last is not None and val[0] * last[1] <= last[0] * val[1]:
@@ -435,18 +442,12 @@ def _advance(ring, st, stack, branches, upper, max_terms, opts):
 
         # depth budget (equal characteristic); pending acceleration may run on
         accel_pending = st.prev_strip is not None and not jumped
-        if (max_terms is not None and not accel_pending
-                and len(st.terms) >= (max_terms if not jumped
-                                      else 2 * max_terms + 2)):
-            if not emitted:
-                _finish(ring, st, branches, a0.valuation())
-            return
-
-        cands = _candidates(st, upper)
-        if not cands:
-            if not emitted:
-                _finish(ring, st, branches, a0.valuation())
-            return
+        spent = (max_terms is not None and not accel_pending
+                 and len(st.terms) >= (max_terms if not jumped
+                                       else 2 * max_terms + 2))
+        cands, dropped = ([], False) if spent else _candidates(st, upper)
+        if not a0.ints or not cands or dropped:
+            _finish(ring, st, branches, a0.val_lower_bound())
 
         # every segment has a root, over an extension if need be
         # (_extend_field raises otherwise), so there is at least one child
@@ -511,18 +512,11 @@ def verify_root(coeffs, prefix, expected_bound):
     PrecisionLoss when the truncation cannot decide.
     """
     residual = eval_poly(coeffs, prefix)
-    lead = residual.leading()
-    if lead is not None:
-        val = lead[0]
-    elif residual.is_exact_zero():
-        val = INF
-    else:
-        if residual.cap >= expected_bound:
-            return residual.cap
+    val = residual.val_lower_bound()
+    if val >= expected_bound:
+        return val
+    if not residual.ints:
         raise PrecisionLoss(
             f"residual unresolved below O({residual.cap}) < bound {expected_bound}")
-    if val < expected_bound:
-        raise BoundViolation(
-            f"valuation {val} below expected bound {expected_bound}",
-            valuation=val)
-    return val
+    raise BoundViolation(
+        f"valuation {val} below expected bound {expected_bound}", valuation=val)

@@ -77,23 +77,22 @@ class Ordinal(_Frozen):
         return 0 if la == lb else (-1 if la < lb else 1)
 
     def __eq__(self, other):
-        if isinstance(other, int):
-            other = Ordinal.from_int(other)
+        other = _ordinal(other)
         return isinstance(other, Ordinal) and self.terms == other.terms
 
     def __lt__(self, other):
-        if isinstance(other, int):
-            other = Ordinal.from_int(other)
-        return self._cmp(other) < 0
+        return self._cmp(_ordinal(other)) < 0
 
     def __hash__(self):
+        """A finite ordinal n hashes as n, since it equals n."""
+        if self.is_finite():
+            return hash(self.terms[0][1] if self.terms else 0)
         return hash(self.terms)
 
     # arithmetic ---------------------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, int):
-            other = Ordinal.from_int(other)
+        other = _ordinal(other)
         if other.is_zero():
             return self
         if self.is_zero():
@@ -107,14 +106,13 @@ class Ordinal(_Frozen):
         return Ordinal(tuple(kept) + tuple(merged))
 
     def __radd__(self, other):
-        return Ordinal.from_int(other) + self
+        return _ordinal(other) + self
 
     def __rmul__(self, other):
-        return Ordinal.from_int(other) * self
+        return _ordinal(other) * self
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            other = Ordinal.from_int(other)
+        other = _ordinal(other)
         if self.is_zero() or other.is_zero():
             return ZERO
         # the pieces a * w^gamma * c strictly fall with gamma, so the product
@@ -153,6 +151,11 @@ class Ordinal(_Frozen):
 
     def __repr__(self):
         return f"Ordinal({self})"
+
+
+def _ordinal(x):
+    """An int operand as its finite Ordinal; anything else as it is."""
+    return Ordinal.from_int(x) if isinstance(x, int) else x
 
 
 ZERO = Ordinal()

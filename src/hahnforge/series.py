@@ -33,7 +33,7 @@ from fractions import Fraction
 
 from .errors import PrecisionLoss
 from .exactnum import (FqElem, PrimeConfig, _Frozen, _square_multiply, fq_mul,
-                       neg_mod, subfield_embedding)
+                       subfield_embedding)
 
 INF = math.inf
 
@@ -188,9 +188,9 @@ class TruncatedSeries(_Frozen):
         return self.__add__(other, -1)
 
     def __neg__(self):
-        """Coefficient-wise negation; canonical as it stands where -[c] = [-c]."""
-        return self._trusted(self.cfg, self.den, (
-            (n, neg_mod(c, self.cfg.p)) for n, c in self.ints), self.cap)
+        """-self: the bag of (-1, coefficient) items, canonicalized."""
+        return self._canonical(self.cfg, [((-1, c), x) for x, c in self.ints],
+                               self.cap, self.den)
 
     def __mul__(self, other):
         self._check(other)

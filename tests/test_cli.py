@@ -145,6 +145,16 @@ class TestExitCodes:
             "--poly", "X^2+X+t^(-1)", "--prefix", "t^(-1/2)", "--bound", "0"])
         assert code == 1
 
+    def test_stalled_residual_is_domain_error(self):
+        # after the term [1]*t^(-2) the residual valuation is still -2: one
+        # stalled step, fatal at limit 1 and not at the default limit 3
+        argv = ["newton-solve", "--ring", "eq",
+                "--poly", "X^2+t^(-2)*X+[1]*t^(-2)", "--terms", "6"]
+        assert invoke(["-p", "2", "--stall-limit", "1", *argv]) == (
+            1, "", "error: residual valuation stalled at -2 after 1 steps\n")
+        code, out, err = invoke(["-p", "2", *argv])
+        assert (code, err) == (0, "") and out.count("branch ") == 2
+
     def test_nonprime_rejected(self):
         code, _out, _err = invoke(["-p", "4", "val", "t^(1)"])
         assert code == 2

@@ -274,6 +274,14 @@ class TestFqArithmetic:
         with pytest.raises(DivisionByZero):
             cfg.fq(0).inv()
 
+    def test_equality_with_an_int_raises(self):
+        # fq(1) would equal both 1 and p + 1, which no hash can agree with
+        cfg = PrimeConfig.make(3)
+        for op in (lambda x: x == 1, lambda x: 1 == x, lambda x: x != 0):
+            with pytest.raises(TypeError, match=r"cfg\.fq\(n\)"):
+                op(cfg.fq(1))
+        assert cfg.fq(1) == cfg.fq(4) and cfg.fq(1) != "1"
+
     @pytest.mark.parametrize("p,r", [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2), (2, 3)])
     def test_field_axioms_exhaustive(self, p, r):
         cfg = PrimeConfig.make(p, r)
@@ -659,7 +667,7 @@ class TestFqPolyRoots:
             u = cfg.fq([rng.randrange(p) for _ in range(r)])
             quad = [-(u * u) - u, cfg.fq(1), cfg.fq(1)]
             roots = fq_poly_roots(quad)
-            assert u in roots and len(roots) == (1 if u + u + 1 == 0 else 2)
+            assert u in roots and len(roots) == (1 if (u + u + 1).is_zero() else 2)
             assert all(horner(quad, x).is_zero() for x in roots)
             c = u ** p - u
             artin = [-c, cfg.fq(-1)] + [cfg.fq(0)] * (p - 2) + [cfg.fq(1)]

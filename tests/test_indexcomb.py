@@ -436,6 +436,40 @@ class TestCertificateResidual:
             b = certificate_residual_by_powers(cfg, cert)
             assert a.digits == b.digits and a.cap == b.cap
 
+    SWEEP = [(1, 2, 3, 4), (1, -1, 1, 1, 1), (2, 0, -1), (1, 1, 1),
+             (-1, 3, 0, 1), (1, 0, 0, 0, 4)]
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize("terms", [0, 1, 2, None])
+    def test_routes_agree_on_every_truncation_and_cap(self, p, terms):
+        # both answer alike, or both raise PrecisionLoss (an exact cap asks
+        # for integer lifts); one gap is pinned: at p = 2 a negative s_i the
+        # ring route builds (s_0, and any s_i once K >= 1) has no finite
+        # expansion, so that route raises where the kernel's one sum may
+        # terminate
+        cfg = PrimeConfig.make(p)
+        for s in self.SWEEP:
+            for cap in (INF, Fr(-1), Fr(1), Fr(5, 2)):
+                cert = Certificate(s, cap=cap)
+                a = _outcome(lambda: certificate_residual(cfg, cert, terms))
+                b = _outcome(lambda: certificate_residual_by_powers(cfg, cert, terms))
+                if p == 2 and is_inf(cap) and min(s if terms != 0 else s[:1]) < 0:
+                    assert b == (PrecisionLoss, "digit expansion did not "
+                                 "terminate within l_max=128"), (s, terms)
+                elif a[0] is PrecisionLoss:
+                    assert b[0] is PrecisionLoss, (s, cap, terms)
+                else:
+                    assert a == b, (s, cap, terms)
+
+    def test_routes_agree_at_k0_with_an_exact_cap(self):
+        # A_0 is the exact zero, so only s_0 counts; s_1 = 2 has no
+        # integer lift at p = 5 and must not be built
+        cfg = PrimeConfig.make(5)
+        cert = Certificate((1, 2, 3, 4), cap=INF)
+        for route in (certificate_residual, certificate_residual_by_powers):
+            res = route(cfg, cert, 0)
+            assert res.digits == ((Fr(0), cfg.fq(1)),) and res.is_exact()
+
     @pytest.mark.parametrize("p,max_degree", [(2, 6), (3, 5), (5, 4), (7, 3)])
     def test_matches_multinomial_expansion(self, p, max_degree):
         cfg = PrimeConfig.make(p)

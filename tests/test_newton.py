@@ -476,14 +476,20 @@ class TestExpandPadic:
 # polynomials whose p-adic branches are compared across the caps of one sweep
 CAP_SWEEP = [(2, "X^2-X-p^(-1)"), (3, "X^3-X-p^(-1)"), (5, "X^5-X-p^(-1)"),
              (2, "X^2+X+p^(-1)"), (5, "X^2-[2]*p^(1)"), (7, "X^2-[3]*p^(2)")]
-SWEEP_CAPS = [Fr(1, 4), Fr(1, 2), Fr(1), Fr(2), Fr(3)]
+SWEEP_CAPS = [Fr(1, 8), Fr(1, 4), Fr(1, 2), Fr(1), Fr(2), Fr(3)]
+
+
+def _below(branch, cap, cfg):
+    """The branch's terms below cap, their digits embedded into cfg."""
+    return [(e, subfield_embedding(c, cfg)) for e, c in branch.terms if e < cap]
 
 
 class TestCapSweep:
-    """Raising the cap only adds digits: a branch printed at one cap comes
-    back in some branch at every larger cap, and each reported bound holds.
-    The sweep is fixed (no random draws), so every run sees the same 30
-    expansions."""
+    """Raising the cap only adds digits, both ways: a branch printed at one
+    cap is the truncation of some branch at every larger cap, every branch
+    at a larger cap truncates to some branch at the smaller one, and each
+    reported bound holds.  The sweep is fixed (no random draws), so every
+    run sees the same 36 expansions."""
 
     @pytest.mark.parametrize("p,poly", CAP_SWEEP,
                              ids=[f"p{p}:{f}" for p, f in CAP_SWEEP])
@@ -501,9 +507,22 @@ class TestCapSweep:
         for i, (cap, small) in enumerate(runs):
             for _, large in runs[i + 1:]:
                 for b in small:
-                    below = [(e, c) for e, c in b.terms if e < cap]
-                    assert any(all(big.term_at(e) == subfield_embedding(c, big.cfg)
-                                   for e, c in below) for big in large), (cap, b)
+                    assert any(_below(big, cap, big.cfg) == _below(b, cap, big.cfg)
+                               for big in large), (cap, b)
+                for big in large:
+                    assert any(_below(big, cap, big.cfg) == _below(b, cap, big.cfg)
+                               for b in small), (cap, big)
+
+    def test_both_roots_of_the_paper_polynomial_at_p2_cap_quarter(self):
+        # the roots differ at p^(0); the constant-free one has its next
+        # digit at p^(1/4), exactly the cap, and still prints as a branch
+        cfg = PrimeConfig.make(2)
+        coeffs = poly_to_coeffs(parse_poly("X^2-X-p^(-1)"), cfg, PHahn,
+                                coeff_cap=Fr(17, 4))
+        branches = expand_root_padic(coeffs, cap=Fr(1, 4))
+        prefix = [Fr(-1, 2), Fr(-1, 4), Fr(-1, 8), Fr(-1, 16)]
+        assert [b.exponents() for b in branches] == [prefix, prefix + [Fr(0)]]
+        assert [b.residual_bound for b in branches] == [Fr(-1, 16)] * 2
 
 
 class TestVerifyRoot:
@@ -525,6 +544,14 @@ class TestVerifyRoot:
         cfg = PrimeConfig.make(2)
         coeffs = [EqHahn.zero(cfg), EqHahn.one(cfg)]
         assert verify_root(coeffs, EqHahn.zero(cfg), Fr(100)) == INF
+
+    def test_residual_vanishing_below_a_cap_certifies_the_cap(self):
+        # f = X + O(p^2) at X = 0: the residual is zero below its cap 2
+        cfg = PrimeConfig.make(3)
+        coeffs = [PHahn.zero(cfg, cap=Fr(2)), PHahn.one(cfg)]
+        assert verify_root(coeffs, PHahn.zero(cfg), Fr(1)) == Fr(2)
+        with pytest.raises(PrecisionLoss, match=r"unresolved below O\(2\) < bound 3"):
+            verify_root(coeffs, PHahn.zero(cfg), Fr(3))
 
     def test_bound_violation_carries_valuation(self):
         cfg = PrimeConfig.make(2)

@@ -51,8 +51,8 @@ def triple_to_ordinal(t):
 
 class TestCompare:
     def test_omega_exceeds_finite(self):
-        assert Ordinal.from_int(5) < OMEGA
-        assert not OMEGA < Ordinal.from_int(5)
+        assert Ordinal.from_int(5) < OMEGA and 5 < OMEGA
+        assert not OMEGA < Ordinal.from_int(5) and not OMEGA < 5
 
     def test_equal(self):
         a = OMEGA * OMEGA + OMEGA
@@ -61,6 +61,13 @@ class TestCompare:
 
     def test_omega2_vs_omega_plus_7(self):
         assert OMEGA + Ordinal.from_int(7) < OMEGA * 2
+
+    def test_finite_ordinal_hashes_as_its_int(self):
+        # equal values hash equal, so a set or dict finds either one
+        for n in (0, 1, 3, 10 ** 20):
+            assert Ordinal.from_int(n) == n and hash(Ordinal.from_int(n)) == hash(n)
+            assert n in {Ordinal.from_int(n)} and Ordinal.from_int(n) in {n}
+        assert OMEGA not in {1, 0} and len({OMEGA, OMEGA * 2, ONE, 1}) == 3
 
     def test_total_order_on_triples(self):
         triples = list(itertools.product(range(3), repeat=3))
@@ -73,7 +80,7 @@ class TestCompare:
 class TestAddMul:
     def test_finite_times_omega_absorbs(self):
         for n in (1, 2, 9):
-            assert Ordinal.from_int(n) * OMEGA == OMEGA
+            assert Ordinal.from_int(n) * OMEGA == OMEGA == n * OMEGA
 
     def test_leading_exponent_bump(self):
         a = OMEGA * OMEGA * 3 + OMEGA * 5 + 7
