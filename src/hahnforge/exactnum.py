@@ -33,8 +33,9 @@ p^k for another digit when r = 1, and otherwise by fixpoint iteration
 x -> x^(p^r), which gains at least one p-adic digit per step, so `prec`
 iterations always suffice.  Teichmüller digits are read as coefficient
 tuples by one reader, digit_runs, from plain ints (an int at r = 1, a
-coefficient list otherwise); p-adic normalization calls it once for all
-its capped buckets, and digit_decompose once per Witt value.  Rational
+coefficient list otherwise), each distinct run once per call; p-adic
+normalization calls it once for all its capped buckets, and
+digit_decompose once per Witt value.  Rational
 numbers are stdlib fractions.Fraction throughout.
 
 One distinct-degree ladder, _FpPolys.ladder (von zur Gathen and Shoup
@@ -749,37 +750,49 @@ def digit_runs(cfg: PrimeConfig, runs, step: int) -> list:
     again: a lift read at a higher precision moves it by multiples of
     p^rem, which no later digit sees.  At r = 1, [0] = 0 and [1] = 1 need
     no lift, and any other is read once per digit and higher precision.
-    Equal digits of one call share one tuple; no FqElem is built.
+    Equal digits of one call share one tuple; no FqElem is built.  A run's
+    digits depend only on (x mod p^prec, prec, count), so each distinct
+    run is read once per call, and a repeat copies its (exponent, digit)
+    pairs from `out`, shifted to its own e; a run seen once costs a key
+    and a dict entry more than its read.
     """
-    p, r, lifts, digits, out = cfg.p, cfg.r, {}, {}, []
+    p, r, lifts, digits, out, seen = cfg.p, cfg.r, {}, {}, [], {}
     for e, x, prec, count in runs:
         pk = p ** prec
+        x = tuple([c % pk for c in x]) if r > 1 else x % pk
+        key = (x, prec, count)
+        known = seen.get(key)
+        if known is not None:  # read before: its digits re-based at e
+            e0, i, j = known
+            for f, d in out[i:j]:
+                out.append((f - e0 + e, d))
+            continue
+        i, f = len(out), e
         if r > 1:
-            x = [c % pk for c in x]
             for rem in range(prec, prec - count, -1):
                 if not any(x):
                     break
                 d = tuple([c % p for c in x])
                 if any(d):
-                    out.append((e, digits.setdefault(d, d)))
+                    out.append((f, digits.setdefault(d, d)))
                     x = [c - y for c, y in zip(x, _lift(cfg, d, rem))]
                 x = [c // p for c in x]
-                e += step
-            continue
-        x %= pk
-        for rem in range(prec, prec - count, -1):
-            if not x:
-                break
-            d = x % p
-            if d:
-                out.append((e, digits.setdefault(d, (d,))))
-                if d > 1:
-                    lift = lifts.get(d)
-                    if lift is None or lift[0] < rem:
-                        lift = lifts[d] = (rem, _lift(cfg, (d,), rem)[0])
-                    x -= lift[1]
-            x //= p
-            e += step
+                f += step
+        else:
+            for rem in range(prec, prec - count, -1):
+                if not x:
+                    break
+                d = x % p
+                if d:
+                    out.append((f, digits.setdefault(d, (d,))))
+                    if d > 1:
+                        lift = lifts.get(d)
+                        if lift is None or lift[0] < rem:
+                            lift = lifts[d] = (rem, _lift(cfg, (d,), rem)[0])
+                        x -= lift[1]
+                x //= p
+                f += step
+        seen[key] = (e, i, len(out))
     return out
 
 

@@ -16,13 +16,17 @@ every term adds k * p^(integer part - offset) times the coefficients of its
 digit's Teichmüller lift, modulo p^ell, where ell is sized from the cap plus
 the constant GUARD_DIGITS (carries only propagate upward).  `teichmueller`
 is asked once per distinct (digit, ell) in a normalize call, not per
-bucket, and only there is an FqElem built.  At r = 1 a bucket is one int,
-summed in the loop over buckets, where the digits [0] and [1] are their own
-lifts; at r > 1 it is a coefficient list summed by _lift_sum, which
-decompose shares.  exactnum's digit_runs reads the digits below the cap of
-every bucket in one call.  Digits are coefficient tuples throughout, as a
-value stores them (see series).  Distinct fractional parts can never interact, which is why the
-bucketing is sound.  Exponents are ints x standing for x/den, in the bag
+bucket, and only there is an FqElem built.  At r = 1 a capped bucket is one
+int, summed as the bag is read: it is kept at the least integer part n_min
+seen so far and rescaled when a lower one arrives, the digits [0] and [1]
+are their own lifts, and a digit that needs a lift waits until the
+bucket's ell is known.  At r > 1 a capped bucket is a list of its terms,
+summed by _lift_sum, which decompose shares; an exact bucket is such a list
+at every r (see below).  exactnum's digit_runs reads the digits below the cap of every
+bucket in one call, each distinct bucket value once.  Digits are
+coefficient tuples throughout, as a value stores them (see series).
+Distinct fractional parts can never interact, which is why the bucketing
+is sound.  Exponents are ints x standing for x/den, in the bag
 (sums, products and certificate residuals pass den=) and in the output
 value (see series); a bag of int exponents builds no Fraction at all.
 
@@ -133,79 +137,96 @@ def normalize(cfg: PrimeConfig, bag, cap, den: int = 1) -> "PHahn":
     fractional part q of the exponent.  A capped bucket needs the digits
     below the cap, need = ceil(cap - q) - offset of them, and is summed mod
     p^ell, ell = need + GUARD_DIGITS, from the `teichmueller` lifts of its
-    digits, asked once per (digit, ell) in a call: at r = 1 as one int and
-    otherwise as int coefficients, whose digits `digit_runs` reads for all
-    buckets at once.  Digits are coefficient tuples throughout, the
-    output's included; an FqElem is built only as a `teichmueller`
-    argument.  Any other coefficient raises TypeError.
+    digits, asked once per (digit, ell) in a call: at r = 1 as one int,
+    updated as each term is read, and otherwise as int coefficients, whose
+    digits `digit_runs` reads for all buckets at once.  Buckets are visited
+    in the order the bag first shows them (Fraction exponents after int
+    ones), so the same bucket raises PrecisionLoss first.  Digits are
+    coefficient tuples throughout, the output's included; an FqElem is
+    built only as a `teichmueller` argument.  Any other coefficient raises
+    TypeError.
     """
     cap = as_frac(cap)
     p, r = cfg.p, cfg.r
     one = (1,) + (0,) * (r - 1)
-    buckets, fracs = {}, []  # x mod den -> [(x div den, k, d)]
-    for coeff, exp in bag:
-        t = type(coeff)
-        if t is tuple and len(coeff) == 2:
-            k, d = coeff
-            if type(d) is not tuple:
-                if type(d) is not FqElem:
-                    raise TypeError(f"unsupported bag coefficient {coeff!r}")
-                d = d.coeffs
-        elif t is FqElem:
-            k, d = 1, coeff.coeffs
-        elif isinstance(coeff, int):
-            k, d = coeff, one
-        else:
-            raise TypeError(f"unsupported bag coefficient {coeff!r}")
-        if type(exp) is int:
+    exact = is_inf(cap)
+    sums = r == 1 and not exact  # a bucket is summed as its items are read
+    # x mod den -> [n_min, x, *lifted] if sums, else [(x div den, k, d)]
+    buckets, fracs = {}, []
+    while True:
+        for coeff, exp in bag:
+            t = type(coeff)
+            if t is tuple and len(coeff) == 2:
+                k, d = coeff
+                if type(d) is not tuple:
+                    if type(d) is not FqElem:
+                        raise TypeError(f"unsupported bag coefficient {coeff!r}")
+                    d = d.coeffs
+            elif t is FqElem:
+                k, d = 1, coeff.coeffs
+            elif isinstance(coeff, int):
+                k, d = coeff, one
+            else:
+                raise TypeError(f"unsupported bag coefficient {coeff!r}")
+            if type(exp) is not int:
+                fracs.append((as_frac(exp), k, d))
+                continue
             n, q = divmod(exp, den)
-            buckets.setdefault(q, []).append((n, k, d))
-        else:
-            fracs.append((as_frac(exp), k, d))
-    if fracs:  # x/den = (x * scale)/(den * scale): int buckets move to q * scale
+            if not sums:
+                buckets.setdefault(q, []).append((n, k, d))
+                continue
+            b = buckets.get(q)
+            if b is None:
+                b = buckets[q] = [n, 0]
+            elif n < b[0]:  # x is kept at the least integer part n_min
+                b[1] *= p ** (b[0] - n)
+                b[0] = n
+            if d[0] == 1:
+                b[1] += k if n == b[0] else k * p ** (n - b[0])
+            elif d[0]:  # its lift waits for the bucket's ell; [0] adds nothing
+                b.append((n, k, d))
+        if not fracs:
+            break
+        # x/den = (x * scale)/(den * scale): the buckets so far move to
+        # q * scale, and the Fraction terms are read again on int exponents
         scale = math.lcm(*(x.denominator for x, _, _ in fracs))
         den *= scale
-        buckets = {q * scale: items for q, items in buckets.items()}
-        for x, k, d in fracs:
-            n, q = divmod(x.numerator * (scale // x.denominator), den)
-            buckets.setdefault(q, []).append((n, k, d))
-    exact = is_inf(cap)
+        buckets = {q * scale: b for q, b in buckets.items()}
+        bag = [((k, d), x.numerator * (scale // x.denominator)) for x, k, d in fracs]
+        fracs = []
     if not exact:  # ceil(cap - q/den) = -((q * cd - cn) // (cd * den))
         cn, cd = cap.numerator * den, cap.denominator
     out, runs, lifts = [], [], {}  # out: (exponent * den, digit)
-    for q, items in buckets.items():
-        n_min = min(items)[0]
+    for q, b in buckets.items():
         if exact:
-            if (len({n for n, _, _ in items}) == len(items)
-                    and all(k == 1 or (k == -1 and p > 2) for _, k, _ in items)):
+            n_min = min(b)[0]
+            if (len({n for n, _, _ in b}) == len(b)
+                    and all(k == 1 or (k == -1 and p > 2) for _, k, _ in b)):
                 # single digits at distinct integer parts are already a
                 # standard expansion ([p-1] is -1 exactly at odd p)
                 out.extend((n * den + q, d if k == 1 else neg_mod(d, p))
-                           for n, k, d in items if any(d))
+                           for n, k, d in b if any(d))
             else:
                 out.extend(((n_min + i) * den + q, d) for i, d in
-                           enumerate(_bucket_exact(cfg, items, n_min)) if any(d))
+                           enumerate(_bucket_exact(cfg, b, n_min)) if any(d))
             continue
+        n_min = b[0] if sums else min(b)[0]
         need = -((q * cd - cn) // (cd * den)) - n_min
         if need <= 0:
             continue
         ell = need + GUARD_DIGITS
         if ell > cfg.l_max:
             raise PrecisionLoss(f"bucket needs Witt length {ell} > l_max={cfg.l_max}")
-        if r == 1:  # one int; [0] and [1] need no lift
-            x = 0
-            for n, k, (c,) in items:
-                if c > 1:
-                    lift = lifts.get((c, ell))
-                    if lift is None:
-                        lift = lifts[c, ell] = teichmueller(
-                            FqElem(cfg, (c,)), ell).coeffs[0]
-                    k *= lift
-                elif not c:
-                    continue
-                x += k * p ** (n - n_min)
+        if not sums:
+            x = _lift_sum(cfg, b, n_min, ell, lifts)
         else:
-            x = _lift_sum(cfg, items, n_min, ell, lifts)
+            x = b[1]
+            for n, k, d in b[2:]:  # the lifts that waited for this ell
+                lift = lifts.get((d, ell))
+                if lift is None:
+                    lift = lifts[d, ell] = teichmueller(
+                        FqElem(cfg, d), ell).coeffs[0]
+                x += k * lift * p ** (n - n_min)
         runs.append((n_min * den + q, x, ell, need))
     out += digit_runs(cfg, runs, den)
     out.sort(key=lambda t: t[0])

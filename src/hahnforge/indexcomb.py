@@ -29,14 +29,15 @@ congruence per position, entry = k_red entry - carry from below (mod p), and
 each choice within the sigma budget is a distinct member.  certificate_residual
 scales exponents by p^K, so A_K = {-p^(K-k): 1} has integer keys, and
 normalize sees sum_i s_i * A_K^i once.  Its powers are taken on one of two
-representations, picked from (p, degree d, K) alone.  They span the d*p^(K-1)+1
-exponents from -d*p^(K-1) to 0, while the dict products hold at most
-C(d+K, d) entries.  When the span is the smaller (at p = 2 and the default K,
-every d >= 3), the powers are packed big ints: one fixed-width slot per
-exponent, a product with A_K is K shifted adds, each one pass over machine
-words where the dicts make one update per entry and step, and the slots are
-read back at the end (Kronecker substitution).  Otherwise (p >= 3, or a K
-far beyond the default) they stay dicts, whose size follows the distinct
+representations, picked from (p, degree d, K) alone by their work.  They span
+the d*p^(K-1)+1 exponents from -d*p^(K-1) to 0, while the dict products hold
+at most C(d+K, d) entries and make up to K updates per entry and power.
+When the span is below K*C(d+K, d) (at the default K, every d >= 1 at p = 2
+and 3), the powers are packed big ints: one fixed-width slot per exponent, a
+product with A_K is K shifted adds, each one pass over machine words where
+the dicts make one update per entry and step, and the slots are read back at
+the end (Kronecker substitution).  Otherwise (p >= 5, K <= 1, or a K far
+beyond the default) they stay dicts, whose size follows the distinct
 exponents.  When both counts exceed PACKED_SLOTS_MAX, ValueError is raised
 before any power is built.  frak_a_power takes A_K^i from the same kernel,
 as the residual of the certificate (0, ..., 0, 1).
@@ -245,10 +246,12 @@ def certificate_residual(cfg: PrimeConfig, cert: Certificate,
 
 def _residual_bag(p: int, s, terms: int) -> list:
     """The nonzero (coefficient, exponent) terms of sum_i s_i * A_K^i, K =
-    terms, with exponents scaled by p^K: packed when the span d*p^(K-1)+1,
-    d = len(s) - 1, is below both C(d+K, d), which bounds the dict entries,
-    and PACKED_SLOTS_MAX, else dict products, else (both over budget)
-    ValueError before any power is built."""
+    terms, with exponents scaled by p^K, in the form with less work: packed
+    when the span d*p^(K-1)+1, d = len(s) - 1, is below both K*C(d+K, d),
+    the dict products' bound of K updates per entry and C(d+K, d) entries,
+    and PACKED_SLOTS_MAX; else dict products; else (both span and entries
+    over budget) ValueError before any power is built.  The terms go to
+    normalize, whose r = 1 buckets sum them as they are read."""
     if terms < 0:
         raise ValueError(f"terms must be >= 0, got {terms}")
     d = len(s) - 1
@@ -258,7 +261,7 @@ def _residual_bag(p: int, s, terms: int) -> list:
     if min(span, entries) > PACKED_SLOTS_MAX:
         raise ValueError(f"powers of A_K up to degree {d} at K = {terms} need "
                          f"more than {PACKED_SLOTS_MAX} exponent slots")
-    if span < min(entries, PACKED_SLOTS_MAX):
+    if span < min(terms * entries, PACKED_SLOTS_MAX):
         return _residual_bag_packed(p, s, terms)
     return _residual_bag_dict(p, s, terms)
 

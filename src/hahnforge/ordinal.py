@@ -77,6 +77,8 @@ class Ordinal(_Frozen):
         return 0 if la == lb else (-1 if la < lb else 1)
 
     def __eq__(self, other):
+        if isinstance(other, int) and other < 0:
+            return False  # no ordinal is negative
         other = _ordinal(other)
         return isinstance(other, Ordinal) and self.terms == other.terms
 

@@ -353,8 +353,8 @@ def format_series(value, base: str) -> str:
     """Canonical text for an EqHahn or PHahn value."""
     parts = []
     for num, den, c in printed_terms(value):
-        exp = num if den == 1 else f"{num}/{den}"
-        parts.append(f"[{c}]*{base}^({exp})" if num else f"[{c}]")
+        parts.append(f"[{c}]" if not num else f"[{c}]*{base}^({num})" if den == 1
+                     else f"[{c}]*{base}^({num}/{den})")
     if not value.is_exact():
         parts.append(f"O({base}^({format_rational(value.cap)}))")
     return " + ".join(parts) if parts else "0"

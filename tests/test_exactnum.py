@@ -573,6 +573,28 @@ class TestDigitDecompose:
             seen[digits] = n
 
 
+class TestDigitRuns:
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_repeated_runs_read_as_one_call_per_run(self, p, r):
+        # a run's digits are read once per call and re-based at each later
+        # run with the same value, precision and count
+        cfg, rng = PrimeConfig.make(p, r), random.Random(10 * p + r)
+        shapes = [(prec, rng.randint(1, prec)) for prec in (1, 3, 5)]
+        pool = [[rng.randrange(-p ** 6, p ** 6) for _ in range(r)] for _ in range(6)]
+        pool.append([0] * r)
+        for step in (1, 2, 7):
+            runs = []
+            for _ in range(60):
+                prec, count = rng.choice(shapes)
+                x = list(rng.choice(pool))
+                # the same value mod p^prec, given unreduced
+                x[0] += rng.randint(-2, 2) * p ** prec
+                runs.append((rng.randint(-50, 50), x if r > 1 else x[0], prec, count))
+            want = [t for run in runs for t in exactnum.digit_runs(cfg, [run], step)]
+            assert exactnum.digit_runs(cfg, runs, step) == want
+
+
 # fields with q <= 64, characteristic 2 and odd
 SMALL_FIELDS = [(p, r) for p in range(2, 65) if is_prime(p)
                 for r in range(1, 7) if p ** r <= 64]

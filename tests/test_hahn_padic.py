@@ -5,7 +5,7 @@ from fractions import Fraction as Fr
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hahnforge import hahn_padic
+from hahnforge import hahn_padic, indexcomb
 from hahnforge.errors import PrecisionLoss
 from hahnforge.exactnum import PrimeConfig, WittElem, digit_decompose, teichmueller
 from hahnforge.hahn_eqchar import EqHahn
@@ -462,6 +462,44 @@ class TestCappedOracle:
         want = ((Fr(-5, 2), d), (Fr(0), d))
         assert capped_oracle(cfg, bag, Fr(1)).digits == want
         assert normalize(cfg, bag, Fr(1)).digits == want
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_certificate_bags_in_either_order(self, p):
+        # each r = 1 bucket is summed as its items are read: certificate
+        # residual bags read both ways round (a bucket's integer parts then
+        # arrive ascending or descending), with zero multipliers, [0] digits
+        # and digits that need a lift, all below the items of their bucket
+        cfg, rng = PrimeConfig.make(p), random.Random(40 + p)
+        zero = cfg.fq(0)
+        for degree in (1, 2, 3):
+            den = p ** (degree + 2)
+            s = [rng.choice((-2, -1, 1, 3)) for _ in range(degree + 1)]
+            bag = indexcomb._residual_bag(p, s, degree + 2)
+            below = [x - rng.randint(1, 3) * den for _, x in rng.sample(bag, 3)]
+            bag += [(0, below[0]), ((1, zero), below[1]),
+                    ((rng.choice((-1, 2)), cfg.fq(rng.randrange(2, p))), below[2])]
+            for items in (bag, bag[::-1]):
+                pairs = bag_of_pairs(cfg, [(c, Fr(x, den)) for c, x in items])
+                for cap in (Fr(-1), Fr(0), Fr(1), Fr(5, 2)):
+                    assert normalize(cfg, items, cap, den=den) == \
+                        capped_oracle(cfg, pairs, cap), (s, cap)
+
+    @pytest.mark.parametrize("low", [0, (1, (0,))], ids=["zero-multiplier", "digit-0"])
+    def test_items_that_add_nothing_still_set_the_offset(self, low):
+        # the bucket's offset is -10, so it needs Witt length 1 + 10 + 2
+        cfg = PrimeConfig.make(3, l_max=6)
+        with pytest.raises(PrecisionLoss, match=r"^bucket needs Witt length 13 > "):
+            normalize(cfg, [(1, 0), (low, -10)], Fr(1))
+
+    def test_first_bucket_read_raises_first(self):
+        # over den = 2: the bucket 1/2 at offset -10 needs length 13, the
+        # bucket 0 at offset -20 length 23; the first one the bag shows raises
+        cfg = PrimeConfig.make(3, l_max=6)
+        bag = [(1, -19), (1, -40)]
+        for items, ell in ((bag, 13), (bag[::-1], 23)):
+            with pytest.raises(PrecisionLoss,
+                               match=rf"^bucket needs Witt length {ell} > "):
+                normalize(cfg, items, Fr(1), den=2)
 
 
 class TestAddMul:

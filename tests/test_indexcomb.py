@@ -325,7 +325,8 @@ class TestFrakAPower:
 
     @pytest.mark.parametrize("p", [2, 3, 5])
     def test_matches_normalized_multinomial_terms(self, monkeypatch, p):
-        # at p = 2 and K = 4 the powers from i = 3 up are packed
+        # K = 0 and 1 take the dict route; at K = 4 every p packs A_K^0,
+        # and p = 2 and 3 pack most powers beyond it
         forms = set()
         for name in ("_residual_bag_packed", "_residual_bag_dict"):
             form = getattr(indexcomb, name)
@@ -341,7 +342,7 @@ class TestFrakAPower:
                         cfg, multinomial_terms(p, terms, i), cap))
                     got = _outcome(lambda: frak_a_power(cfg, i, terms, cap))
                     assert got == want, (terms, i, cap)
-        assert forms == ({"dict", "packed"} if p == 2 else {"dict"})
+        assert forms == {"dict", "packed"}
 
     def test_negative_terms_rejected(self):
         cfg = PrimeConfig.make(2)
@@ -519,8 +520,8 @@ def _outcome(make):
 
 
 class TestPackedResidual:
-    """At p = 2 and the default K, certificate_residual takes its powers as
-    packed big ints from degree 3 up.  The packed terms, the dict terms and
+    """At p = 2 and 3 and the default K, certificate_residual takes its
+    powers as packed big ints.  The packed terms, the dict terms and
     the ring-operation route certificate_residual_by_powers must agree."""
 
     CAPS = (Fr(-1), Fr(0), Fr(1), Fr(5, 2), INF)
@@ -558,6 +559,16 @@ class TestPackedResidual:
                 packed = indexcomb._residual_bag_packed(2, s, k)
                 assert sorted(packed, key=lambda t: t[1]) == \
                     sorted(indexcomb._residual_bag_dict(2, s, k), key=lambda t: t[1])
+
+    @pytest.mark.parametrize("p,degree", [(3, d) for d in range(1, 7)]
+                             + [(5, d) for d in range(1, 5)])
+    def test_packed_terms_equal_dict_terms_at_odd_p(self, p, degree):
+        # K = 1, the default and degree + 4; the copy with an entry beyond
+        # 2^64 has slots wider than 64 bits
+        for s in self.draws(degree):
+            for k in (1, degree + 2, degree + 4):
+                assert sorted(indexcomb._residual_bag_packed(p, s, k)) == \
+                    sorted(indexcomb._residual_bag_dict(p, s, k)), (s, k)
 
     @pytest.mark.parametrize("bits", [8, 16, 32, 64])
     def test_slots_keep_a_sign_bit(self, bits):
@@ -609,10 +620,12 @@ class TestPackedResidual:
                 (1,) * (degree + 1), cap=Fr(1)), terms)
             return taken[0]
 
-        assert [route(2, d) for d in range(1, 9)] == ["dict"] * 2 + ["packed"] * 6
-        assert {route(p, d) for p in (3, 5) for d in range(1, 6)} == {"dict"}
+        # packed when the span d * p^(K-1) + 1 is below K * C(d+K, d)
+        assert [route(2, d) for d in range(1, 9)] == ["packed"] * 8
+        assert [route(3, d) for d in range(1, 6)] == ["packed"] * 5
+        assert {route(5, d) for d in range(1, 6)} == {"dict"}
         assert [route(2, 6, t) for t in (0, 1, 2, 8, 14)] == \
-            ["dict", "dict", "packed", "packed", "dict"]
+            ["dict", "dict", "packed", "packed", "packed"]
         # K = 40: 6 * 2^39 + 1 slots packed, C(46, 6) = 9,366,819 dict entries
         with pytest.raises(ValueError, match="more than 4194304 exponent slots"):
             route(2, 6, 40)

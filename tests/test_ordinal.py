@@ -69,6 +69,11 @@ class TestCompare:
             assert n in {Ordinal.from_int(n)} and Ordinal.from_int(n) in {n}
         assert OMEGA not in {1, 0} and len({OMEGA, OMEGA * 2, ONE, 1}) == 3
 
+    def test_negative_int_is_unequal(self):
+        for a in (ZERO, ONE, OMEGA):
+            assert not a == -1 and a != -1 and not -1 == a and -1 != a
+        assert OMEGA in [-1, OMEGA] and ZERO not in [-1, -2]
+
     def test_total_order_on_triples(self):
         triples = list(itertools.product(range(3), repeat=3))
         ords = [triple_to_ordinal(t) for t in triples]
